@@ -42,10 +42,10 @@ import time
 from repro.configspace import ConfigurationSpace, OrdinalHyperparameter
 from repro.kernels.lu import lu_trailing_update_tuned
 from repro.kernels.registry import get_benchmark
-from repro.pipeline import PipelineConfig
 from repro.runtime.measure import LocalEvaluator
 from repro.swing import SwingEvaluator
 from repro.tir.codegen_c import reset_native_runtime
+from repro.ytopt.optimizer import Optimizer, RefitSchedule
 from repro.ytopt.problem import TuningProblem
 from repro.ytopt.search import AMBS
 
@@ -84,21 +84,31 @@ def _run_native(
     evals: int,
     seed: int,
     latency: float,
-    pipeline: "PipelineConfig | None",
-    refit_every: "int | None",
+    pipeline: bool,
 ) -> dict:
-    """One native-tier lu-96 arm; fresh caches so no arm warms another."""
+    """One native-tier lu-96 arm; fresh caches so no arm warms another.
+
+    The pipelined arm refits on the geometric schedule with ``dense_until``
+    below the warm-up design size: the schedule goes geometric as soon as the
+    model phase starts, which is also what lets compile-ahead speculate
+    across refit-free waves. The serial arm refits on every observation."""
     reset_native_runtime()
     evaluator = LocalEvaluator(
         _lu_builder, backend="native", dispatch_latency=latency
     )
-    problem = TuningProblem(_lu_space(seed), evaluator, name=f"lu-{LU_N}")
+    space = _lu_space(seed)
+    problem = TuningProblem(space, evaluator, name=f"lu-{LU_N}")
+    optimizer = None
+    if pipeline:
+        optimizer = Optimizer(
+            space, seed=seed, refit_schedule=RefitSchedule(dense_until=8)
+        )
     search = AMBS(
         problem,
+        optimizer=optimizer,
         max_evals=evals,
         seed=seed,
         pipeline=pipeline,
-        refit_every=refit_every,
     )
     t0 = time.perf_counter()
     result = search.run()
@@ -125,24 +135,15 @@ def _run_swing(evals: int, seed: int, pipelined: bool, refit_every: int):
         problem,
         max_evals=evals,
         seed=seed,
-        pipeline=PipelineConfig() if pipelined else None,
+        pipeline=pipelined,
         refit_every=refit_every,
     )
     return _record_signature(search.run())
 
 
 def native_dispatch_arm(evals: int, seed: int) -> dict:
-    serial = _run_native(evals, seed, DISPATCH_LATENCY, None, None)
-    pipelined = _run_native(
-        evals,
-        seed,
-        DISPATCH_LATENCY,
-        # dense_until below the warm-up design size: the schedule goes
-        # geometric as soon as the model phase starts, which is also what
-        # lets compile-ahead speculate across refit-free waves.
-        PipelineConfig(dense_until=8),
-        None,
-    )
+    serial = _run_native(evals, seed, DISPATCH_LATENCY, pipeline=False)
+    pipelined = _run_native(evals, seed, DISPATCH_LATENCY, pipeline=True)
     return {
         "kernel": f"lu-{LU_N}",
         "evals": evals,
@@ -155,8 +156,8 @@ def native_dispatch_arm(evals: int, seed: int) -> dict:
 
 
 def native_real_arm(evals: int, seed: int) -> dict:
-    serial = _run_native(evals, seed, 0.0, None, None)
-    pipelined = _run_native(evals, seed, 0.0, PipelineConfig(dense_until=8), None)
+    serial = _run_native(evals, seed, 0.0, pipeline=False)
+    pipelined = _run_native(evals, seed, 0.0, pipeline=True)
     return {
         "kernel": f"lu-{LU_N}",
         "evals": evals,

@@ -81,7 +81,8 @@ class TunerContext:
     Mirrors the ``repro tune`` / service ``JobSpec`` knobs so any registered
     tuner runs end-to-end with telemetry, multi-fidelity, warm start, and
     transfer untouched. Factories ignore the knobs their family does not
-    support (e.g. AutoTVM tuners ignore ``transfer_seed``).
+    support (e.g. AutoTVM tuners ignore ``transfer_seed``); the service
+    rejects the BO loop knobs for AutoTVM tuners before a factory runs.
     """
 
     benchmark: Benchmark
@@ -92,10 +93,11 @@ class TunerContext:
     repeats: int = 1
     prune: bool = False
     prune_threshold: float = 1.25
-    #: Pipelined execution (see :mod:`repro.pipeline`): overlap the surrogate
-    #: ask, a ``compile_jobs``-wide build pool with compile-ahead, and
-    #: measurement. ``refit_every`` selects the surrogate refit policy
+    #: Pipelined execution (see :mod:`repro.ytopt.search`): overlap the
+    #: surrogate ask, a ``compile_jobs``-wide build pool with compile-ahead,
+    #: and measurement. ``refit_every`` selects the surrogate refit policy
     #: (None = loop default; 0 = geometric schedule; 1 = every observation).
+    #: BO family only.
     pipeline: bool = False
     compile_jobs: "int | None" = None
     refit_every: "int | None" = None

@@ -175,7 +175,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             transfer_db=args.transfer_db,
             transfer_bias=args.transfer_bias,
             label=args.label,
-            backend=args.backend,
             pipeline=_resolve_pipeline(args),
             compile_jobs=args.compile_jobs,
             refit_every=args.refit_every,
@@ -444,7 +443,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         "transfer_from": args.transfer_db,
         "transfer_bias": args.transfer_bias,
         "label": args.label,
-        "backend": args.backend,
         "pipeline": _resolve_pipeline(args),
         "compile_jobs": args.compile_jobs,
         "refit_every": args.refit_every,
@@ -570,9 +568,6 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
                        help="overlap the surrogate ask, a parallel build "
                        "pool with compile-ahead speculation, and measurement "
                        "(implied by --compile-jobs)")
-    group.add_argument("--no-pipeline", action="store_true",
-                       help="force the serial loop even when --compile-jobs "
-                       "is given")
     group.add_argument("--compile-jobs", type=int, default=None, metavar="N",
                        help="build-pool width for ahead-of-time native "
                        "compiles (default: CPU count); implies --pipeline")
@@ -584,10 +579,8 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_pipeline(args: argparse.Namespace) -> bool:
-    """--compile-jobs implies pipelining; --no-pipeline always wins."""
-    if args.no_pipeline:
-        return False
-    return bool(args.pipeline or args.compile_jobs is not None)
+    """--compile-jobs implies pipelining."""
+    return args.pipeline or args.compile_jobs is not None
 
 
 def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
@@ -644,11 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--timeout", type=float, default=None, metavar="S",
                         help="per-trial kernel wall-clock budget in seconds "
                         "(timed-out trials are recorded as failed)")
-    p_tune.add_argument("--backend", default=None,
-                        choices=["native", "tensor", "codegen", "interp"],
-                        help="pin the execution tier for measurement builds "
-                        "(native = compiled C; lower tiers still apply as "
-                        "fallback; no effect under Swing simulation)")
     _add_pipeline_args(p_tune)
     _add_fidelity_args(p_tune)
     _add_transfer_args(p_tune, with_label=True)
@@ -775,10 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parallel measurement width inside the session")
     p_sub.add_argument("--timeout", type=float, default=None, metavar="S",
                        help="per-trial kernel wall-clock budget in seconds")
-    p_sub.add_argument("--backend", default=None,
-                       choices=["native", "tensor", "codegen", "interp"],
-                       help="pin the execution tier for measurement builds "
-                       "(validated at admission against the backend ladder)")
     p_sub.add_argument("--wait", action="store_true",
                        help="block until the job finishes; exit 0 only if it "
                        "completed successfully")

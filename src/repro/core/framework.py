@@ -25,7 +25,7 @@ from repro.kernels.registry import KernelBenchmark
 from repro.runtime.measure import Evaluator, LocalEvaluator, ScheduleBuilder
 from repro.swing import SwingEvaluator
 from repro.ytopt.acquisition import LowerConfidenceBound
-from repro.ytopt.optimizer import Optimizer
+from repro.ytopt.optimizer import Optimizer, refit_policy
 from repro.ytopt.problem import TuningProblem
 from repro.ytopt.search import AMBS, SearchResult
 from repro.ytopt.surrogate import RandomForestSurrogate, Surrogate
@@ -57,11 +57,10 @@ class AutotuneConfig:
     prune: bool = False
     prune_threshold: float = 1.25
     prune_overhead: float = 0.02
-    #: Pipelined execution (see :mod:`repro.pipeline`): overlap the surrogate
-    #: ask, a ``compile_jobs``-wide native build pool with compile-ahead
-    #: speculation, and measurement. ``refit_every`` picks the surrogate
-    #: refit policy (None = legacy serially / geometric schedule under the
-    #: pipeline; 1 = every observation, the byte-identical escape hatch).
+    #: Pipelined execution (see :mod:`repro.ytopt.search`): overlap the
+    #: surrogate ask, a ``compile_jobs``-wide native build pool with
+    #: compile-ahead speculation, and measurement. ``refit_every`` picks the
+    #: surrogate refit policy (see :func:`repro.ytopt.optimizer.refit_policy`).
     pipeline: bool = False
     compile_jobs: int | None = None
     refit_every: int | None = None
@@ -85,30 +84,6 @@ class AutotuneConfig:
             raise TuningError(
                 f"refit_every must be >= 0, got {self.refit_every}"
             )
-
-    def pipeline_config(self):
-        """The :class:`repro.pipeline.PipelineConfig` these knobs select, or
-        None for the serial loop."""
-        if not self.pipeline:
-            return None
-        from repro.pipeline.config import PipelineConfig
-
-        return PipelineConfig(
-            compile_jobs=self.compile_jobs, refit_every=self.refit_every
-        )
-
-    def refit_settings(self):
-        """``(refit_interval, refit_schedule)`` for the Optimizer."""
-        from repro.pipeline.config import PipelineConfig
-
-        cfg = self.pipeline_config()
-        if cfg is not None:
-            return cfg.refit_settings()
-        if self.refit_every is not None:
-            return PipelineConfig(
-                enabled=False, refit_every=self.refit_every
-            ).refit_settings()
-        return 1, None
 
 
 class BayesianAutotuner:
@@ -144,7 +119,9 @@ class BayesianAutotuner:
                 )
             self.optimizer = optimizer
         else:
-            refit_interval, refit_schedule = self.config.refit_settings()
+            refit_interval, refit_schedule = refit_policy(
+                self.config.refit_every, self.config.pipeline
+            )
             self.optimizer = Optimizer(
                 space,
                 surrogate=(
@@ -174,7 +151,8 @@ class BayesianAutotuner:
             prune_threshold=self.config.prune_threshold,
             prune_overhead=self.config.prune_overhead,
             warm_start=warm_db,
-            pipeline=self.config.pipeline_config(),
+            pipeline=self.config.pipeline,
+            compile_jobs=self.config.compile_jobs,
         )
 
     # -- constructors -----------------------------------------------------

@@ -74,7 +74,6 @@ def run_tuner(
     transfer_db: "str | None" = None,
     transfer_bias: float = 0.5,
     label: "str | None" = None,
-    backend: "str | None" = None,
     pipeline: bool = False,
     compile_jobs: "int | None" = None,
     refit_every: "int | None" = None,
@@ -101,19 +100,13 @@ def run_tuner(
     from the fit. ``label`` overrides the identity the run is stored under,
     so A/B variants of one tuner coexist in a single store.
 
-    ``backend`` pins the execution tier for measurement builds (recorded in
-    the job spec and validated against the backend ladder). Under Swing
-    simulation no executable module is ever built, so trajectories are
-    byte-identical across backend pins — the knob matters when a session is
-    measured for real through :class:`~repro.runtime.measure.LocalEvaluator`.
-
-    ``pipeline`` routes the run through the pipelined execution engine
-    (:mod:`repro.pipeline`): a ``compile_jobs``-wide compile-ahead build pool
-    overlapped with the surrogate ask and measurement, with ``refit_every``
-    selecting the surrogate refit policy (None/0 = geometric schedule, 1 =
-    refit every observation — the byte-identical escape hatch). Under Swing
-    simulation pipelining is a structural no-op on the trajectory; it pays
-    off on real native-tier measurement.
+    ``pipeline`` runs the BO loop pipelined (:mod:`repro.ytopt.search`): a
+    ``compile_jobs``-wide compile-ahead build pool overlapped with the
+    surrogate ask and measurement, with ``refit_every`` selecting the
+    surrogate refit policy (None/0 = geometric schedule, 1 = refit every
+    observation — the byte-identical escape hatch). Under Swing simulation
+    pipelining is a structural no-op on the trajectory; it pays off on real
+    native-tier measurement. AutoTVM tuners reject these three knobs.
 
     This is the single-run front door for in-process callers; it builds a
     one-shot :class:`~repro.service.session.TuningSession` reporting to the
@@ -138,7 +131,6 @@ def run_tuner(
             transfer_from=transfer_db,
             transfer_bias=transfer_bias,
             label=label,
-            backend=backend,
             pipeline=pipeline,
             compile_jobs=compile_jobs,
             refit_every=refit_every,

@@ -1,9 +1,9 @@
-"""Pipelined tuning-loop execution: overlap ask, native builds, measurement.
+"""Compile-ahead build pool for the pipelined AMBS loop.
 
 The serial AMBS loop pays three costs end to end for every wave: the
 surrogate ask (refit + acquisition), the kernel build (a subprocess C
-compile on the native tier), and the measurement itself. This package
-overlaps them:
+compile on the native tier), and the measurement itself. ``AMBS(pipeline=
+True)`` overlaps them with two pieces:
 
 * :class:`BuildPool` — a bounded thread pool of ahead-of-time kernel builds
   (``evaluator.precompile``), so a wave's compiles run ``compile_jobs`` wide
@@ -12,23 +12,16 @@ overlaps them:
 * :meth:`repro.ytopt.Optimizer.speculate` — a side-effect-free preview of
   the next ask used to pick those speculative builds; misses are discarded
   without a ``tell``.
-* :class:`OrderedTellQueue` — an in-order completion gate so pipelining can
-  never reorder observations (the determinism guarantees of the serial loop
-  carry over verbatim; at ``refit_every=1`` trajectories are byte-identical).
-* :func:`run_pipelined` — the engine: a drop-in replacement for
-  ``AMBS.run`` selected by ``AMBS(pipeline=...)``.
+
+Observations still commit on the loop's thread in ask order, so the
+determinism guarantees of the serial loop carry over verbatim; at
+``refit_every=1`` trajectories are byte-identical.
 """
 
-from repro.pipeline.build_pool import BuildPool, config_key
-from repro.pipeline.config import PipelineConfig, default_compile_jobs
-from repro.pipeline.engine import run_pipelined
-from repro.pipeline.queue import OrderedTellQueue
+from repro.pipeline.build_pool import BuildPool, config_key, default_compile_jobs
 
 __all__ = [
     "BuildPool",
-    "OrderedTellQueue",
-    "PipelineConfig",
     "config_key",
     "default_compile_jobs",
-    "run_pipelined",
 ]

@@ -7,11 +7,12 @@ lowered-PrimFunc BuildCache), which is where the later measurement finds
 them. Workers run with telemetry pinned off — the event bus and its sinks
 are not thread-safe — and the pool aggregates its own counters instead:
 occupancy high-water mark, busy-seconds, speculation hits/misses, and the
-seconds the engine spent blocked on an unfinished build.
+seconds the tuning loop spent blocked on an unfinished build.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections.abc import Iterable, Mapping
@@ -20,6 +21,11 @@ from typing import Any
 
 from repro.common.errors import TuningError
 from repro.telemetry.context import NULL_TELEMETRY, scoped_telemetry
+
+
+def default_compile_jobs() -> int:
+    """Build-pool width for this machine (cores, capped at 8)."""
+    return max(1, min(os.cpu_count() or 1, 8))
 
 
 def config_key(config: Any) -> bytes:
@@ -46,8 +52,7 @@ class BuildPool:
     """Fan kernel builds out to ``jobs`` threads, deduplicated by config key.
 
     ``precompiler`` is the evaluator's ``precompile`` method (or None, which
-    disables the pool — every method degenerates to a no-op, the serial
-    behavior). The executor is created lazily on first submit and torn down
+    disables the pool — every method degenerates to a no-op). The executor is created lazily on first submit and torn down
     by :meth:`close`.
     """
 
@@ -70,7 +75,7 @@ class BuildPool:
         #: across threads, so it can exceed wall time — that excess *is* the
         #: parallelism win).
         self.busy_seconds = 0.0
-        #: Seconds the engine blocked in :meth:`wait` on unfinished builds —
+        #: Seconds the loop blocked in :meth:`wait` on unfinished builds —
         #: the critical-path compile stall that survived pipelining.
         self.wait_seconds = 0.0
         self.occupancy_peak = 0
@@ -105,7 +110,7 @@ class BuildPool:
                 if not ok:
                     self.failures += 1
 
-    # -- engine-facing API (engine thread + the speculation side thread) -----
+    # -- loop-facing API (loop thread + the speculation side thread) ---------
 
     def submit(self, config: Any, speculative: bool = False) -> bool:
         """Queue one ahead-of-time build; returns True if newly queued.
@@ -170,26 +175,6 @@ class BuildPool:
     def hit_rate(self) -> float:
         scored = self.spec_hits + self.spec_misses
         return self.spec_hits / scored if scored else 0.0
-
-    def stats(self) -> dict[str, float]:
-        with self._lock:
-            return {
-                "jobs": float(self.jobs),
-                "submitted": float(self.submitted),
-                "completed": float(self.completed),
-                "failures": float(self.failures),
-                "speculative": float(self.speculative),
-                "spec_hits": float(self.spec_hits),
-                "spec_misses": float(self.spec_misses),
-                "hit_rate": (
-                    self.spec_hits / (self.spec_hits + self.spec_misses)
-                    if (self.spec_hits + self.spec_misses)
-                    else 0.0
-                ),
-                "busy_seconds": self.busy_seconds,
-                "wait_seconds": self.wait_seconds,
-                "occupancy_peak": float(self.occupancy_peak),
-            }
 
     def close(self) -> None:
         executor = self._executor

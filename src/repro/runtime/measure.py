@@ -158,7 +158,7 @@ class LocalEvaluator(Evaluator):
         native tier the expensive subprocess C compile lands in the on-disk
         ``.so`` store and the process-wide entry cache, so the build step of a
         later :meth:`evaluate` of the same configuration degenerates to a
-        cache hit. Safe to call from the pipelined engine's build-pool
+        cache hit. Safe to call from the pipelined loop's build-pool
         threads: the underlying caches are lock-protected and ``.so``
         publication is atomic. Returns True when the build succeeded; a
         failing build returns False and is otherwise swallowed — ``evaluate``

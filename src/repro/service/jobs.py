@@ -72,16 +72,12 @@ class JobSpec:
     #: variants of one tuner land side-by-side in a single run store without
     #: colliding on the (kernel, size, tuner, seed) identity key.
     label: str | None = None
-    #: Execution-backend tier pin for measurement builds ("native"/"tensor"/
-    #: "codegen"/"interp"); None defers to the process default. Only affects
-    #: real (llvm-target) measurement — the Swing-simulated path never builds
-    #: executable modules.
-    backend: str | None = None
-    #: Pipelined execution (see :mod:`repro.pipeline`): overlap the surrogate
-    #: ask, a ``compile_jobs``-wide compile-ahead build pool, and
+    #: Pipelined execution (see :mod:`repro.ytopt.search`): overlap the
+    #: surrogate ask, a ``compile_jobs``-wide compile-ahead build pool, and
     #: measurement. ``refit_every`` selects the surrogate refit policy
     #: (None = loop default — geometric under the pipeline; 1 = every
-    #: observation, the byte-identical escape hatch; 0 = geometric).
+    #: observation, the byte-identical escape hatch; 0 = geometric). These
+    #: knobs drive the BO loop, so AutoTVM tuners reject them.
     pipeline: bool = False
     compile_jobs: int | None = None
     refit_every: int | None = None
@@ -141,14 +137,28 @@ class JobSpec:
             raise JobRejected(
                 f"refit_every must be >= 0, got {self.refit_every}"
             )
-        if self.backend is not None:
-            from repro.runtime.module import BACKEND_TIERS
+        error = self.loop_knob_error(bench_registry.get_tuner(self.tuner).family)
+        if error is not None:
+            raise JobRejected(error)
 
-            if self.backend not in BACKEND_TIERS:
-                raise JobRejected(
-                    f"unknown backend {self.backend!r}; known: "
-                    f"{', '.join(BACKEND_TIERS)}"
-                )
+    def loop_knob_error(self, family: str) -> str | None:
+        """Why the BO-loop knobs this spec sets cannot drive a ``family``
+        tuner, or None when they can (AutoTVM tuners have no such loop)."""
+        knobs = [
+            name
+            for name, given in (
+                ("pipeline", self.pipeline),
+                ("compile_jobs", self.compile_jobs is not None),
+                ("refit_every", self.refit_every is not None),
+            )
+            if given
+        ]
+        if knobs and family != "bo":
+            return (
+                f"{', '.join(knobs)} only apply to BO-family tuners, "
+                f"not {self.tuner!r}"
+            )
+        return None
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

@@ -288,6 +288,9 @@ class TuningSession:
                 f"transfer_from only applies to the ytopt tuner, not "
                 f"{spec.tuner!r}"
             )
+        loop_knob_error = spec.loop_knob_error(tuner_spec.family)
+        if loop_knob_error is not None:
+            raise TuningError(loop_knob_error)
         self.spec = spec
         self.attempt = attempt
         self.benchmark = (

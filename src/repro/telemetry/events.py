@@ -245,7 +245,7 @@ class RunFinished(Event):
 
 @dataclass
 class PipelineStats(Event):
-    """End-of-run counters of the pipelined execution engine.
+    """End-of-run counters of the pipelined AMBS loop.
 
     ``hit_rate`` is the compile-ahead speculation hit rate (hits over scored
     speculations); ``busy_seconds`` the build pool's worker-time integral

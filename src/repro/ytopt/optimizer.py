@@ -47,8 +47,8 @@ class RefitSchedule:
     the random state later fits see: trajectories under a schedule are
     deterministic but not identical to ``refit_every=1``. The escape hatch
     for byte-identical trajectories is simply not installing a schedule
-    (``refit_every=1``), which is the default everywhere outside the
-    pipeline engine.
+    (``refit_every=1``), which is the default of the serial loop (see
+    :func:`refit_policy`).
     """
 
     def __init__(self, dense_until: int = 32, growth: float = 1.5) -> None:
@@ -70,6 +70,26 @@ class RefitSchedule:
 
     def __repr__(self) -> str:
         return f"RefitSchedule(dense_until={self.dense_until}, growth={self.growth:g})"
+
+
+def refit_policy(
+    refit_every: int | None, pipeline: bool
+) -> "tuple[int, RefitSchedule | None]":
+    """``(refit_interval, refit_schedule)`` for the default Optimizer of a
+    tuning loop with these knobs.
+
+    ``refit_every=None`` takes the loop's default: every observation for the
+    serial loop, the geometric :class:`RefitSchedule` under the pipeline.
+    ``0`` forces the geometric schedule; ``1`` refits on every observation
+    (the byte-identical escape hatch); ``k > 1`` every ``k`` observations.
+    """
+    if refit_every is not None and refit_every < 0:
+        raise TuningError(f"refit_every must be >= 0, got {refit_every}")
+    if refit_every is None:
+        refit_every = 0 if pipeline else 1
+    if refit_every == 0:
+        return 1, RefitSchedule()
+    return refit_every, None
 
 
 class Optimizer:
@@ -205,7 +225,7 @@ class Optimizer:
     ) -> list[Configuration] | None:
         """Side-effect-free preview of the ask that follows ``will_tell`` tells.
 
-        The pipelined engine calls this while wave *k* is still measuring to
+        The pipelined AMBS loop calls this while wave *k* is still measuring to
         pre-compile wave *k+1*'s candidates. Returns the configuration(s) the
         real ``ask()``/``ask_batch()`` is expected to propose once the
         ``will_tell`` in-flight observations (``exclude``) land, or None when

@@ -6,20 +6,43 @@ code mold / schedule builder instantiates it (Step 2), the kernel is compiled
 (Step 3) and executed (Step 4), and the runtime lands in the performance
 database and back in the optimizer (Step 5) — until ``max_evals`` or the
 wall-clock budget is exhausted.
+
+``AMBS.run`` is the one loop for both execution modes. Serial (the default)
+runs the steps back to back. Pipelined (``pipeline=True``) adds two
+overlaps and keeps everything else — spans, clock charges, prune/tell/event
+order — step for step:
+
+1. **Parallel wave builds.** Every configuration headed for measurement is
+   submitted to a :class:`~repro.pipeline.BuildPool` before the loop blocks
+   on it, so a constant-liar wave compiles ``compile_jobs`` wide instead of
+   one subprocess at a time.
+2. **Compile-ahead speculation.** While wave *k* builds and measures, the
+   optimizer's side-effect-free :meth:`~repro.ytopt.Optimizer.speculate`
+   previews wave *k+1* on a side thread and its builds start in the
+   background. When the landed wave provably cannot have changed the
+   proposal, :meth:`~repro.ytopt.Optimizer.confirm_speculation` adopts the
+   preview as the real ask. A spec-miss is discarded without a ``tell``.
+
+Observations commit on the loop's thread in ask order in both modes, so at
+``refit_every=1`` a pipelined run's store is byte-identical to the serial
+run's. Pipelined runs also emit ``pipeline_wait`` spans for the build stalls
+and one :class:`~repro.telemetry.PipelineStats` event at the end.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.common.errors import TuningError
+from repro.pipeline.build_pool import BuildPool, default_compile_jobs
 from repro.runtime.measure import FAILED_COST, MeasureResult
-from repro.telemetry.context import get_telemetry
-from repro.telemetry.events import TrialMeasured, TrialPruned
+from repro.telemetry.context import NULL_TELEMETRY, get_telemetry, scoped_telemetry
+from repro.telemetry.events import PipelineStats, TrialMeasured, TrialPruned
 from repro.ytopt.database import PerformanceDatabase
-from repro.ytopt.optimizer import Optimizer
+from repro.ytopt.optimizer import Optimizer, refit_policy
 from repro.ytopt.problem import TuningProblem
 
 
@@ -99,18 +122,17 @@ class AMBS:
         #: directly instead.
         transfer_seed=None,
         transfer_bias: float = 0.0,
-        #: Pipelined execution (see :mod:`repro.pipeline`): a
-        #: :class:`~repro.pipeline.PipelineConfig`, True for the defaults, or
-        #: None/False for the serial loop. The pipelined engine overlaps the
-        #: surrogate ask, a parallel native build pool with compile-ahead
-        #: speculation, and measurement, telling in ask order.
-        pipeline=None,
-        #: Surrogate refit policy for the *default* optimizer: None keeps the
-        #: legacy behavior (every observation serially; the geometric
-        #: schedule under the pipeline), ``0`` forces the geometric schedule,
-        #: ``1`` refits every observation (the byte-identical escape hatch),
-        #: ``k > 1`` every k observations. Ignored when an explicit
-        #: ``optimizer`` is passed — configure that optimizer directly.
+        #: Pipelined execution (see the module docstring): overlap the
+        #: surrogate ask, a ``compile_jobs``-wide build pool with
+        #: compile-ahead speculation, and measurement. ``compile_jobs=None``
+        #: picks :func:`~repro.pipeline.default_compile_jobs`; it is unused
+        #: by the serial loop.
+        pipeline: bool = False,
+        compile_jobs: int | None = None,
+        #: Surrogate refit policy for the *default* optimizer (see
+        #: :func:`~repro.ytopt.optimizer.refit_policy`). Ignored when an
+        #: explicit ``optimizer`` is passed — configure that optimizer
+        #: directly.
         refit_every: int | None = None,
     ) -> None:
         if max_evals < 1:
@@ -128,35 +150,17 @@ class AMBS:
             )
         if prune_overhead < 0:
             raise TuningError(f"prune_overhead must be >= 0, got {prune_overhead}")
+        if compile_jobs is not None and compile_jobs < 1:
+            raise TuningError(f"compile_jobs must be >= 1, got {compile_jobs}")
         self.problem = problem
         if optimizer is not None and transfer_seed is not None:
             raise TuningError(
                 "pass transfer_seed either to AMBS (default optimizer) or to "
                 "an explicit Optimizer, not both"
             )
-        from repro.pipeline.config import PipelineConfig  # lazy: import cycle
-
-        if pipeline is True:
-            pipeline = PipelineConfig()
-        elif pipeline is False:
-            pipeline = None
-        if pipeline is not None and refit_every is not None:
-            pipeline = PipelineConfig(
-                enabled=pipeline.enabled,
-                compile_jobs=pipeline.compile_jobs,
-                speculate=pipeline.speculate,
-                refit_every=refit_every,
-                dense_until=pipeline.dense_until,
-                growth=pipeline.growth,
-            )
-        self.pipeline = pipeline if (pipeline is not None and pipeline.enabled) else None
-        if self.pipeline is not None:
-            refit_interval, refit_schedule = self.pipeline.refit_settings()
-        elif refit_every is not None:
-            no_schedule = PipelineConfig(enabled=False, refit_every=refit_every)
-            refit_interval, refit_schedule = no_schedule.refit_settings()
-        else:
-            refit_interval, refit_schedule = 1, None
+        self.pipeline = pipeline
+        self.compile_jobs = compile_jobs
+        refit_interval, refit_schedule = refit_policy(refit_every, self.pipeline)
         self.optimizer = (
             optimizer
             if optimizer is not None
@@ -248,11 +252,7 @@ class AMBS:
         return result
 
     def _commit(self, config, result: MeasureResult, tel) -> None:
-        """Step 5 for one observation: database, tell, incumbent, event.
-
-        Shared by the serial loop and the pipelined engine (which calls it
-        through the in-order tell queue), so both record byte-identical
-        trajectories from identical measurements."""
+        """Step 5 for one observation: database, tell, incumbent, event."""
         self.database.add(result, tuner=self.tuner_name)
         cost = result.mean_cost if result.ok else FAILED_COST
         self.optimizer.tell(config, cost)
@@ -274,7 +274,7 @@ class AMBS:
             )
 
     def measure(self, to_measure: list) -> list[MeasureResult]:
-        """Steps 2–4 for one wave (shared with the pipelined engine)."""
+        """Steps 2–4 for one wave."""
         if len(to_measure) == 1:
             return [self.problem.objective(to_measure[0])]
         if to_measure:
@@ -297,7 +297,7 @@ class AMBS:
         those builds; ``search_seconds`` ask + refit + acquisition."""
         measure_net = max(0.0, self._measure_wall - self._compile_sum)
         out = {
-            "mode": "pipelined" if self.pipeline is not None else "serial",
+            "mode": "pipelined" if self.pipeline else "serial",
             "search_seconds": round(self._search_wall, 6),
             "compile_seconds": round(self._compile_sum + extra.pop("compile_stall", 0.0), 6),
             "measure_seconds": round(measure_net, 6),
@@ -317,44 +317,145 @@ class AMBS:
             overhead=self._overhead_breakdown(wall_total, **extra),
         )
 
+    def _speculate(self, pool: BuildPool, width: int, wave: tuple) -> list | None:
+        """Compile-ahead: preview the next ``width``-wide wave while ``wave``
+        builds and measures, and start its builds in ``pool``."""
+        # The side thread must not reach the process-global telemetry bus
+        # (its sinks are not thread-safe).
+        with scoped_telemetry(NULL_TELEMETRY):
+            picks = self.optimizer.speculate(width, will_tell=len(wave), exclude=wave)
+        for config in picks or ():
+            pool.submit(config, speculative=True)
+        return picks or None
+
+    def _pipeline_stats(self, pool: BuildPool, tel) -> dict:
+        """Emit the run's :class:`PipelineStats` event; returns the build-pool
+        counters for the overhead breakdown."""
+        refits = getattr(self.optimizer, "n_refits", 0)
+        refits_skipped = getattr(self.optimizer, "n_refits_skipped", 0)
+        if tel.enabled:
+            tel.emit(
+                PipelineStats(
+                    jobs=pool.jobs,
+                    submitted=pool.submitted,
+                    completed=pool.completed,
+                    failures=pool.failures,
+                    speculative=pool.speculative,
+                    spec_hits=pool.spec_hits,
+                    spec_misses=pool.spec_misses,
+                    hit_rate=pool.hit_rate,
+                    busy_seconds=pool.busy_seconds,
+                    wait_seconds=pool.wait_seconds,
+                    occupancy_peak=pool.occupancy_peak,
+                    refits=refits,
+                    refits_skipped=refits_skipped,
+                )
+            )
+        return {
+            "compile_stall": pool.wait_seconds,
+            "compile_jobs": float(pool.jobs),
+            "spec_hit_rate": pool.hit_rate,
+            "pool_busy_seconds": pool.busy_seconds,
+            "pool_occupancy_peak": float(pool.occupancy_peak),
+            "refits": float(refits),
+            "refits_skipped": float(refits_skipped),
+        }
+
     def run(self) -> SearchResult:
         """Execute the search; returns the best configuration found."""
         self._search_wall = 0.0
         self._measure_wall = 0.0
         self._compile_sum = 0.0
-        if self.pipeline is not None:
-            from repro.pipeline.engine import run_pipelined  # lazy: import cycle
-
-            return run_pipelined(self, self.pipeline)
         tel = get_telemetry()
         evaluator = self.problem.evaluator
         clock = getattr(evaluator, "clock", None)
+        pool = spec_pool = None
+        can_speculate = False
+        if self.pipeline:
+            precompiler = getattr(evaluator, "precompile", None)
+            pool = BuildPool(
+                precompiler if callable(precompiler) else None,
+                self.compile_jobs or default_compile_jobs(),
+            )
+            # Optimizers without a speculation protocol (e.g. TPE) still
+            # pipeline their wave builds; they just never compile ahead.
+            can_speculate = pool.enabled and callable(
+                getattr(self.optimizer, "speculate", None)
+            )
+            # Under a real clock the speculative ask runs on a side thread so
+            # it (and the builds it seeds) overlaps the wave's build-wait and
+            # measurement; under a virtual clock it runs inline — simulated
+            # time cannot overlap.
+            if can_speculate and clock is None:
+                spec_pool = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="repro-spec"
+                )
+        speculated = None
         remaining = max(0, self.max_evals - self._preloaded)
         t_start = time.perf_counter()
-        while remaining > 0:
-            if self.max_time is not None and evaluator.elapsed() >= self.max_time:
-                break
-            n = min(self.batch_size, remaining)
-            t0 = self._stamp(clock)
-            with tel.span("acquisition", clock=clock):
-                configs = (
-                    [self.optimizer.ask()] if n == 1 else self.optimizer.ask_batch(n)
-                )  # Step 1
-                if clock is not None:
-                    clock.advance(self.optimizer_overhead)
-            self._search_wall += self._stamp(clock) - t0
-            results: list[MeasureResult | None] = [
-                self._try_prune(c, evaluator, clock) for c in configs
-            ]
-            to_measure = [c for c, r in zip(configs, results) if r is None]
-            t0 = self._stamp(clock)
-            with tel.span("measure", clock=clock):
-                measured = self.measure(to_measure)  # Steps 2-4
-            self._measure_wall += self._stamp(clock) - t0
-            it = iter(measured)
-            results = [r if r is not None else next(it) for r in results]
-            for config, result in zip(configs, results):
-                self._commit(config, result, tel)  # Step 5
-            remaining -= len(configs)
-
-        return self._finish(time.perf_counter() - t_start)
+        try:
+            while remaining > 0:
+                if self.max_time is not None and evaluator.elapsed() >= self.max_time:
+                    break
+                n = min(self.batch_size, remaining)
+                t0 = self._stamp(clock)
+                with tel.span("acquisition", clock=clock):
+                    configs = None
+                    if speculated is not None:
+                        # Spec-confirm fast path: when the landed wave
+                        # provably cannot have changed the proposal, the
+                        # speculative ask *is* the real ask.
+                        confirm = getattr(self.optimizer, "confirm_speculation", None)
+                        if callable(confirm):
+                            configs = confirm(n)
+                    if configs is None:
+                        configs = (
+                            [self.optimizer.ask()] if n == 1 else self.optimizer.ask_batch(n)
+                        )  # Step 1
+                    if clock is not None:
+                        clock.advance(self.optimizer_overhead)
+                if speculated is not None:
+                    pool.score_speculation(speculated, configs)
+                    speculated = None
+                self._search_wall += self._stamp(clock) - t0
+                results: list[MeasureResult | None] = [
+                    self._try_prune(c, evaluator, clock) for c in configs
+                ]
+                to_measure = [c for c, r in zip(configs, results) if r is None]
+                spec_job = None
+                if pool is not None:
+                    # Fan this wave's builds out before anything blocks on them.
+                    for config in to_measure:
+                        pool.submit(config)
+                    pool.discard(c for c, r in zip(configs, results) if r is not None)
+                    next_n = min(self.batch_size, remaining - len(configs))
+                    if can_speculate and next_n > 0:
+                        wave = tuple(configs)
+                        if spec_pool is not None:
+                            spec_job = spec_pool.submit(self._speculate, pool, next_n, wave)
+                        else:
+                            speculated = self._speculate(pool, next_n, wave)
+                    if to_measure and pool.enabled:
+                        with tel.span("pipeline_wait"):
+                            pool.wait(to_measure)
+                t0 = self._stamp(clock)
+                with tel.span("measure", clock=clock):
+                    measured = self.measure(to_measure)  # Steps 2-4
+                self._measure_wall += self._stamp(clock) - t0
+                if spec_job is not None:
+                    # Join before any tell: the optimizer is single-threaded
+                    # and the speculation must finish (and restore its
+                    # snapshots) before real state advances.
+                    speculated = spec_job.result()
+                it = iter(measured)
+                results = [r if r is not None else next(it) for r in results]
+                for config, result in zip(configs, results):
+                    self._commit(config, result, tel)  # Step 5
+                remaining -= len(configs)
+        finally:
+            if spec_pool is not None:
+                spec_pool.shutdown(wait=True)
+            if pool is not None:
+                pool.close()
+        extra = self._pipeline_stats(pool, tel) if pool is not None else {}
+        return self._finish(time.perf_counter() - t_start, **extra)

@@ -105,9 +105,8 @@ class TestBuildPool:
         # Four 50ms sleeps across 4 threads: well under the 200ms serial sum
         # (sleep releases the GIL like the real subprocess compile does).
         assert wall < 0.18
-        stats = pool.stats()
-        assert stats["busy_seconds"] >= 0.18  # the worker-seconds integral
-        assert stats["jobs"] == 4.0
+        assert pool.busy_seconds >= 0.18  # the worker-seconds integral
+        assert pool.jobs == 4
 
     def test_discard_forgets_pending_builds(self):
         pre = RecordingPrecompiler(delay=0.02)

@@ -1,6 +1,6 @@
 """Pipelined vs. serial engine parity: identical run records, no extra tells.
 
-The contract the in-order tell queue + snapshot/restore speculation buy:
+The contract in-order commits + snapshot/restore speculation buy:
 whatever the pipeline overlaps, the sequence of committed observations is
 exactly the serial loop's. Under the Swing virtual clock every quantity —
 configuration, priced runtime, compile time, elapsed process time — is
@@ -10,7 +10,6 @@ deterministic, so the comparison is literal equality, row for row.
 import pytest
 
 from repro.kernels.registry import get_benchmark
-from repro.pipeline import PipelineConfig
 from repro.swing import SwingEvaluator
 from repro.ytopt.problem import TuningProblem
 from repro.ytopt.search import AMBS
@@ -34,7 +33,7 @@ def _run_swing(seed, evals, batch, pipelined, refit_every):
         max_evals=evals,
         seed=seed,
         batch_size=batch,
-        pipeline=PipelineConfig() if pipelined else None,
+        pipeline=pipelined,
         refit_every=refit_every,
     )
     result = search.run()

@@ -1,10 +1,10 @@
 """Optimizer.speculate / confirm_speculation: side-effect freedom, exact
-replay, and the refit-schedule interplay the pipelined engine relies on."""
+replay, and the refit-schedule interplay the pipelined loop relies on."""
 
 import pytest
 
 from repro.configspace import ConfigurationSpace, OrdinalHyperparameter
-from repro.ytopt.optimizer import Optimizer, RefitSchedule
+from repro.ytopt.optimizer import Optimizer, RefitSchedule, refit_policy
 
 
 def _space(seed):
@@ -179,3 +179,33 @@ class TestRefitSchedule:
         assert (
             scheduled.n_refits + scheduled.n_refits_skipped == every.n_refits
         )
+
+    @pytest.mark.parametrize("pipeline", [False, True])
+    @pytest.mark.parametrize("refit_every", [None, 0, 1, 3])
+    def test_refit_policy_table(self, refit_every, pipeline):
+        """(refit_every, pipeline) -> (refit_interval, schedule): None is
+        every observation serially and geometric under the pipeline, 0 is
+        always geometric, k >= 1 is every k observations."""
+        geometric = (1, (32, 1.5))
+        expected = {
+            (None, False): (1, None),
+            (None, True): geometric,
+            (0, False): geometric,
+            (0, True): geometric,
+            (1, False): (1, None),
+            (1, True): (1, None),
+            (3, False): (3, None),
+            (3, True): (3, None),
+        }[(refit_every, pipeline)]
+        interval, schedule = refit_policy(refit_every, pipeline)
+        got = (
+            interval,
+            None if schedule is None else (schedule.dense_until, schedule.growth),
+        )
+        assert got == expected
+
+    def test_refit_policy_rejects_negative(self):
+        from repro.common.errors import TuningError
+
+        with pytest.raises(TuningError, match="refit_every"):
+            refit_policy(-1, False)

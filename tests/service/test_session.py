@@ -89,32 +89,41 @@ class TestDeterminism:
         ).run()
         assert payload_of(bare) == payload_of(instrumented)
 
-    def test_backend_pin_does_not_change_simulated_trajectory(self):
-        """Swing never builds executable modules, so seed-0 runs are
-        byte-identical under native vs tensor backend pins."""
-        native = run_tuner(get_benchmark("lu", "large"), "ytopt",
-                           max_evals=6, seed=0, backend="native")
-        tensor = run_tuner(get_benchmark("lu", "large"), "ytopt",
-                           max_evals=6, seed=0, backend="tensor")
-        unpinned = run_tuner(get_benchmark("lu", "large"), "ytopt",
-                             max_evals=6, seed=0)
-        assert payload_of(native) == payload_of(tensor) == payload_of(unpinned)
 
+class TestLoopKnobAdmission:
+    """pipeline / compile_jobs / refit_every drive the BO loop; AutoTVM
+    tuners have no such loop and must refuse them, not drop them."""
 
-class TestBackendAdmission:
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize(
+        "knobs",
+        [dict(pipeline=True), dict(compile_jobs=4), dict(refit_every=1)],
+        ids=["pipeline", "compile_jobs", "refit_every"],
+    )
+    def test_autotvm_rejects_loop_knobs(self, knobs):
+        from repro.common.errors import TuningError
         from repro.service import JobRejected
 
-        with pytest.raises(JobRejected, match="unknown backend"):
-            spec(backend="cuda").validate()
+        bad = spec(tuner="AutoTVM-GA", **knobs)
+        (name,) = knobs
+        with pytest.raises(JobRejected, match=f"{name} only apply to BO-family"):
+            bad.validate()
+        with pytest.raises(TuningError, match=f"{name} only apply to BO-family"):
+            TuningSession(bad)
 
-    def test_ladder_tiers_admitted(self):
-        for tier in ("native", "tensor", "codegen", "interp"):
-            spec(backend=tier).validate()
+    def test_bo_tuners_accept_loop_knobs(self):
+        for tuner in ("ytopt", "ytopt-gp", "ytopt-tpe"):
+            spec(tuner=tuner, pipeline=True, compile_jobs=2, refit_every=1).validate()
 
-    def test_backend_round_trips_through_wire_json(self):
-        s = spec(backend="native")
-        assert JobSpec.from_dict(s.to_dict()).backend == "native"
+    def test_cli_tune_exits_1_with_error(self, capsys):
+        from repro.cli import main
+
+        rc = main(["tune", "--kernel", "lu", "--size", "large",
+                   "--tuner", "AutoTVM-GA", "--max-evals", "4", "--quiet",
+                   "--compile-jobs", "4"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "compile_jobs" in err and "AutoTVM-GA" in err
 
 
 class TestShard:
