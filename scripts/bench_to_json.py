@@ -18,7 +18,9 @@ Modes:
   regresses: any case's ``speedup_tensor_vs_interp`` / ``_vs_codegen`` /
   ``speedup_native_vs_tensor`` below ``RATIO_FLOOR`` × baseline, tier
   coverage dropping below the baseline, or the native tier losing to the
-  tensor tier (ratio < 1.0) on more than one of the paper-kernel gate cases.
+  tensor tier (ratio < 1.0) on more than one of the paper-kernel gate cases,
+  or the Random-Forest ask loop growing above its committed multiple of the
+  surrogate-free ask loop by more than 1 / ``RATIO_FLOOR``.
   Only dimensionless ratios are gated — absolute seconds do not transfer
   across machines, so they are reported but never compared.
 
@@ -51,6 +53,15 @@ _RATIO_KEYS = ("speedup_tensor_vs_interp", "speedup_tensor_vs_codegen")
 # tensor tier (ratio >= 1.0) on at least NATIVE_MIN_WINS paper kernels.
 NATIVE_GATE_CASES = ("lu-96", "cholesky-96", "3mm-mini")
 NATIVE_MIN_WINS = 2
+
+
+def surrogate_cost_ratio(search: dict) -> float:
+    """RF ask loop per eval over the DummySurrogate loop per eval.
+
+    Both loops run the same sampling and acquisition code on the same
+    machine, so their ratio isolates what the forest's fit and predict cost.
+    """
+    return search["ask_loop_rf_ms_per_eval"] / search["ask_overhead_ms_per_eval"]
 
 
 def _write(path: Path, doc: dict) -> None:
@@ -140,13 +151,24 @@ def check(compiler: dict, search: dict) -> list[str]:
                 f"baseline {base_cov.get(key)}"
             )
 
-    # The search document is informational (absolute seconds dominate it);
-    # the one machine-independent invariant is that batching actually wins.
+    # The search document's absolute seconds are informational; its
+    # machine-independent invariants are that batching actually wins and
+    # that the surrogate stays within its committed multiple of the
+    # surrogate-free loop.
     if search.get("batch_sampling_speedup", 0.0) < 1.0:
         failures.append(
             "batch sampling slower than sequential: speedup "
             f"{search.get('batch_sampling_speedup'):.2f}x < 1.0x"
         )
+    if SEARCH_JSON.exists():
+        base_ratio = surrogate_cost_ratio(json.loads(SEARCH_JSON.read_text()))
+        ceiling = base_ratio / RATIO_FLOOR
+        ratio = surrogate_cost_ratio(search)
+        if ratio > ceiling:
+            failures.append(
+                f"RF ask loop regressed — {ratio:.1f}x the surrogate-free loop "
+                f"vs baseline {base_ratio:.1f}x (ceiling {ceiling:.1f}x)"
+            )
     return failures
 
 
@@ -195,6 +217,7 @@ def main(argv=None) -> int:
               f"{cov['tensor_fraction']:.2f}, native fraction "
               f"{cov.get('native_fraction', 0.0):.2f}")
         print(f"  ask overhead {search['ask_overhead_ms_per_eval']:.2f} ms/eval, "
+              f"RF ask loop {surrogate_cost_ratio(search):.1f}x of it, "
               f"batch sampling {search['batch_sampling_speedup']:.1f}x")
         return 0
 

@@ -178,8 +178,9 @@ def main() -> int:
         "identical RNG stream) and two 100-eval ask/tell loops —",
         "`ask_overhead_seconds` isolates optimizer overhead with a constant",
         "surrogate, `ask_loop_rf_seconds` is the production Random-Forest loop. CI",
-        "fails when any speedup ratio falls below 0.8× its committed value or",
-        "coverage drops (`scripts/bench_to_json.py --check`).",
+        "fails when any speedup ratio falls below 0.8× its committed value,",
+        "coverage drops, or the RF loop rises above its committed multiple of the",
+        "surrogate-free loop / 0.8 (`scripts/bench_to_json.py --check`).",
         "",
         "## Summary of reproduced claims",
         "",

@@ -4,6 +4,9 @@ ytopt's Bayesian optimizer uses a Random Forest surrogate; the LCB acquisition
 needs both a mean prediction and an uncertainty estimate. Here uncertainty is the
 standard deviation of per-tree predictions (the standard RF-as-surrogate recipe
 used by SMAC and scikit-optimize).
+
+All trees are grown together by :func:`repro.ml.tree.grow_trees` and stored as
+one set of flat node arrays.
 """
 
 from __future__ import annotations
@@ -12,7 +15,12 @@ import numpy as np
 
 from repro.common.errors import ReproError
 from repro.common.rng import ensure_rng, spawn_rng
-from repro.ml.tree import DecisionTreeRegressor
+from repro.ml.tree import (
+    TreeArrays,
+    check_tree_params,
+    grow_trees,
+    n_candidate_features,
+)
 
 
 class RandomForestRegressor:
@@ -30,6 +38,7 @@ class RandomForestRegressor:
     ) -> None:
         if n_estimators < 1:
             raise ReproError(f"n_estimators must be >= 1, got {n_estimators}")
+        check_tree_params(max_depth, min_samples_split, min_samples_leaf)
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
@@ -37,7 +46,7 @@ class RandomForestRegressor:
         self.max_features = max_features
         self.bootstrap = bootstrap
         self._rng = ensure_rng(seed)
-        self.trees_: list[DecisionTreeRegressor] = []
+        self.nodes_: TreeArrays | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         X = np.asarray(X, dtype=float)
@@ -45,30 +54,27 @@ class RandomForestRegressor:
         if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
             raise ReproError(f"bad training data shapes X={X.shape}, y={y.shape}")
         n = X.shape[0]
-        self.trees_ = []
+        k = n_candidate_features(self.max_features, X.shape[1])
+        # Per tree: its feature-draw generator, then its bootstrap sample.
+        rngs, rows = [], []
         for _ in range(self.n_estimators):
-            tree = DecisionTreeRegressor(
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=self.max_features,
-                seed=spawn_rng(self._rng),
+            rngs.append(spawn_rng(self._rng))
+            rows.append(
+                self._rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
             )
-            if self.bootstrap:
-                idx = self._rng.integers(0, n, size=n)
-                tree.fit(X[idx], y[idx])
-            else:
-                tree.fit(X, y)
-            self.trees_.append(tree)
+        self.nodes_ = grow_trees(
+            X, y, np.stack(rows), rngs, k,
+            self.max_depth, self.min_samples_split, self.min_samples_leaf,
+        )
         return self
 
     def predict(
         self, X: np.ndarray, return_std: bool = False
     ) -> "np.ndarray | tuple[np.ndarray, np.ndarray]":
         """Mean prediction; with ``return_std`` also the across-tree std."""
-        if not self.trees_:
+        if self.nodes_ is None:
             raise ReproError("predict() called before fit()")
-        per_tree = np.stack([t.predict(X) for t in self.trees_], axis=0)
+        per_tree = self.nodes_.predict(X)
         mean = per_tree.mean(axis=0)
         if not return_std:
             return mean

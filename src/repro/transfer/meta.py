@@ -10,9 +10,11 @@ including whole tasks it never saw, which is the transfer case.
 Serialization is content-addressed: :meth:`save` writes
 ``meta-<fingerprint>.pkl`` next to the store, where the fingerprint hashes
 the exact corpus (run ids, record counts, descriptor version) plus the
-exclusion used at fit time. :meth:`fit_or_load` therefore reuses a cached
-model only when the corpus is byte-for-byte the same evidence, and silently
-refits otherwise — no staleness knob to misconfigure.
+exclusion, the seed, and the fitted-tree layout
+(:data:`repro.ml.TREE_FORMAT_VERSION`). :meth:`fit_or_load` therefore reuses
+a cached model only when the corpus is byte-for-byte the same evidence and
+the pickled trees are readable by this code, and silently refits otherwise —
+no staleness knob to misconfigure.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.common.errors import ReproError
+from repro.ml import TREE_FORMAT_VERSION
 from repro.transfer.corpus import TransferCorpus
 from repro.transfer.descriptors import DESCRIPTOR_VERSION, TaskDescriptor
 from repro.ytopt.surrogate import RandomForestSurrogate
@@ -105,7 +108,10 @@ class MetaSurrogate:
     ) -> str:
         h = hashlib.sha256()
         h.update(corpus.fingerprint().encode())
-        h.update(f"|exclude={excluded}|seed={self.seed}".encode())
+        h.update(
+            f"|exclude={excluded}|seed={self.seed}"
+            f"|trees={TREE_FORMAT_VERSION}".encode()
+        )
         return h.hexdigest()[:16]
 
     # -- prediction ----------------------------------------------------------
@@ -147,6 +153,7 @@ class MetaSurrogate:
         path = directory / f"meta-{self.info.fingerprint}.pkl"
         payload = {
             "descriptor_version": DESCRIPTOR_VERSION,
+            "tree_format": TREE_FORMAT_VERSION,
             "seed": self.seed,
             "info": self.info,
             "model": self._model,
@@ -160,13 +167,25 @@ class MetaSurrogate:
         path = Path(path)
         if not path.exists():
             raise ReproError(f"meta-surrogate not found: {path}")
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
+        try:
+            with open(path, "rb") as fh:
+                payload = pickle.load(fh)
+        except (AttributeError, ImportError, pickle.UnpicklingError) as exc:
+            # An older tree layout pickles classes this code no longer has.
+            raise ReproError(
+                f"meta-surrogate at {path} cannot be unpickled ({exc}) — refit"
+            ) from exc
         if payload.get("descriptor_version") != DESCRIPTOR_VERSION:
             raise ReproError(
                 f"meta-surrogate at {path} was fit with descriptor version "
                 f"{payload.get('descriptor_version')}; current is "
                 f"{DESCRIPTOR_VERSION} — refit (features are misaligned)"
+            )
+        if payload.get("tree_format") != TREE_FORMAT_VERSION:
+            raise ReproError(
+                f"meta-surrogate at {path} holds tree format "
+                f"{payload.get('tree_format')}; current is "
+                f"{TREE_FORMAT_VERSION} — refit"
             )
         ms = cls(seed=payload["seed"])
         ms.info = payload["info"]
@@ -199,7 +218,10 @@ class MetaSurrogate:
         fp = probe._fit_fingerprint(corpus, tuple(exclude) if exclude else None)
         cached = cache_dir / f"meta-{fp}.pkl"
         if cached.exists():
-            return cls.load(cached), corpus
+            try:
+                return cls.load(cached), corpus
+            except ReproError:
+                pass  # stale or unreadable cache entry: refit and overwrite it
         ms = probe.fit(corpus, excluded=exclude)
         ms.save(cache_dir)
         return ms, corpus

@@ -1,10 +1,12 @@
-"""Golden determinism for the new surrogate families (GP + TPE).
+"""Golden determinism for the model-based tuners (RF, GBT, GP, TPE).
 
 The committed files under ``goldens/`` are seed-0 quick-preset trajectories
 (canonical JSON via :func:`repro.bench.conformance.trajectory_json`). A live
-run must reproduce them byte-for-byte — any drift in the GP fit, the TPE
-density split, the evaluator pricing, or the JSON canonicalization fails here
-first, with a diffable artifact.
+run must reproduce them byte-for-byte — any drift in the forest or boosted
+tree growers, the GP fit, the TPE density split, the evaluator pricing, or
+the JSON canonicalization fails here first, with a diffable artifact. The
+3mm space (6 parameters) draws per-node feature subsets in the ytopt forest;
+gemm (3 parameters) does not, so both grower paths are pinned.
 
 Regenerate intentionally with::
 
@@ -12,7 +14,7 @@ Regenerate intentionally with::
     from pathlib import Path
     from repro.bench.conformance import QUICK, run_pair, trajectory_json
     for kernel in ("gemm", "3mm"):
-        for tuner in ("ytopt-gp", "ytopt-tpe"):
+        for tuner in ("ytopt", "AutoTVM-XGB", "ytopt-gp", "ytopt-tpe"):
             run = run_pair(kernel, tuner, QUICK)
             Path(f"tests/bench/goldens/{kernel}-{tuner}-seed0.json").write_text(
                 trajectory_json(run) + "\n")
@@ -28,6 +30,10 @@ from repro.bench.conformance import QUICK, run_pair, trajectory_json
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 GOLDEN_PAIRS = [
+    ("gemm", "ytopt"),
+    ("gemm", "AutoTVM-XGB"),
+    ("3mm", "ytopt"),
+    ("3mm", "AutoTVM-XGB"),
     ("gemm", "ytopt-gp"),
     ("gemm", "ytopt-tpe"),
     ("3mm", "ytopt-gp"),

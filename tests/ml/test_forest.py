@@ -69,3 +69,11 @@ class TestForest:
     def test_bad_data(self):
         with pytest.raises(ReproError):
             RandomForestRegressor().fit(np.zeros((3, 2)), np.zeros(5))
+
+    def test_predict_wrong_width_rejected(self, data):
+        X, y = data
+        f = RandomForestRegressor(n_estimators=3, seed=0).fit(X, y)
+        with pytest.raises(ReproError):
+            f.predict(X[:, :2])
+        with pytest.raises(ReproError):
+            f.predict(X[0])

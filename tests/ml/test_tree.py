@@ -1,11 +1,13 @@
-"""Tests for the CART regression tree."""
+"""Tests for the CART regression tree and the frontier grower."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ReproError
-from repro.ml import DecisionTreeRegressor
+from repro.ml import DecisionTreeRegressor, RandomForestRegressor
+from tests.ml import reference_tree
+from tests.ml.reference_tree import ReferenceTree, reference_forest
 
 
 class TestFitBasics:
@@ -26,14 +28,14 @@ class TestFitBasics:
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0.0, 0.0, 5.0, 5.0])
         t = DecisionTreeRegressor().fit(X, y)
-        assert t._root.threshold == pytest.approx(1.5)
+        assert t.nodes_.threshold[t.nodes_.roots[0]] == pytest.approx(1.5)
 
     def test_two_features_picks_informative(self):
         rng = np.random.default_rng(1)
         X = rng.random((100, 2))
         y = (X[:, 1] > 0.5).astype(float)  # only feature 1 matters
         t = DecisionTreeRegressor(max_depth=1).fit(X, y)
-        assert t._root.feature == 1
+        assert t.nodes_.feature[t.nodes_.roots[0]] == 1
 
     def test_max_depth_respected(self):
         rng = np.random.default_rng(2)
@@ -47,13 +49,8 @@ class TestFitBasics:
         X = rng.random((40, 2))
         y = rng.random(40)
         t = DecisionTreeRegressor(min_samples_leaf=10).fit(X, y)
-
-        def leaf_sizes(node):
-            if node.is_leaf:
-                return [node.n]
-            return leaf_sizes(node.left) + leaf_sizes(node.right)
-
-        assert min(leaf_sizes(t._root)) >= 10
+        leaves = t.nodes_.feature < 0
+        assert t.nodes_.n_samples[leaves].min() >= 10
 
     def test_deterministic_with_seed(self):
         rng = np.random.default_rng(4)
@@ -98,63 +95,124 @@ class TestValidation:
             DecisionTreeRegressor(max_features=3.5).fit(X, y)
 
 
-class TestBestSplitsParity:
-    """`_best_splits` (column-parallel) vs `_best_split` (per-feature oracle).
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
-    The vectorized pass claims bit-identical scores — assert exact float
-    equality, not allclose, across random data, duplicate-heavy columns,
-    constant columns, and min_samples_leaf settings.
+
+def _data(seed: int, n: int, d: int, duplicates: bool, targets: str):
+    rng = np.random.default_rng(seed)
+    if duplicates:
+        # Encoded tiling factors repeat a lot: draw from a tiny value set so
+        # tie-handling and the distinct-value candidate mask are exercised.
+        X = rng.choice([0.0, 0.25, 0.5, 1.0], size=(n, d))
+    else:
+        X = rng.random((n, d))
+    if targets == "signed_zero":
+        y = rng.choice([-0.0, 0.0, 1.0], size=n)
+    elif targets == "rounded":
+        y = np.round(rng.standard_normal(n), 1)
+    else:
+        y = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+    probes = np.vstack([X, rng.random((16, d)), np.full((1, d), np.nan)])
+    return X, y, probes
+
+
+class TestGrowerMatchesReference:
+    """The frontier grower vs the recursive builder in ``reference_tree.py``.
+
+    Bit-identity is the contract: per-tree predictions are compared as int64
+    bit patterns, and the forest generator must end in the same state.
     """
 
     @staticmethod
-    def _compare(X, y, msl):
-        t = DecisionTreeRegressor(min_samples_leaf=msl)
-        m = y.sum() / y.shape[0]
-        total_sse = float(((y - m) ** 2).sum())
-        gains, thresholds = t._best_splits(X, y, total_sse)
-        for j in range(X.shape[1]):
-            g, th = t._best_split(X[:, j], y, total_sse)
-            assert gains[j] == g, f"feature {j}: gain {gains[j]} != oracle {g}"
-            assert thresholds[j] == th, (
-                f"feature {j}: threshold {thresholds[j]} != oracle {th}"
-            )
+    def _assert_forest_matches(X, y, probes, n_estimators, seed, bootstrap,
+                               **params):
+        forest = RandomForestRegressor(
+            n_estimators=n_estimators, bootstrap=bootstrap, seed=seed, **params
+        ).fit(X, y)
+        rng = np.random.default_rng(seed)
+        trees = reference_forest(X, y, rng, n_estimators, bootstrap=bootstrap,
+                                 **params)
+        want = np.stack([t.predict(probes) for t in trees])
+        np.testing.assert_array_equal(_bits(forest.nodes_.predict(probes)),
+                                      _bits(want))
+        assert forest._rng.bit_generator.state == rng.bit_generator.state
+        assert forest.nodes_.feature.size == sum(
+            2 * len(reference_tree.leaf_sizes(t.root)) - 1 for t in trees
+        )
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
-        n=st.integers(2, 80),
-        k=st.integers(1, 6),
-        msl=st.integers(1, 5),
+        n=st.integers(2, 150),
+        d=st.integers(1, 8),
+        max_features=st.sampled_from([None, "sqrt", 0.8, "int"]),
+        msl=st.integers(1, 4),
+        max_depth=st.sampled_from([None, 1, 2, 3, 4, 5, 6]),
+        bootstrap=st.booleans(),
+        duplicates=st.booleans(),
+        targets=st.sampled_from(["normal", "rounded", "signed_zero"]),
+        n_estimators=st.integers(1, 6),
     )
-    def test_matches_oracle_on_random_data(self, seed, n, k, msl):
-        rng = np.random.default_rng(seed)
-        X = rng.random((n, k))
-        y = rng.uniform(-5, 5, size=n)
-        self._compare(X, y, msl)
+    def test_forest_matches_reference(self, seed, n, d, max_features, msl,
+                                      max_depth, bootstrap, duplicates, targets,
+                                      n_estimators):
+        if max_features == "int":
+            max_features = 1 + seed % d
+        X, y, probes = _data(seed, n, d, duplicates, targets)
+        self._assert_forest_matches(
+            X, y, probes, n_estimators, seed, bootstrap,
+            max_features=max_features, min_samples_leaf=msl, max_depth=max_depth,
+        )
 
     @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 10_000), msl=st.integers(1, 4))
-    def test_matches_oracle_with_heavy_duplicates(self, seed, msl):
-        # Encoded tiling factors repeat a lot: draw from a tiny value set so
-        # tie-handling and the distinct-value candidate mask are exercised.
-        rng = np.random.default_rng(seed)
-        X = rng.choice([0.0, 0.25, 0.5, 1.0], size=(40, 3))
-        y = rng.random(40)
-        self._compare(X, y, msl)
+    @given(seed=st.integers(0, 10_000), msl=st.integers(1, 4),
+           max_features=st.sampled_from([None, 2]))
+    def test_heavy_duplicates_match_reference(self, seed, msl, max_features):
+        X, y, probes = _data(seed, 40, 3, duplicates=True, targets="normal")
+        self._assert_forest_matches(
+            X, y, probes, 5, seed, True,
+            max_features=max_features, min_samples_leaf=msl,
+        )
 
-    def test_constant_column_gets_zero_gain(self):
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000), max_features=st.sampled_from([None, 2]))
+    def test_single_tree_matches_reference(self, seed, max_features):
+        X, y, probes = _data(seed, 60, 3, duplicates=False, targets="normal")
+        tree = DecisionTreeRegressor(max_features=max_features, seed=seed)
+        ref = ReferenceTree(max_features=max_features, seed=seed)
+        for _ in range(2):  # the second fit continues each generator's stream
+            tree.fit(X, y)
+            ref.fit(X, y)
+            np.testing.assert_array_equal(_bits(tree.predict(probes)),
+                                          _bits(ref.predict(probes)))
+            assert tree.depth() == reference_tree.depth(ref.root)
+            assert tree.n_leaves() == len(reference_tree.leaf_sizes(ref.root))
+        assert tree._rng.bit_generator.state == ref._rng.bit_generator.state
+
+    def test_large_nodes_match_reference(self):
+        # Nodes above 128 samples are summed by NumPy's recursive pairwise
+        # path, which the grower reduces row by row.
+        X, y, probes = _data(11, 300, 2, duplicates=False, targets="normal")
+        self._assert_forest_matches(X, y, probes, 3, 11, True, max_features=None)
+        self._assert_forest_matches(X, y, probes, 3, 11, True, max_features=1)
+
+    def test_constant_column_never_split(self):
         rng = np.random.default_rng(7)
         X = np.column_stack([np.full(20, 3.0), rng.random(20)])
         y = rng.random(20)
-        self._compare(X, y, 1)
-        t = DecisionTreeRegressor()
-        gains, _ = t._best_splits(X, y, float(((y - y.mean()) ** 2).sum()))
-        assert gains[0] == 0.0 and gains[1] > 0.0
+        t = DecisionTreeRegressor().fit(X, y)
+        assert set(t.nodes_.feature[t.nodes_.feature >= 0]) == {1}
+        self._assert_forest_matches(X, y, X, 4, 7, True, max_features=None)
 
     def test_min_samples_leaf_masks_all_positions(self):
         X = np.arange(4.0).reshape(-1, 1)
         y = np.array([0.0, 1.0, 2.0, 3.0])
-        self._compare(X, y, 3)  # no split leaves both sides >= 3 of 4
+        # No split leaves both sides >= 3 of 4 samples: a single leaf.
+        t = DecisionTreeRegressor(min_samples_leaf=3).fit(X, y)
+        assert t.n_leaves() == 1
+        self._assert_forest_matches(X, y, X, 2, 0, False, min_samples_leaf=3,
+                                    max_features=None)
 
 
 class TestProperties:

@@ -78,14 +78,37 @@ def _fresh_doc(interp=100.0, codegen=10.0, coverage=1.0):
 
 
 class TestCheckGate:
+    SEARCH_OK = {
+        "batch_sampling_speedup": 4.0,
+        "ask_loop_rf_ms_per_eval": 40.0,
+        "ask_overhead_ms_per_eval": 4.0,
+    }
+
     @pytest.fixture
     def baseline(self, tmp_path, monkeypatch):
         path = tmp_path / "BENCH_compiler.json"
         path.write_text(json.dumps(_baseline_doc()))
         monkeypatch.setattr(bench_to_json, "COMPILER_JSON", path)
+        search = tmp_path / "BENCH_search.json"
+        search.write_text(json.dumps(self.SEARCH_OK))
+        monkeypatch.setattr(bench_to_json, "SEARCH_JSON", search)
         return path
 
-    SEARCH_OK = {"batch_sampling_speedup": 4.0}
+    def test_surrogate_ratio_within_ceiling_passes(self, baseline):
+        # 10x baseline; the ceiling is 10 / 0.8 = 12.5x.
+        search = dict(self.SEARCH_OK, ask_loop_rf_ms_per_eval=50.0)
+        assert bench_to_json.check(_fresh_doc(), search) == []
+
+    def test_surrogate_ratio_is_machine_independent(self, baseline):
+        # A uniformly 3x slower machine keeps the ratio: no failure.
+        search = dict(self.SEARCH_OK, ask_loop_rf_ms_per_eval=120.0,
+                      ask_overhead_ms_per_eval=12.0)
+        assert bench_to_json.check(_fresh_doc(), search) == []
+
+    def test_fails_when_surrogate_regresses(self, baseline):
+        search = dict(self.SEARCH_OK, ask_loop_rf_ms_per_eval=51.0)
+        failures = bench_to_json.check(_fresh_doc(), search)
+        assert any("RF ask loop regressed" in f for f in failures)
 
     def test_passes_at_parity(self, baseline):
         assert bench_to_json.check(_fresh_doc(), self.SEARCH_OK) == []
@@ -110,7 +133,7 @@ class TestCheckGate:
 
     def test_fails_when_batching_loses(self, baseline):
         failures = bench_to_json.check(
-            _fresh_doc(), {"batch_sampling_speedup": 0.9}
+            _fresh_doc(), dict(self.SEARCH_OK, batch_sampling_speedup=0.9)
         )
         assert any("batch sampling slower" in f for f in failures)
 

@@ -7,6 +7,7 @@ import pickle
 import pytest
 
 from repro.common.errors import ReproError
+from repro.ml import TREE_FORMAT_VERSION
 from repro.transfer import MetaSurrogate, TaskDescriptor, TransferCorpus
 from repro.transfer.meta import MetaSurrogateInfo
 
@@ -61,6 +62,13 @@ class TestFit:
         ms.assert_excludes("3mm", "large")  # never trained on -> fine
 
 
+def _write_old_tree_format(path):
+    """Rewrite a saved payload as if an older tree layout had pickled it."""
+    payload = pickle.loads(path.read_bytes())
+    payload["tree_format"] = TREE_FORMAT_VERSION - 1
+    path.write_bytes(pickle.dumps(payload))
+
+
 class TestSerialization:
     def test_save_load_roundtrip(self, corpus_db, tmp_path):
         corpus = TransferCorpus.from_store(corpus_db)
@@ -77,6 +85,21 @@ class TestSerialization:
         stale = tmp_path / "meta-deadbeef.pkl"
         stale.write_bytes(pickle.dumps({"descriptor_version": 0}))
         with pytest.raises(ReproError, match="descriptor version"):
+            MetaSurrogate.load(stale)
+
+    def test_load_refuses_tree_format_mismatch(self, corpus_db, tmp_path):
+        path = MetaSurrogate(seed=0).fit(TransferCorpus.from_store(corpus_db)).save(
+            tmp_path
+        )
+        _write_old_tree_format(path)
+        with pytest.raises(ReproError, match="tree format"):
+            MetaSurrogate.load(path)
+
+    def test_load_refuses_unpicklable_payload(self, tmp_path):
+        stale = tmp_path / "meta-deadbeef.pkl"
+        # A pickle naming a class this code does not have (an old node type).
+        stale.write_bytes(b"\x80\x04\x8c\x0drepro.ml.tree\x8c\x05_Node\x93.")
+        with pytest.raises(ReproError, match="cannot be unpickled"):
             MetaSurrogate.load(stale)
 
     def test_load_missing_file_raises(self, tmp_path):
@@ -105,6 +128,24 @@ class TestFitOrLoad:
         monkeypatch.setattr(MetaSurrogate, "fit", boom)
         ms2, _ = MetaSurrogate.fit_or_load(corpus_db, seed=0)
         assert ms2.info == ms1.info
+
+    def test_old_tree_format_cache_is_refit(self, corpus_db, monkeypatch):
+        ms1, _ = MetaSurrogate.fit_or_load(corpus_db, seed=0)
+        cached = corpus_db.parent / f"meta-{ms1.info.fingerprint}.pkl"
+        _write_old_tree_format(cached)
+        fits = []
+        real_fit = MetaSurrogate.fit
+
+        def counting_fit(self, corpus, excluded=None):
+            fits.append(corpus)
+            return real_fit(self, corpus, excluded)
+
+        monkeypatch.setattr(MetaSurrogate, "fit", counting_fit)
+        ms2, _ = MetaSurrogate.fit_or_load(corpus_db, seed=0)
+        assert len(fits) == 1
+        assert ms2.info == ms1.info
+        # The refit overwrote the stale entry with a loadable one.
+        assert MetaSurrogate.load(cached).info == ms1.info
 
     def test_exclude_drops_task_before_fit(self, corpus_db):
         ms, corpus = MetaSurrogate.fit_or_load(corpus_db, exclude=("lu", "large"))
