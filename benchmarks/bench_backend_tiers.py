@@ -9,7 +9,13 @@ Not a pytest-benchmark file: run it directly. It produces two JSON documents
   ``codegen`` / ``interp``) plus the derived speedups, and the *coverage* of
   the tensorized and native tiers over the paper's registered benchmarks
   (the fraction of builds whose ladder lands on the pinned tier instead of
-  falling back).
+  falling back). For lu-96 and 3mm-mini it also times the native compile
+  itself (the ``tir.cc`` layer): ``native_compile_ms`` is the median
+  ``compile_source`` time over distinct configurations, and
+  ``compile_vs_reference`` the median over those configurations of each
+  compile's time divided by the time to build the same translation unit
+  with a fixed reference recipe (the three libc headers prepended,
+  ``-O2 -fPIC -shared … -lm``), right after it.
 * **search** — the BO hot path: batched configuration sampling vs the
   sequential API, and two 100-step ask/tell loops on a large synthetic space
   with no kernel execution. The *overhead* loop swaps in ``DummySurrogate``
@@ -30,8 +36,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import statistics
+import subprocess
 import sys
+import tempfile
 import time
+import uuid
 from collections.abc import Mapping
 
 import numpy as np
@@ -44,6 +55,12 @@ from repro.kernels.registry import get_benchmark, list_benchmarks
 from repro.kernels.threemm import threemm_tuned
 from repro.runtime.module import BACKEND_TIERS, build_from_primfunc
 from repro.tir import lower, simplify_func
+from repro.tir.codegen_c import (
+    NativeToolchainError,
+    codegen_c,
+    compile_source,
+    find_toolchain,
+)
 
 
 def _best_time(fn, repeats: int) -> float:
@@ -133,6 +150,64 @@ def _full_cases() -> list[tuple[str, tuple, Mapping[str, int]]]:
     ]
 
 
+#: The reference recipe ``compile_vs_reference`` divides by: the headers and
+#: the libc/libm link every native build paid before the emitter went
+#: freestanding (still valid C: the typedefs and prototypes match the headers).
+REFERENCE_HEADERS = "#include <stdint.h>\n#include <stdlib.h>\n#include <math.h>\n"
+REFERENCE_FLAGS = ("-O2", "-fPIC", "-shared")
+
+
+def _compile_cases() -> dict[str, tuple]:
+    """Case name -> (builder, distinct configurations) for the compile timing."""
+    mini = problem_size("3mm", "mini")
+    lu_tiles = ((8, 8), (4, 16), (16, 4), (12, 24), (32, 6), (6, 32), (24, 12))
+    mm_tiles = ((4, 4, 4), (2, 5, 3), (5, 2, 6), (3, 6, 2), (6, 3, 5), (2, 2, 8), (8, 4, 2))
+    return {
+        "lu-96": (
+            lambda cfg: lu_trailing_update_tuned(96, 96, 32, cfg),
+            [{"P0": a, "P1": b} for a, b in lu_tiles],
+        ),
+        "3mm-mini": (
+            lambda cfg: threemm_tuned(mini, cfg),
+            [dict(zip(("P0", "P1", "P2", "P3", "P4", "P5"), t + t[::-1])) for t in mm_tiles],
+        ),
+    }
+
+
+def compile_timing(make, configs) -> dict:
+    """Median native compile time over ``configs``, and the median ratio of
+    each compile to the reference recipe's build of the same unit right
+    after it (pairing cancels the host's slow drifts).
+
+    Every source gets a unique trailing comment, so no compile is served by
+    the content-addressed ``.so`` store, even when the harness runs twice in
+    one process.
+    """
+    toolchain = find_toolchain()
+    lean, ratios = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        c_path, so_path = os.path.join(tmp, "ref.c"), os.path.join(tmp, "ref.so")
+        ref_cmd = [toolchain.path, *REFERENCE_FLAGS, "-o", so_path, c_path, "-lm"]
+        for index, cfg in enumerate([configs[0], *configs]):
+            sched, args = make(cfg)
+            source = codegen_c(simplify_func(lower(sched, args)))
+            source += f"/* {uuid.uuid4().hex} */\n"
+            with open(c_path, "w") as fh:
+                fh.write(REFERENCE_HEADERS + source)
+            t0 = time.perf_counter()
+            compile_source(source, toolchain)
+            t1 = time.perf_counter()
+            subprocess.run(ref_cmd, check=True, capture_output=True)
+            t2 = time.perf_counter()
+            if index:  # the first pass only warms the compiler's files
+                lean.append(t1 - t0)
+                ratios.append((t1 - t0) / (t2 - t1))
+    return {
+        "native_compile_ms": 1e3 * statistics.median(lean),
+        "compile_vs_reference": statistics.median(ratios),
+    }
+
+
 def default_config(bench) -> dict[str, int]:
     """Deterministic mid-point configuration of a registered benchmark."""
     return {p: bench.candidates[p][len(bench.candidates[p]) // 2]
@@ -181,6 +256,15 @@ def compiler_bench(preset: str, repeats: int) -> dict:
             cases.append(
                 bench_case(name, sched, args, ("native", "tensor", "codegen"), repeats)
             )
+    try:
+        find_toolchain()
+    except NativeToolchainError:
+        pass  # no compile timing without a compiler; --check reports it
+    else:
+        compile_cases = _compile_cases()
+        for case in cases:
+            if case["name"] in compile_cases:
+                case.update(compile_timing(*compile_cases[case["name"]]))
     return {"preset": preset, "repeats": repeats,
             "cases": cases, "coverage": tier_coverage()}
 

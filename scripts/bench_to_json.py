@@ -5,8 +5,10 @@ Runs ``benchmarks/bench_backend_tiers.py`` (quick preset by default) and
 splits the result into the two committed baseline documents:
 
 * ``BENCH_compiler.json`` — per-case tier timings, native-vs-tensor /
-  tensor-vs-interp / tensor-vs-codegen speedup ratios, and the tensorized
-  and native tiers' coverage over the registered paper benchmarks;
+  tensor-vs-interp / tensor-vs-codegen speedup ratios, the native compile
+  time of lu-96 and 3mm-mini and its ratio to a fixed reference recipe, and
+  the tensorized and native tiers' coverage over the registered paper
+  benchmarks;
 * ``BENCH_search.json`` — batched-sampling speedup and the 100-eval
   ask-loop overhead / full-RF loop times.
 
@@ -19,8 +21,10 @@ Modes:
   ``speedup_native_vs_tensor`` below ``RATIO_FLOOR`` × baseline, tier
   coverage dropping below the baseline, or the native tier losing to the
   tensor tier (ratio < 1.0) on more than one of the paper-kernel gate cases,
-  or the Random-Forest ask loop growing above its committed multiple of the
-  surrogate-free ask loop by more than 1 / ``RATIO_FLOOR``.
+  a case's ``compile_vs_reference`` rising above its committed value /
+  ``RATIO_FLOOR`` (a header or libc link coming back into the native
+  compile), or the Random-Forest ask loop growing above its committed
+  multiple of the surrogate-free ask loop by more than 1 / ``RATIO_FLOOR``.
   Only dimensionless ratios are gated — absolute seconds do not transfer
   across machines, so they are reported but never compared.
 
@@ -45,6 +49,10 @@ SEARCH_JSON = REPO_ROOT / "BENCH_search.json"
 RATIO_FLOOR = 0.8
 
 _RATIO_KEYS = ("speedup_tensor_vs_interp", "speedup_tensor_vs_codegen")
+
+#: Native compile time over the reference recipe's on the same translation
+#: units (lower is better); gated against committed / RATIO_FLOOR.
+COMPILE_KEY = "compile_vs_reference"
 
 # The native tier is gated *absolutely*, not against the committed baseline:
 # its per-call times are microseconds, so the native-vs-tensor ratio swings
@@ -74,17 +82,20 @@ def merge_conservative(docs: list[dict]) -> dict:
     Every gated quantity (speedup ratios, coverage fractions) takes its
     *minimum* across the runs, so the committed floor reflects the noise band
     of the machine instead of one lucky sample; per-tier seconds take their
-    minimum too (the least-noise estimate). Non-numeric fields come from the
-    last run.
+    minimum too (the least-noise estimate), and so does
+    ``native_compile_ms``. ``compile_vs_reference`` is gated from above, so
+    it takes its *maximum*. Non-numeric fields come from the last run.
     """
     merged = json.loads(json.dumps(docs[-1]))
     by_name = [{c["name"]: c for c in d.get("cases", [])} for d in docs]
     for case in merged.get("cases", []):
         runs = [m[case["name"]] for m in by_name if case["name"] in m]
-        for key in (*_RATIO_KEYS, "speedup_native_vs_tensor"):
+        picks = dict.fromkeys((*_RATIO_KEYS, "speedup_native_vs_tensor", "native_compile_ms"), min)
+        picks[COMPILE_KEY] = max
+        for key, pick in picks.items():
             vals = [r[key] for r in runs if key in r]
             if vals and key in case:
-                case[key] = min(vals)
+                case[key] = pick(vals)
         for tier, entry in case.get("tiers", {}).items():
             entry["seconds"] = min(
                 r["tiers"][tier]["seconds"] for r in runs if tier in r.get("tiers", {})
@@ -126,6 +137,16 @@ def check(compiler: dict, search: dict) -> list[str]:
                 failures.append(
                     f"{name}: {key} regressed — {new[key]:.1f}x vs baseline "
                     f"{base[key]:.1f}x (floor {floor:.1f}x)"
+                )
+        if COMPILE_KEY in base:
+            ceiling = base[COMPILE_KEY] / RATIO_FLOOR
+            if COMPILE_KEY not in new:
+                failures.append(f"{name}: baseline has {COMPILE_KEY} but this run does not")
+            elif new[COMPILE_KEY] > ceiling:
+                failures.append(
+                    f"{name}: native compile regressed — {new[COMPILE_KEY]:.2f}x the "
+                    f"reference recipe vs baseline {base[COMPILE_KEY]:.2f}x "
+                    f"(ceiling {ceiling:.2f}x)"
                 )
 
     # Machine-independent absolute gate: native beats tensor on at least
@@ -211,6 +232,9 @@ def main(argv=None) -> int:
             ratios = ", ".join(
                 f"{k.split('_vs_')[1]} {case[k]:.1f}x" for k in _RATIO_KEYS if k in case
             )
+            if COMPILE_KEY in case:
+                ratios += (f", compile {case['native_compile_ms']:.0f} ms = "
+                           f"{case[COMPILE_KEY]:.2f}x the reference recipe")
             print(f"  {case['name']}: {ratios}")
         cov = compiler["coverage"]
         print(f"  coverage {cov['coverage']:.2f}, tensor fraction "

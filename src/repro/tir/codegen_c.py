@@ -2,11 +2,21 @@
 
 The tensorized NumPy backend (:mod:`repro.tir.codegen_tensor`) is 75–550×
 faster than the interpreter but still pays NumPy dispatch per array op. This
-backend emits portable C99 from the same LICM+CSE-normalized TIR
+backend emits C99 from the same LICM+CSE-normalized TIR
 (:func:`repro.tir.transform.optimize_for_codegen`), compiles it once per
-content hash with whatever C toolchain the host provides (``-O2 -fPIC
--shared``), and loads the shared object via ``ctypes`` — one native call per
-kernel execution, no per-op dispatch.
+content hash with whatever C toolchain the host provides, and loads the
+shared object via ``ctypes`` — one native call per kernel execution, no
+per-op dispatch.
+
+Each build is one lean compiler run (:data:`CC_FLAGS`). The translation unit
+is freestanding: no ``#include`` lines, the fixed-width integer types are
+typedefs of the compiler's predefined ``__INT64_TYPE__``-style macros, and
+only the library symbols the body calls (``calloc``/``free`` for scratch
+buffers, the libm functions of ``te.Call``) get an ``extern`` prototype. The
+``.so`` is linked with ``-nostdlib``: no crt files and no libc or libm, so
+those symbols bind at ``dlopen`` from the host process, whose global scope
+always holds libc and libm. ``-Werror=implicit-function-declaration`` makes
+an undeclared symbol a compile error rather than a call returning ``int``.
 
 ABI — flat packed-function style (microTVM's generated ``default_lib*.c``):
 every buffer parameter becomes a ``(data pointer, shape pointer)`` pair::
@@ -20,17 +30,23 @@ codegen; emitted code indexes buffers flat with static strides.
 
 Compiled artifacts are cached two ways: a process-wide
 :class:`~repro.runtime.build_cache.BuildCache` maps *(source content hash,
-toolchain version)* → loaded entry point (with the usual hit/miss telemetry),
-and the shared objects themselves live in a content-addressed scratch
-directory so a cache-evicted entry recompiles from disk for free. Keying by
-toolchain version means a compiler upgrade invalidates cleanly instead of
-reusing a stale ``.so``.
+toolchain version, compile flags)* → loaded entry point (with the usual
+hit/miss telemetry), and the shared objects themselves live in a
+content-addressed scratch directory so a cache-evicted entry recompiles from
+disk for free. Keying by toolchain version and flags means a compiler
+upgrade or a new recipe invalidates cleanly instead of reusing a stale
+``.so``.
 
-Failure is never fatal: a missing toolchain (``REPRO_CC=/nonexistent``) or a
-compile error emits one :class:`~repro.telemetry.events.NativeDisabled`
-event + one ``RuntimeWarning`` and permanently disables the tier for the
-process; every subsequent build falls back to the tensor tier through the
-ordinary :class:`CodegenUnsupported` ladder walk.
+Failure is never fatal. A missing toolchain (``REPRO_CC=/nonexistent``)
+emits one :class:`~repro.telemetry.events.NativeDisabled` event + one
+``RuntimeWarning`` and permanently disables the tier for the process; every
+subsequent build falls back to the tensor tier through the ordinary
+:class:`CodegenUnsupported` ladder walk. When one translation unit fails to
+compile or load, a fixed probe unit is built once per toolchain to tell the
+two causes apart: if the probe fails too the toolchain is at fault and the
+tier is disabled the same way; if it builds, only this build fails, with
+:class:`NativeCompileError` (an ``ExecutionError``, so the ladder does not
+quietly move that one configuration to another tier).
 """
 
 from __future__ import annotations
@@ -122,6 +138,27 @@ _CALL_F64 = {
     "floor": "floor", "ceil": "ceil",
 }
 
+#: The fixed-width types the emitted code uses, from the compiler's own
+#: predefined macros (gcc and clang both define them) instead of <stdint.h>.
+_TYPEDEFS = """\
+typedef __INT64_TYPE__ int64_t;
+typedef __INT32_TYPE__ int32_t;
+typedef __INT16_TYPE__ int16_t;
+typedef __INT8_TYPE__ int8_t;
+typedef __UINT8_TYPE__ uint8_t;
+typedef __SIZE_TYPE__ size_t;
+"""
+
+#: Prototype of every library symbol the emitter can call; a translation
+#: unit declares only the ones its body references.
+_EXTERNS = {
+    "calloc": "void* calloc(size_t, size_t);",
+    "free": "void free(void*);",
+    "llabs": "long long llabs(long long);",
+    **{fn: f"float {fn}(float);" for fn in _CALL_F32.values()},
+    **{fn: f"double {fn}(double);" for fn in _CALL_F64.values()},
+}
+
 _RESERVED = {
     # C keywords and the identifiers the preamble introduces.
     "auto", "break", "case", "char", "const", "continue", "default", "do",
@@ -129,17 +166,11 @@ _RESERVED = {
     "inline", "int", "long", "register", "restrict", "return", "short",
     "signed", "sizeof", "static", "struct", "switch", "typedef", "union",
     "unsigned", "void", "volatile", "while", "int8_t", "int16_t", "int32_t",
-    "int64_t", "uint8_t", "size_t", "calloc", "free", "main",
-    "repro_floordiv", "repro_floormod", "sqrt", "exp", "log", "fabs",
-    "sqrtf", "expf", "logf", "fabsf", "floor", "floorf", "ceil", "ceilf",
-    "llabs", "NAN", "INFINITY",
+    "int64_t", "uint8_t", "size_t", "main", "repro_floordiv", "repro_floormod",
+    *_EXTERNS,
 }
 
-_PREAMBLE = """\
-#include <stdint.h>
-#include <stdlib.h>
-#include <math.h>
-
+_HELPERS = """
 static inline int64_t repro_floordiv(int64_t a, int64_t b) {
     int64_t q = a / b;
     if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
@@ -188,6 +219,7 @@ class _CCodegen:
         self.indent = 1
         self.names: dict[object, str] = {}
         self.used: set[str] = set(_RESERVED)
+        self.externs: set[str] = set()
 
     # -- naming --------------------------------------------------------
 
@@ -230,7 +262,14 @@ class _CCodegen:
             # Shapes are static; the pointers exist for ABI uniformity.
             self.emit(f"(void){self.buf(b.name)}_shape;")
         self.stmt(self.func.body)
-        return _PREAMBLE + "\n" + head + "\n" + "\n".join(self.lines) + "\n}\n"
+        externs = "".join(f"extern {_EXTERNS[fn]}\n" for fn in sorted(self.externs))
+        body = "\n".join(self.lines)
+        return f"{_TYPEDEFS}{externs}{_HELPERS}\n{head}\n{body}\n}}\n"
+
+    def call(self, fn: str, arg: str) -> str:
+        """A call of library function ``fn``, declared in the preamble."""
+        self.externs.add(fn)
+        return f"{fn}({arg})"
 
     def stmt(self, s: Stmt) -> None:
         if isinstance(s, For):
@@ -266,6 +305,7 @@ class _CCodegen:
             for dim in s.buffer.shape:
                 total *= dim
             # calloc matches the np.zeros the other tiers allocate with.
+            self.externs.update(("calloc", "free"))
             self.emit(
                 f"{ct}* {name} = ({ct}*)calloc((size_t){total}, sizeof({ct}));"
             )
@@ -322,7 +362,7 @@ class _CCodegen:
         if t is FloorDiv:
             if e.dtype in ("float32", "float64"):
                 fn = "floorf" if e.dtype == "float32" else "floor"
-                return f"{fn}({self.expr(e.a)} / {self.expr(e.b)})"
+                return self.call(fn, f"{self.expr(e.a)} / {self.expr(e.b)}")
             return f"repro_floordiv({self.expr(e.a)}, {self.expr(e.b)})"
         if t is FloorMod:
             if e.dtype in ("float32", "float64"):
@@ -356,17 +396,18 @@ class _CCodegen:
             fn = table.get(e.op)
             if fn is None or len(e.args) != 1:
                 raise CodegenUnsupported(f"call {e.op!r} ({e.dtype})")
-            return f"{fn}({self.expr(e.args[0])})"
+            return self.call(fn, self.expr(e.args[0]))
         raise CodegenUnsupported(f"expression {type(e).__name__}")
 
     def _float_literal(self, e: FloatImm) -> str:
         v = e.value
-        if v != v:  # NaN
-            return "NAN"
+        # What glibc's NAN and INFINITY expand to: float-typed builtins.
+        if v != v:
+            return '__builtin_nanf("")'
         if v == float("inf"):
-            return "INFINITY"
+            return "__builtin_inff()"
         if v == float("-inf"):
-            return "(-INFINITY)"
+            return "(-__builtin_inff())"
         text = repr(float(v))
         if "." not in text and "e" not in text and "E" not in text:
             text += ".0"
@@ -492,17 +533,32 @@ def find_toolchain() -> Toolchain:
 
 
 class NativeCompileError(ExecutionError):
-    """The C compiler rejected generated source (treated as a toolchain fault)."""
+    """One translation unit failed to compile or load."""
 
 
-def native_key(source: str, toolchain: Toolchain) -> str:
+#: The one compile recipe. ``-nostdlib`` links no crt files and no libc or
+#: libm: the ``.so``'s calloc/free/libm references stay undefined and bind
+#: at ``dlopen`` from the host process. An undeclared call is an error.
+CC_FLAGS = (
+    "-O2",
+    "-fPIC",
+    "-shared",
+    "-nostdlib",
+    "-Werror=implicit-function-declaration",
+)
+
+
+def native_key(
+    source: str, toolchain: Toolchain, flags: tuple[str, ...] = CC_FLAGS
+) -> str:
     """BuildCache key for one native artifact.
 
     Combines the source content hash with the toolchain's version
-    fingerprint: upgrading (or switching) the compiler changes every key, so
-    stale shared objects are never reused across toolchains.
+    fingerprint and the compile flags: upgrading (or switching) the compiler
+    or changing the recipe changes every key, so stale shared objects are
+    never reused across toolchains or recipes.
     """
-    blob = f"{source_key(source)}::{toolchain.fingerprint}"
+    blob = f"{source_key(source)}::{toolchain.fingerprint}::{' '.join(flags)}"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -516,6 +572,10 @@ _cache = None
 _cache_lock = threading.Lock()
 _workdir: str | None = None
 _disabled_reason: str | None = None
+#: Probe verdict per toolchain fingerprint: None when the probe unit built,
+#: else why it did not (see :func:`_toolchain_fault`).
+_probe_lock = threading.Lock()
+_probe_verdicts: dict[str, str | None] = {}
 
 
 def native_cache():
@@ -569,25 +629,30 @@ def _disable(reason: str, compiler: str) -> None:
 
 
 def reset_native_runtime() -> None:
-    """Testing hook: forget the disabled flag, probe cache, and entry cache."""
+    """Testing hook: forget the disabled flag, probe caches, and entry cache."""
     global _disabled_reason, _cache, _workdir
     with _toolchain_lock:
         _toolchain_cache.clear()
         _toolchain_failures.clear()
+    with _probe_lock:
+        _probe_verdicts.clear()
     with _cache_lock:
         _disabled_reason = None
         _cache = None
         _workdir = None
 
 
-def compile_source(source: str, toolchain: Toolchain) -> str:
+def compile_source(
+    source: str, toolchain: Toolchain, flags: tuple[str, ...] = CC_FLAGS
+) -> str:
     """Compile one translation unit to a shared object; returns its path.
 
     Artifacts are content-addressed by :func:`native_key`, so recompiling
-    identical source under the same toolchain reuses the on-disk ``.so``
-    even when the in-memory entry cache has evicted the loaded function.
+    identical source under the same toolchain and flags reuses the on-disk
+    ``.so`` even when the in-memory entry cache has evicted the loaded
+    function.
     """
-    key = native_key(source, toolchain)
+    key = native_key(source, toolchain, flags)
     workdir = _scratch_dir()
     so_path = os.path.join(workdir, f"{key}.so")
     if os.path.exists(so_path):
@@ -603,7 +668,7 @@ def compile_source(source: str, toolchain: Toolchain) -> str:
     so_tmp = os.path.join(workdir, f"{key}.{tag}.so")
     with open(c_tmp, "w") as fh:
         fh.write(source)
-    cmd = [toolchain.path, "-O2", "-fPIC", "-shared", "-o", so_tmp, c_tmp, "-lm"]
+    cmd = [toolchain.path, *flags, "-o", so_tmp, c_tmp]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     except (OSError, subprocess.TimeoutExpired) as exc:
@@ -662,6 +727,45 @@ class _NativeEntry:
         self._cfunc(*argv)
 
 
+def _probe_func() -> PrimFunc:
+    """``out[i] = sqrt(i + 1)`` through a heap scratch buffer: one Allocate
+    and one libm call, the symbols the lean link binds at load time."""
+    scratch = Buffer("scratch", (4,), "float64")
+    out = Buffer("out", (4,), "float64")
+    i = Var("i")
+    fill = BufferStore(scratch, Cast(i, "float64") + FloatImm(1.0, "float64"), (i,))
+    root = BufferStore(out, Call("sqrt", (BufferLoad(scratch, (i,)),), "float64"), (i,))
+    loops = [For(i, IntImm(0), IntImm(4), "serial", store) for store in (fill, root)]
+    return PrimFunc("probe", [out], Allocate(scratch, SeqStmt(loops)))
+
+
+def _run_probe(toolchain: Toolchain) -> str | None:
+    func = _probe_func()
+    source = codegen_c(func, optimize=False)
+    out = np.zeros(4)
+    try:
+        so_path = compile_source(source, toolchain)
+        _NativeEntry(func, so_path, source, native_key(source, toolchain))(out)
+    except (NativeCompileError, OSError) as exc:
+        return f"probe translation unit failed: {exc}"
+    if not np.allclose(out, np.sqrt(np.arange(1.0, 5.0))):
+        return f"probe translation unit computed {out.tolist()}"
+    return None
+
+
+def _toolchain_fault(toolchain: Toolchain) -> str | None:
+    """Why ``toolchain`` cannot build and run a fixed probe unit, or None.
+
+    Asked only after a build failed, and answered once per toolchain: a
+    failing probe makes the failure a toolchain fault; a passing one pins it
+    on that build's own translation unit.
+    """
+    with _probe_lock:
+        if toolchain.fingerprint not in _probe_verdicts:
+            _probe_verdicts[toolchain.fingerprint] = _run_probe(toolchain)
+        return _probe_verdicts[toolchain.fingerprint]
+
+
 def build_callable_native(func: PrimFunc):
     """Emit, compile, and load a PrimFunc as native code.
 
@@ -669,7 +773,9 @@ def build_callable_native(func: PrimFunc):
     text), ``__so_path__``, and ``__native_key__``. Raises
     :class:`CodegenUnsupported` when the construct is outside the C fragment
     *or* the tier is disabled (missing/broken toolchain) — either way the
-    build ladder falls to the tensor tier.
+    build ladder falls to the tensor tier. Raises :class:`NativeCompileError`
+    when this translation unit fails to compile or load on a toolchain that
+    builds the probe unit.
     """
     if _disabled_reason is not None:
         raise CodegenUnsupported(f"native tier disabled: {_disabled_reason}")
@@ -688,7 +794,11 @@ def build_callable_native(func: PrimFunc):
         so_path = compile_source(source, toolchain)
         entry = _NativeEntry(func, so_path, source, key)
     except (NativeCompileError, OSError) as exc:
-        _disable(str(exc), compiler=toolchain.path)
-        raise CodegenUnsupported(f"native tier disabled: {exc}") from exc
+        if _toolchain_fault(toolchain) is not None:
+            _disable(str(exc), compiler=toolchain.path)
+            raise CodegenUnsupported(f"native tier disabled: {exc}") from exc
+        if isinstance(exc, NativeCompileError):
+            raise
+        raise NativeCompileError(f"native build failed: {exc}") from exc
     cache.put(key, entry)
     return entry

@@ -1,4 +1,5 @@
-"""Native artifact caching: keyed by (source content hash, toolchain version).
+"""Native artifact caching: keyed by (source content hash, toolchain version,
+compile flags).
 
 Two layers are under test: the in-memory
 :class:`~repro.runtime.build_cache.BuildCache` of loaded entry points (with
@@ -19,10 +20,12 @@ import repro.te as te
 from repro.telemetry import RecordingSink, Telemetry, telemetry_session
 from repro.tir import lower, simplify_func
 from repro.tir.codegen_c import (
+    CC_FLAGS,
     NativeToolchainError,
     Toolchain,
     build_callable_native,
     codegen_c,
+    compile_source,
     find_toolchain,
     native_cache,
     native_key,
@@ -73,6 +76,12 @@ class TestNativeKey:
         a = Toolchain("/usr/bin/gcc", "gcc 12.2.0")
         b = Toolchain("/usr/bin/clang", "gcc 12.2.0")
         assert native_key("int x;", a) != native_key("int x;", b)
+
+    def test_key_varies_with_flags(self):
+        tc = Toolchain("/usr/bin/cc", "cc 12")
+        other = tuple("-O1" if f == "-O2" else f for f in CC_FLAGS)
+        assert native_key("int x;", tc) == native_key("int x;", tc, CC_FLAGS)
+        assert native_key("int x;", tc) != native_key("int x;", tc, other)
 
     def test_key_is_not_the_bare_source_hash(self):
         # The toolchain fingerprint must participate, not just the source.
@@ -143,6 +152,18 @@ class TestOnDiskArtifactReuse:
         assert entry2.__so_path__ == so
         assert os.stat(so).st_mtime_ns == stamp
         assert native_cache().misses == 1  # fresh cache: miss, then disk hit
+
+    def test_other_recipe_artifact_is_not_reused(
+        self, clean_native_state, monkeypatch, tmp_path
+    ):
+        # A .so built from the same source under another recipe, in a
+        # shared REPRO_NATIVE_DIR, lives under another key.
+        monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path))
+        other = tuple("-O1" if f == "-O2" else f for f in CC_FLAGS)
+        other_so = compile_source(codegen_c(_matmul_func()), find_toolchain(), other)
+        entry = build_callable_native(_matmul_func())
+        assert entry.__so_path__ != other_so
+        assert os.path.exists(other_so) and os.path.exists(entry.__so_path__)
 
     def test_reloaded_artifact_still_computes(
         self, clean_native_state, monkeypatch, tmp_path

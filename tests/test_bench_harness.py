@@ -137,6 +137,34 @@ class TestCheckGate:
         )
         assert any("batch sampling slower" in f for f in failures)
 
+    def test_compile_ratio_gate(self, baseline):
+        # Baseline 0.6x the reference recipe; the ceiling is 0.6 / 0.8 = 0.75x.
+        doc = _baseline_doc()
+        doc["cases"][0]["compile_vs_reference"] = 0.6
+        baseline.write_text(json.dumps(doc))
+
+        def fresh(ratio):
+            out = _fresh_doc()
+            if ratio is not None:
+                out["cases"][0]["compile_vs_reference"] = ratio
+            return bench_to_json.check(out, self.SEARCH_OK)
+
+        assert fresh(0.74) == []
+        failures = fresh(1.0)
+        assert failures and "native compile regressed" in failures[0]
+        failures = fresh(None)
+        assert failures and "compile_vs_reference" in failures[0]
+
+    def test_merge_keeps_the_largest_compile_ratio(self):
+        docs = []
+        for ratio, ms in ((0.6, 80.0), (0.7, 70.0)):
+            doc = _baseline_doc()
+            doc["cases"][0].update(compile_vs_reference=ratio, native_compile_ms=ms)
+            docs.append(doc)
+        merged = bench_to_json.merge_conservative(docs)["cases"][0]
+        assert merged["compile_vs_reference"] == 0.7
+        assert merged["native_compile_ms"] == 70.0
+
     def test_missing_baseline_reported(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             bench_to_json, "COMPILER_JSON", tmp_path / "nope.json"

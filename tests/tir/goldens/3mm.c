@@ -1,8 +1,13 @@
 // golden: 3mm seed-0 config {'P0': 200, 'P1': 100, 'P2': 40, 'P3': 12, 'P4': 10, 'P5': 2}
-// source_key: 9b169089edd792d3e440c82fb22232338c1fa2ea2a1852cc637484ff1dcd06ad
-#include <stdint.h>
-#include <stdlib.h>
-#include <math.h>
+// source_key: 1fb456ac60ebbbf29d5caa536a291aa67569825008bfcd825fa831572d0c4752
+typedef __INT64_TYPE__ int64_t;
+typedef __INT32_TYPE__ int32_t;
+typedef __INT16_TYPE__ int16_t;
+typedef __INT8_TYPE__ int8_t;
+typedef __UINT8_TYPE__ uint8_t;
+typedef __SIZE_TYPE__ size_t;
+extern void* calloc(size_t, size_t);
+extern void free(void*);
 
 static inline int64_t repro_floordiv(int64_t a, int64_t b) {
     int64_t q = a / b;

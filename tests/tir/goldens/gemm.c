@@ -1,8 +1,13 @@
 // golden: gemm seed-0 config {'P0': 20, 'P1': 5}
-// source_key: 03381446c4f4310c384a5f7afb0a702973fe7ff334950a405d512598e8f7a919
-#include <stdint.h>
-#include <stdlib.h>
-#include <math.h>
+// source_key: d89e1efa28faf2e8c2d25b1bdc70d00d4922562240c0d9714103115f37572bd5
+typedef __INT64_TYPE__ int64_t;
+typedef __INT32_TYPE__ int32_t;
+typedef __INT16_TYPE__ int16_t;
+typedef __INT8_TYPE__ int8_t;
+typedef __UINT8_TYPE__ uint8_t;
+typedef __SIZE_TYPE__ size_t;
+extern void* calloc(size_t, size_t);
+extern void free(void*);
 
 static inline int64_t repro_floordiv(int64_t a, int64_t b) {
     int64_t q = a / b;

@@ -1,8 +1,13 @@
 // golden: jacobi2d seed-0 config {'P0': 15, 'P1': 10}
-// source_key: cfa4ccb79141417e9ac37219f295e37213332755c90a83fd20505449b911ef8e
-#include <stdint.h>
-#include <stdlib.h>
-#include <math.h>
+// source_key: cc9bda49f56ad3b864e8dbdf619a9f6a048dc5cc29b9459d6354049fd7dd3001
+typedef __INT64_TYPE__ int64_t;
+typedef __INT32_TYPE__ int32_t;
+typedef __INT16_TYPE__ int16_t;
+typedef __INT8_TYPE__ int8_t;
+typedef __UINT8_TYPE__ uint8_t;
+typedef __SIZE_TYPE__ size_t;
+extern void* calloc(size_t, size_t);
+extern void free(void*);
 
 static inline int64_t repro_floordiv(int64_t a, int64_t b) {
     int64_t q = a / b;

@@ -2,13 +2,17 @@
 
 Emitter tests pin down C fragment semantics construct-by-construct —
 floor-division on negatives, ternary min/max/select, bool casts, heap
-allocation scoping — both at the source level (what text is emitted) and,
-when a toolchain exists, end-to-end through compile + ctypes execution.
+allocation scoping, the freestanding preamble's per-symbol ``extern``
+prototypes — both at the source level (what text is emitted) and, when a
+toolchain exists, end-to-end through the lean compile + ctypes execution:
+every library symbol the emitter can reference is called once and compared
+with NumPy.
 
 Degradation tests prove a broken toolchain is never fatal: the first failed
 build emits exactly one ``RuntimeWarning`` and one ``NativeDisabled``
 telemetry event, every build (including the first) lands on the tensor tier,
-and no later build warns again.
+and no later build warns again. A compiler that rejects one translation unit
+but builds the probe unit fails only that build's trial.
 """
 
 from __future__ import annotations
@@ -21,7 +25,10 @@ import numpy as np
 import pytest
 
 import repro.te as te
+from repro.configspace import ConfigurationSpace, OrdinalHyperparameter
+from repro.core.framework import AutotuneConfig, BayesianAutotuner
 from repro.runtime import build
+from repro.runtime.measure import LocalEvaluator
 from repro.te.expr import (
     Call,
     Cast,
@@ -38,6 +45,8 @@ from repro.te.expr import (
 from repro.telemetry import RecordingSink, Telemetry, telemetry_session
 from repro.tir.codegen_py import CodegenUnsupported
 from repro.tir.codegen_c import (
+    _CALL_F32,
+    _CALL_F64,
     NativeToolchainError,
     SYMBOL_PREFIX,
     build_callable_native,
@@ -84,6 +93,24 @@ def _expr_func(out_dtype: str, value_of) -> PrimFunc:
 def _run_native(func: PrimFunc, *arrays: np.ndarray) -> None:
     entry = build_callable_native(func)
     entry(*arrays)
+
+
+def _externs(source: str) -> list[str]:
+    return [line for line in source.splitlines() if line.startswith("extern ")]
+
+
+_NUMPY_CALL = {
+    "sqrt": np.sqrt, "exp": np.exp, "log": np.log, "abs": np.abs,
+    "floor": np.floor, "ceil": np.ceil,
+}
+#: Call arguments are ``i * 0.75 + offset`` for i in 0..7: negative and
+#: fractional where the function allows it, positive for sqrt and log.
+_CALL_OFFSET = {"sqrt": 0.3, "log": 0.3}
+_CALL_CASES = [
+    (dtype, op, fn)
+    for dtype, table in (("float32", _CALL_F32), ("float64", _CALL_F64))
+    for op, fn in sorted(table.items())
+]
 
 
 class TestEmitterSource:
@@ -139,6 +166,39 @@ class TestEmitterSource:
         source = codegen_c(func)
         assert "calloc((size_t)16, sizeof(double))" in source
         assert "free(scratch);" in source
+        assert _externs(source) == [
+            "extern void* calloc(size_t, size_t);",
+            "extern void free(void*);",
+        ]
+
+    def test_source_is_freestanding(self, matmul):
+        A, B, C = matmul
+        from repro.tir import lower, simplify_func
+
+        source = codegen_c(simplify_func(lower(te.create_schedule(C.op), [A, B, C])))
+        assert "#include" not in source
+        assert "typedef __INT64_TYPE__ int64_t;" in source
+        assert "typedef __SIZE_TYPE__ size_t;" in source
+
+    def test_no_allocate_no_call_declares_no_externs(self):
+        source = codegen_c(_expr_func("int32", lambda i: i * IntImm(2)))
+        assert _externs(source) == []
+
+    def test_only_referenced_symbols_are_declared(self):
+        func = _expr_func(
+            "float32", lambda i: Call("exp", (Cast(i, "float32"),), "float32")
+        )
+        assert _externs(codegen_c(func)) == ["extern float expf(float);"]
+
+    def test_special_float_literals_are_builtins(self):
+        for value, text in (
+            (float("nan"), '__builtin_nanf("")'),
+            (float("inf"), "__builtin_inff()"),
+            (float("-inf"), "(-__builtin_inff())"),
+        ):
+            source = codegen_c(_expr_func("float64", lambda i: FloatImm(value, "float64")))
+            assert text in source
+            assert _externs(source) == []
 
     def test_int_operand_true_division_casts(self):
         # te.Div promotes int/int to float32; the emitted C must cast the
@@ -268,6 +328,54 @@ class TestEmitterExecution:
         _run_native(func, out_arr)
         np.testing.assert_allclose(out_arr, np.arange(8) * 3.0)
 
+    @pytest.mark.parametrize("dtype,op,fn", _CALL_CASES)
+    def test_math_call_matches_numpy(self, dtype, op, fn):
+        offset = _CALL_OFFSET.get(op, -2.6)
+        func = _expr_func(
+            dtype,
+            lambda i: Call(
+                op,
+                (Cast(i, dtype) * FloatImm(0.75, dtype) + FloatImm(offset, dtype),),
+                dtype,
+            ),
+        )
+        entry = build_callable_native(func)
+        ctype = "float" if dtype == "float32" else "double"
+        assert _externs(entry.__source__) == [f"extern {ctype} {fn}({ctype});"]
+        out = np.zeros(8, dtype=dtype)
+        entry(out)
+        scalar = np.dtype(dtype).type
+        x = np.arange(8, dtype=dtype) * scalar(0.75) + scalar(offset)
+        rtol = 1e-6 if dtype == "float32" else 1e-14
+        np.testing.assert_allclose(out, _NUMPY_CALL[op](x), rtol=rtol)
+
+    def test_integer_abs_is_llabs(self):
+        func = _expr_func("int64", lambda i: Call("abs", (i - IntImm(4),), "int64"))
+        entry = build_callable_native(func)
+        assert _externs(entry.__source__) == ["extern long long llabs(long long);"]
+        out = np.zeros(8, dtype=np.int64)
+        entry(out)
+        np.testing.assert_array_equal(out, np.abs(np.arange(8) - 4))
+
+    @pytest.mark.parametrize("dtype,fn", [("float32", "floorf"), ("float64", "floor")])
+    def test_float_floordiv(self, dtype, fn):
+        func = _expr_func(
+            dtype,
+            lambda i: FloorDiv(Cast(i, dtype) - FloatImm(3.5, dtype), FloatImm(2.0, dtype)),
+        )
+        entry = build_callable_native(func)
+        assert f" {fn}(" in _externs(entry.__source__)[0]
+        out = np.zeros(8, dtype=dtype)
+        entry(out)
+        np.testing.assert_array_equal(out, np.floor((np.arange(8, dtype=dtype) - 3.5) / 2.0))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_special_float_literals(self, dtype, value):
+        out = np.zeros(8, dtype=dtype)
+        _run_native(_expr_func(dtype, lambda i: FloatImm(value, dtype)), out)
+        np.testing.assert_array_equal(out, np.full(8, value, dtype=dtype))
+
     def test_non_contiguous_input_rejected(self):
         from repro.common.errors import ExecutionError
         from repro.tir import lower, simplify_func
@@ -380,3 +488,78 @@ class TestGracefulDegradation:
         # Once disabled: same exception, no emit/probe work repeated.
         with pytest.raises(CodegenUnsupported, match="disabled"):
             build_callable_native(func)
+
+
+#: The fault-injection compiler rejects any translation unit containing this.
+FAULT_MARKER = "FAULT_MARKER"
+BAD_P0 = 4
+
+
+def _marker_builder(params):
+    """out[i] = A[i] + P0; the P0 == BAD_P0 output buffer carries the marker
+    in its name, so only that configuration's C source contains it."""
+    p0 = params["P0"]
+    a = te.placeholder((16,), name="A", dtype="float64")
+    out = te.compute(
+        (16,),
+        lambda i: a[i] + float(p0),
+        name=FAULT_MARKER if p0 == BAD_P0 else "B",
+    )
+    return te.create_schedule(out.op), [a, out]
+
+
+@needs_cc
+class TestPerSourceFaults:
+    @pytest.fixture
+    def marker_cc(self, clean_native_state, monkeypatch, tmp_path):
+        """A REPRO_CC that runs the real compiler unless the .c file
+        contains FAULT_MARKER."""
+        real = find_toolchain().path
+        fake = tmp_path / "markercc"
+        fake.write_text(
+            "#!/bin/sh\n"
+            'for arg in "$@"; do\n'
+            '  case "$arg" in *.c)\n'
+            f'    if grep -q {FAULT_MARKER} "$arg"; then echo injected fault >&2; exit 1; fi;;\n'
+            "  esac\n"
+            "done\n"
+            f'exec "{real}" "$@"\n'
+        )
+        fake.chmod(fake.stat().st_mode | stat.S_IXUSR)
+        monkeypatch.setenv("REPRO_CC", str(fake))
+        reset_native_runtime()
+        return fake
+
+    def test_bad_source_fails_one_trial_only(self, marker_cc):
+        space = ConfigurationSpace(seed=0)
+        space.add_hyperparameter(OrdinalHyperparameter("P0", (1, 2, 3, 4, 5, 6)))
+        sink = RecordingSink()
+        with telemetry_session(Telemetry([sink])), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            BayesianAutotuner(
+                space,
+                LocalEvaluator(_marker_builder, backend="native"),
+                config=AutotuneConfig(max_evals=6, seed=0, n_initial_points=3),
+            ).run()
+        trials = [e for e in sink.events if e.kind == "trial_measured"]
+        assert sorted(e.config["P0"] for e in trials) == [1, 2, 3, 4, 5, 6]
+        failed = [e for e in trials if not e.ok]
+        assert [e.config for e in failed] == [{"P0": BAD_P0}]
+        assert failed[0].error.startswith("compile error:")
+        assert "injected fault" in failed[0].error
+        assert all(e.backend == "native" for e in trials if e.ok)
+        assert native_disabled() is None
+        assert "native_disabled" not in sink.kinds()
+
+    def test_precompile_reports_the_bad_source(self, marker_cc):
+        evaluator = LocalEvaluator(_marker_builder, backend="native")
+        assert evaluator.precompile({"P0": BAD_P0}) is False
+        assert evaluator.precompile({"P0": 1}) is True
+        assert native_disabled() is None
+
+    def test_bad_source_is_not_built_on_another_tier(self, marker_cc):
+        from repro.tir.codegen_c import NativeCompileError
+
+        with pytest.raises(NativeCompileError, match="injected fault"):
+            build(*_marker_builder({"P0": BAD_P0}), backend="native")
+        assert native_disabled() is None
