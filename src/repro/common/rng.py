@@ -22,9 +22,14 @@ def ensure_rng(seed: "int | np.random.Generator | None") -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def spawn_seed(rng: np.random.Generator) -> np.int64:
+    """The seed :func:`spawn_rng` draws from ``rng`` for a child generator."""
+    return rng.integers(0, 2**63 - 1)
+
+
 def spawn_rng(rng: np.random.Generator) -> np.random.Generator:
     """Derive an independent child generator (for parallel components)."""
-    return np.random.default_rng(rng.integers(0, 2**63 - 1))
+    return np.random.default_rng(spawn_seed(rng))
 
 
 def stable_hash_u64(*parts: object) -> int:

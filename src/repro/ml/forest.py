@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.errors import ReproError
-from repro.common.rng import ensure_rng, spawn_rng
+from repro.common.rng import ensure_rng, spawn_seed
 from repro.ml.tree import (
     TreeArrays,
     check_tree_params,
@@ -53,12 +53,16 @@ class RandomForestRegressor:
         y = np.asarray(y, dtype=float).ravel()
         if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
             raise ReproError(f"bad training data shapes X={X.shape}, y={y.shape}")
-        n = X.shape[0]
-        k = n_candidate_features(self.max_features, X.shape[1])
+        n, d = X.shape
+        k = n_candidate_features(self.max_features, d)
         # Per tree: its feature-draw generator, then its bootstrap sample.
+        # With every feature a candidate nothing is drawn, so only the
+        # generator's seed is taken from the stream.
         rngs, rows = [], []
         for _ in range(self.n_estimators):
-            rngs.append(spawn_rng(self._rng))
+            seed = spawn_seed(self._rng)
+            if k < d:
+                rngs.append(np.random.default_rng(seed))
             rows.append(
                 self._rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
             )

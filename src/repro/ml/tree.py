@@ -1,31 +1,46 @@
-"""CART regression trees (variance-reduction splits) grown frontier-at-a-time.
+"""CART regression trees (variance-reduction splits), grown a forest at a time.
 
 Every candidate threshold of a node (midpoints between consecutive sorted
 distinct feature values) is scored by the reduction in sum-of-squared-error,
 computed with cumulative sums. Tree fitting dominates the optimizer's
-ask/tell loop, and per-node NumPy call overhead was most of its cost, so
-:func:`grow_trees` fits a whole ensemble at once: each pass pads the samples
-of every *ready* node of every tree into one array and scores all their
-candidate splits together (:meth:`_Grower._best_splits`). Which nodes are
-ready depends on the per-node feature draw:
+ask/tell loop, so :func:`grow_trees` fits a whole ensemble in one call, on one
+of two growers that give the same trees:
 
-* with all features as candidates (``max_features`` covering every column),
+* the compiled grower (:mod:`repro.ml.native`): one C call grows every tree,
+  one after another in preorder, and one more walks them for prediction. It
+  is used whenever its library builds and loads;
+* the NumPy frontier grower (:class:`_Grower`), the only one on hosts
+  without a working C toolchain. Each pass pads the samples of every *ready*
+  node of every tree into one array and scores all their candidate splits
+  together (:meth:`_Grower._best_splits`). With all features as candidates
   no randomness is consumed, so every pending node is ready and trees grow
-  level by level;
-* with a drawn subset, each tree's generator must see the draws in the
-  recursive builder's preorder, so only the top of each tree's depth-first
-  stack is ready — one node per tree per pass.
+  level by level; with a drawn subset each tree's generator must see the
+  draws in preorder, so only the top of each tree's depth-first stack is
+  ready, one node per tree per pass.
 
-The result is bit-identical to the recursive builder, which splits one node
-at a time with ``ndarray`` reductions over its samples (kept as the test
-oracle in ``tests/ml/reference_tree.py``): a stable sort by value becomes a
-sort of (value rank, position) keys, padding samples rank after every real
-value and are masked invalid, padded y entries are ``0`` (cumulative sums
-are read at each node's last real sample), node sums replay NumPy's
-summation order (:func:`_row_sums`), children are partitioned stably, and
-features are chosen by the same sequential ``gain > best + 1e-12`` scan.
-Fitted trees are flat node arrays (:class:`TreeArrays`); prediction walks
-all trees at once.
+Both are bit-identical to the recursive builder, which splits one node at a
+time with ``ndarray`` reductions over its samples (kept as the test oracle in
+``tests/ml/reference_tree.py``). The contract:
+
+* node mean and SSE are NumPy's pairwise sums added to the 0.0 identity:
+  below 8 values summed in order from ``-0.0``; up to 128 values in 8 lanes
+  folded as ``((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))``, then the tail in order;
+  longer runs split at ``n/2 - (n/2) % 8`` (:func:`_row_sums`);
+* a node's samples are ordered stably by (value rank, position in the node),
+  cumulative sums of ``y`` and ``y*y`` are taken in that order, and each
+  split scores ``(sl2 - sl*sl/nl) + (sr2 - sr*sr/nr)`` in that operation
+  order. The first minimum wins; positions between equal values or leaving
+  fewer than ``min_samples_leaf`` samples on a side are excluded. The
+  threshold is ``(below + above) / 2``;
+* features are chosen by the sequential ``gain > best + 1e-12`` scan in
+  drawn order, and children are partitioned stably on ``x <= threshold``;
+* with ``k < d`` candidates, a node that passes the split checks draws them
+  with ``Generator.choice(d, k, replace=False)`` from its tree's generator,
+  in preorder (the compiled grower replays that call on the generator's own
+  ``next_uint32``, so generators end in the same state).
+
+Fitted trees are flat node arrays (:class:`TreeArrays`); only the node
+numbering differs between the growers.
 """
 
 from __future__ import annotations
@@ -36,6 +51,7 @@ import numpy as np
 
 from repro.common.errors import ReproError
 from repro.common.rng import ensure_rng
+from repro.ml import native
 
 #: Version of the fitted-tree layout. Bump it whenever :class:`TreeArrays`
 #: changes shape, so pickled models from an older layout are refit, not
@@ -124,7 +140,8 @@ class TreeArrays:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Per-tree predictions, shape ``(n_trees, n_rows)``.
 
-        Walks a group of trees at a time (``_MAX_BATCH_CELLS`` (tree, row)
+        The compiled library walks every (tree, row) pair in one call; the
+        NumPy walk takes a group of trees at a time (``_MAX_BATCH_CELLS``
         pairs), each step advancing every pair not yet at a leaf.
         """
         X = np.ascontiguousarray(X, dtype=float)
@@ -132,6 +149,9 @@ class TreeArrays:
             raise ReproError(
                 f"X must have shape (n, {self.n_features}), got {X.shape}"
             )
+        lib = native.library()
+        if lib is not None:
+            return native.walk(lib, X, self)
         m, d = X.shape
         flat = X.ravel()
         out = np.empty((self.roots.size, m))
@@ -165,10 +185,53 @@ def grow_trees(
 
     Tree ``t`` trains on ``X[rows[t]]`` in that order and, when ``k`` is
     below the number of features, draws each node's ``k`` candidate features
-    from ``rngs[t]``.
+    from ``rngs[t]``. Uses the compiled grower when it loads, else the
+    NumPy one; both give the same trees.
     """
+    lib = native.library()
+    if lib is not None and (k >= X.shape[1] or X.shape[1] <= native.MAX_DRAW_FEATURES):
+        return _grow_native(lib, X, y, rows, rngs, k, max_depth,
+                            min_samples_split, min_samples_leaf)
     return _Grower(X, y, rows, rngs, k, max_depth, min_samples_split,
                    min_samples_leaf).grow()
+
+
+def _ranks(X: np.ndarray) -> np.ndarray:
+    """Rank of each value within its feature, shape ``(d, n + 1)``.
+
+    Equal values share a rank (the count of smaller values); column ``n`` is
+    the padding sentinel, which ranks last.
+    """
+    n, d = X.shape
+    rank = np.full((d, n + 1), n, dtype=np.intp)
+    for f in range(d):
+        col = X[:, f]
+        rank[f, :n] = np.searchsorted(col[col.argsort(kind="stable")], col)
+    return rank
+
+
+def _grow_native(lib, X, y, rows, rngs, k, max_depth, min_samples_split,
+                 min_samples_leaf) -> TreeArrays:
+    # The C indexes with these unchecked: bad values must not reach it.
+    check_tree_params(max_depth, min_samples_split, min_samples_leaf)
+    if rows.size and (rows.min() < 0 or rows.max() >= X.shape[0]):
+        raise ReproError(f"rows must index the {X.shape[0]} training samples")
+    X = np.ascontiguousarray(X, dtype=float)
+    inodes, fnodes, roots, size = native.grow(
+        lib, X, np.ascontiguousarray(y, dtype=float), _ranks(X),
+        np.ascontiguousarray(rows, dtype=np.int64), rngs, k, max_depth,
+        min_samples_split, min_samples_leaf,
+    )
+    if size < 0:
+        raise ReproError(
+            "degenerate split: a threshold left one side empty, so the tree "
+            "needs more than 2 * n_samples - 1 nodes"
+        )
+    feature, left, right, n_samples, depth = inodes[:, :size].copy()
+    threshold, value = fnodes[:, :size].copy()
+    return TreeArrays(feature=feature, threshold=threshold, left=left,
+                      right=right, value=value, n_samples=n_samples,
+                      depth=depth, roots=roots.copy(), n_features=X.shape[1])
 
 
 class _Grower:
@@ -190,12 +253,7 @@ class _Grower:
         self.min_samples_leaf = min_samples_leaf
         self.pad = n
         self.XT = np.hstack([X.T, np.full((d, 1), np.inf)])  # (d, n + 1)
-        # Rank of each value within its feature (equal values share one);
-        # the sentinel ranks last.
-        self.rank = np.full((d, n + 1), n, dtype=np.intp)
-        for f in range(d):
-            col = X[:, f]
-            self.rank[f, :n] = np.searchsorted(col[col.argsort(kind="stable")], col)
+        self.rank = _ranks(X)
         self.y = np.append(y, 0.0)
         self.buf = np.array(rows, dtype=np.intp).reshape(-1)
         self.n_trees, self.m = rows.shape

@@ -1,7 +1,7 @@
 """Test-only reference: the recursive one-node-at-a-time CART builder.
 
 This is the builder :func:`repro.ml.tree.grow_trees` replaced, kept as the
-oracle the frontier grower is fuzzed against. It is deliberately the plain
+oracle both growers (compiled and NumPy) are fuzzed against. It is deliberately the plain
 version: one ``_Node`` object per node, one recursive call per child, and
 one prefix-sum scan per candidate feature.
 """

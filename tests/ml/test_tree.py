@@ -1,4 +1,4 @@
-"""Tests for the CART regression tree and the frontier grower."""
+"""Tests for the CART regression tree and its two growers."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import ReproError
 from repro.ml import DecisionTreeRegressor, RandomForestRegressor
 from tests.ml import reference_tree
+from tests.ml.growers import use_grower
 from tests.ml.reference_tree import ReferenceTree, reference_forest
 
 
@@ -117,102 +118,130 @@ def _data(seed: int, n: int, d: int, duplicates: bool, targets: str):
     return X, y, probes
 
 
-class TestGrowerMatchesReference:
-    """The frontier grower vs the recursive builder in ``reference_tree.py``.
+def _reference_battery(grower: str) -> type:
+    """The bit-identity cases for one grower vs the recursive builder in
+    ``reference_tree.py``: per-tree predictions are compared as int64 bit
+    patterns, and the forest generator must end in the same state.
 
-    Bit-identity is the contract: per-tree predictions are compared as int64
-    bit patterns, and the forest generator must end in the same state.
+    Each grower gets its own class, and so its own test functions, which
+    Hypothesis requires of tests run from different classes.
     """
 
-    @staticmethod
-    def _assert_forest_matches(X, y, probes, n_estimators, seed, bootstrap,
-                               **params):
-        forest = RandomForestRegressor(
-            n_estimators=n_estimators, bootstrap=bootstrap, seed=seed, **params
-        ).fit(X, y)
-        rng = np.random.default_rng(seed)
-        trees = reference_forest(X, y, rng, n_estimators, bootstrap=bootstrap,
-                                 **params)
-        want = np.stack([t.predict(probes) for t in trees])
-        np.testing.assert_array_equal(_bits(forest.nodes_.predict(probes)),
-                                      _bits(want))
-        assert forest._rng.bit_generator.state == rng.bit_generator.state
-        assert forest.nodes_.feature.size == sum(
-            2 * len(reference_tree.leaf_sizes(t.root)) - 1 for t in trees
+    class Battery:
+        def _assert_forest_matches(self, X, y, probes, n_estimators, seed,
+                                   bootstrap, **params):
+            with use_grower(grower):
+                forest = RandomForestRegressor(
+                    n_estimators=n_estimators, bootstrap=bootstrap, seed=seed, **params
+                ).fit(X, y)
+                got = forest.nodes_.predict(probes)
+            rng = np.random.default_rng(seed)
+            trees = reference_forest(X, y, rng, n_estimators, bootstrap=bootstrap,
+                                     **params)
+            want = np.stack([t.predict(probes) for t in trees])
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+            assert forest._rng.bit_generator.state == rng.bit_generator.state
+            assert forest.nodes_.feature.size == sum(
+                2 * len(reference_tree.leaf_sizes(t.root)) - 1 for t in trees
+            )
+
+        @settings(max_examples=60, deadline=None)
+        @given(
+            seed=st.integers(0, 10_000),
+            n=st.integers(2, 150),
+            d=st.integers(1, 8),
+            max_features=st.sampled_from([None, "sqrt", 0.8, "int"]),
+            msl=st.integers(1, 4),
+            max_depth=st.sampled_from([None, 1, 2, 3, 4, 5, 6]),
+            bootstrap=st.booleans(),
+            duplicates=st.booleans(),
+            targets=st.sampled_from(["normal", "rounded", "signed_zero"]),
+            n_estimators=st.integers(1, 6),
         )
+        def test_forest_matches_reference(self, seed, n, d, max_features, msl,
+                                          max_depth, bootstrap, duplicates, targets,
+                                          n_estimators):
+            if max_features == "int":
+                max_features = 1 + seed % d
+            X, y, probes = _data(seed, n, d, duplicates, targets)
+            self._assert_forest_matches(
+                X, y, probes, n_estimators, seed, bootstrap,
+                max_features=max_features, min_samples_leaf=msl, max_depth=max_depth,
+            )
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        n=st.integers(2, 150),
-        d=st.integers(1, 8),
-        max_features=st.sampled_from([None, "sqrt", 0.8, "int"]),
-        msl=st.integers(1, 4),
-        max_depth=st.sampled_from([None, 1, 2, 3, 4, 5, 6]),
-        bootstrap=st.booleans(),
-        duplicates=st.booleans(),
-        targets=st.sampled_from(["normal", "rounded", "signed_zero"]),
-        n_estimators=st.integers(1, 6),
-    )
-    def test_forest_matches_reference(self, seed, n, d, max_features, msl,
-                                      max_depth, bootstrap, duplicates, targets,
-                                      n_estimators):
-        if max_features == "int":
-            max_features = 1 + seed % d
-        X, y, probes = _data(seed, n, d, duplicates, targets)
-        self._assert_forest_matches(
-            X, y, probes, n_estimators, seed, bootstrap,
-            max_features=max_features, min_samples_leaf=msl, max_depth=max_depth,
-        )
+        @settings(max_examples=20, deadline=None)
+        @given(seed=st.integers(0, 10_000), msl=st.integers(1, 4),
+               max_features=st.sampled_from([None, 2]))
+        def test_heavy_duplicates_match_reference(self, seed, msl, max_features):
+            X, y, probes = _data(seed, 40, 3, duplicates=True, targets="normal")
+            self._assert_forest_matches(
+                X, y, probes, 5, seed, True,
+                max_features=max_features, min_samples_leaf=msl,
+            )
 
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 10_000), msl=st.integers(1, 4),
-           max_features=st.sampled_from([None, 2]))
-    def test_heavy_duplicates_match_reference(self, seed, msl, max_features):
-        X, y, probes = _data(seed, 40, 3, duplicates=True, targets="normal")
-        self._assert_forest_matches(
-            X, y, probes, 5, seed, True,
-            max_features=max_features, min_samples_leaf=msl,
-        )
+        @settings(max_examples=15, deadline=None)
+        @given(seed=st.integers(0, 10_000), max_features=st.sampled_from([None, 2]))
+        def test_single_tree_matches_reference(self, seed, max_features):
+            X, y, probes = _data(seed, 60, 3, duplicates=False, targets="normal")
+            tree = DecisionTreeRegressor(max_features=max_features, seed=seed)
+            ref = ReferenceTree(max_features=max_features, seed=seed)
+            for _ in range(2):  # the second fit continues each generator's stream
+                with use_grower(grower):
+                    tree.fit(X, y)
+                    got = tree.predict(probes)
+                ref.fit(X, y)
+                np.testing.assert_array_equal(_bits(got), _bits(ref.predict(probes)))
+                assert tree.depth() == reference_tree.depth(ref.root)
+                assert tree.n_leaves() == len(reference_tree.leaf_sizes(ref.root))
+            assert tree._rng.bit_generator.state == ref._rng.bit_generator.state
 
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10_000), max_features=st.sampled_from([None, 2]))
-    def test_single_tree_matches_reference(self, seed, max_features):
-        X, y, probes = _data(seed, 60, 3, duplicates=False, targets="normal")
-        tree = DecisionTreeRegressor(max_features=max_features, seed=seed)
-        ref = ReferenceTree(max_features=max_features, seed=seed)
-        for _ in range(2):  # the second fit continues each generator's stream
-            tree.fit(X, y)
-            ref.fit(X, y)
-            np.testing.assert_array_equal(_bits(tree.predict(probes)),
-                                          _bits(ref.predict(probes)))
-            assert tree.depth() == reference_tree.depth(ref.root)
-            assert tree.n_leaves() == len(reference_tree.leaf_sizes(ref.root))
-        assert tree._rng.bit_generator.state == ref._rng.bit_generator.state
+        def test_large_nodes_match_reference(self):
+            # Nodes above 128 samples are summed by NumPy's recursive pairwise
+            # path: the NumPy grower reduces them row by row, the compiled one
+            # splits them on a task stack.
+            # The last two cases make such nodes leaves, whose values are
+            # predicted: depth 1, and a root that may not split.
+            X, y, probes = _data(11, 300, 2, duplicates=False, targets="normal")
+            for params in (dict(), dict(max_features=1), dict(max_depth=1),
+                           dict(min_samples_split=301)):
+                self._assert_forest_matches(X, y, probes, 3, 11, True,
+                                            **{"max_features": None, **params})
 
-    def test_large_nodes_match_reference(self):
-        # Nodes above 128 samples are summed by NumPy's recursive pairwise
-        # path, which the grower reduces row by row.
-        X, y, probes = _data(11, 300, 2, duplicates=False, targets="normal")
-        self._assert_forest_matches(X, y, probes, 3, 11, True, max_features=None)
-        self._assert_forest_matches(X, y, probes, 3, 11, True, max_features=1)
+        def test_wide_feature_draws_match_reference(self):
+            # 40 features, 6 drawn per node: Floyd's algorithm collides and the
+            # shuffle runs over several positions, drawing from each tree's
+            # generator in preorder.
+            X, y, probes = _data(5, 50, 40, duplicates=True, targets="rounded")
+            self._assert_forest_matches(X, y, probes, 4, 5, True, max_features="sqrt")
 
-    def test_constant_column_never_split(self):
-        rng = np.random.default_rng(7)
-        X = np.column_stack([np.full(20, 3.0), rng.random(20)])
-        y = rng.random(20)
-        t = DecisionTreeRegressor().fit(X, y)
-        assert set(t.nodes_.feature[t.nodes_.feature >= 0]) == {1}
-        self._assert_forest_matches(X, y, X, 4, 7, True, max_features=None)
+        def test_constant_column_never_split(self):
+            rng = np.random.default_rng(7)
+            X = np.column_stack([np.full(20, 3.0), rng.random(20)])
+            y = rng.random(20)
+            with use_grower(grower):
+                t = DecisionTreeRegressor().fit(X, y)
+            assert set(t.nodes_.feature[t.nodes_.feature >= 0]) == {1}
+            self._assert_forest_matches(X, y, X, 4, 7, True, max_features=None)
 
-    def test_min_samples_leaf_masks_all_positions(self):
-        X = np.arange(4.0).reshape(-1, 1)
-        y = np.array([0.0, 1.0, 2.0, 3.0])
-        # No split leaves both sides >= 3 of 4 samples: a single leaf.
-        t = DecisionTreeRegressor(min_samples_leaf=3).fit(X, y)
-        assert t.n_leaves() == 1
-        self._assert_forest_matches(X, y, X, 2, 0, False, min_samples_leaf=3,
-                                    max_features=None)
+        def test_min_samples_leaf_masks_all_positions(self):
+            X = np.arange(4.0).reshape(-1, 1)
+            y = np.array([0.0, 1.0, 2.0, 3.0])
+            # No split leaves both sides >= 3 of 4 samples: a single leaf.
+            with use_grower(grower):
+                t = DecisionTreeRegressor(min_samples_leaf=3).fit(X, y)
+            assert t.n_leaves() == 1
+            self._assert_forest_matches(X, y, X, 2, 0, False, min_samples_leaf=3,
+                                        max_features=None)
+
+    return Battery
+
+
+class TestGrowerMatchesReference(_reference_battery("native")):
+    """The compiled grower; skipped only on a host without a C toolchain."""
+
+
+class TestNumpyGrowerMatchesReference(_reference_battery("numpy")):
+    """The NumPy grower, the only one on hosts without a working toolchain."""
 
 
 class TestProperties:

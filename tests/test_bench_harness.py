@@ -165,6 +165,18 @@ class TestCheckGate:
         assert merged["compile_vs_reference"] == 0.7
         assert merged["native_compile_ms"] == 70.0
 
+    def test_runs_keep_the_largest_surrogate_ratio(self, baseline, monkeypatch):
+        rf_ms = iter((20.0, 60.0, 40.0))  # ratios 5x, 15x, 10x
+
+        def run(preset, repeats):
+            search = dict(self.SEARCH_OK, ask_loop_rf_ms_per_eval=next(rf_ms))
+            return {"compiler": _baseline_doc(), "search": search}
+
+        monkeypatch.setattr(bench_backend_tiers, "run", run)
+        assert bench_to_json.main(["--runs", "3"]) == 0
+        written = json.loads(bench_to_json.SEARCH_JSON.read_text())
+        assert bench_to_json.surrogate_cost_ratio(written) == 15.0
+
     def test_missing_baseline_reported(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             bench_to_json, "COMPILER_JSON", tmp_path / "nope.json"
