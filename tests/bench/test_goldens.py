@@ -1,10 +1,12 @@
-"""Golden determinism for the model-based tuners (RF, GBT, GP, TPE).
+"""Golden determinism for the model-based tuners (RF, GBT, GP, TPE) and the
+three model-free AutoTVM strategies (Random, GridSearch, GA).
 
 The committed files under ``goldens/`` are seed-0 quick-preset trajectories
 (canonical JSON via :func:`repro.bench.conformance.trajectory_json`). A live
 run must reproduce them byte-for-byte — any drift in the forest or boosted
-tree growers, the GP fit, the TPE density split, the evaluator pricing, or
-the JSON canonicalization fails here first, with a diffable artifact. The
+tree growers, the GP fit, the TPE density split, the AutoTVM strategies'
+draw order or wave accounting, the evaluator pricing, or the JSON
+canonicalization fails here first, with a diffable artifact. The
 3mm space (6 parameters) draws per-node feature subsets in the ytopt forest;
 gemm (3 parameters) does not, so both grower paths are pinned.
 
@@ -14,7 +16,8 @@ Regenerate intentionally with::
     from pathlib import Path
     from repro.bench.conformance import QUICK, run_pair, trajectory_json
     for kernel in ("gemm", "3mm"):
-        for tuner in ("ytopt", "AutoTVM-XGB", "ytopt-gp", "ytopt-tpe"):
+        for tuner in ("ytopt", "AutoTVM-XGB", "ytopt-gp", "ytopt-tpe",
+                      "AutoTVM-Random", "AutoTVM-GridSearch", "AutoTVM-GA"):
             run = run_pair(kernel, tuner, QUICK)
             Path(f"tests/bench/goldens/{kernel}-{tuner}-seed0.json").write_text(
                 trajectory_json(run) + "\n")
@@ -38,6 +41,12 @@ GOLDEN_PAIRS = [
     ("gemm", "ytopt-tpe"),
     ("3mm", "ytopt-gp"),
     ("3mm", "ytopt-tpe"),
+    ("gemm", "AutoTVM-Random"),
+    ("gemm", "AutoTVM-GridSearch"),
+    ("gemm", "AutoTVM-GA"),
+    ("3mm", "AutoTVM-Random"),
+    ("3mm", "AutoTVM-GridSearch"),
+    ("3mm", "AutoTVM-GA"),
 ]
 
 
