@@ -1,17 +1,16 @@
 """AutoTVM reimplementation: knob-based config spaces and the four tuners.
 
 Mirrors the structure of ``tvm.autotvm``: a :class:`ConfigSpace` built from
-``define_knob`` calls, indexable :class:`ConfigEntity` points, a measurement
-pipeline with batch semantics (parallel builder + repeated runs), tuning
-records, and the four tuner strategies the paper compares —
-:class:`RandomTuner`, :class:`GridSearchTuner`, :class:`GATuner`,
-:class:`XGBTuner` (backed by the from-scratch GBT model in
-:mod:`repro.ml.gbt`).
+``define_knob`` calls, indexable :class:`ConfigEntity` points, tuning records,
+and the four tuner strategies the paper compares — :class:`RandomTuner`,
+:class:`GridSearchTuner`, :class:`GATuner`, :class:`XGBTuner` (backed by the
+from-scratch GBT model in :mod:`repro.ml.gbt`). Each tuner is an ask/tell
+optimizer; :class:`repro.ytopt.AMBS` drives it and measures its waves, the
+same loop that drives ytopt (see :func:`repro.bench.tuners.autotvm_search`).
 """
 
 from repro.autotvm.space import ConfigSpace, ConfigEntity
 from repro.autotvm.task import Task, task_from_benchmark
-from repro.autotvm.measure import MeasureOption, Measurer, measure_option
 from repro.autotvm.record import TuningRecord, encode_record, decode_record, load_records, save_records
 from repro.autotvm.transfer import apply_history_best, warm_start
 from repro.autotvm.tuner import (
@@ -28,9 +27,6 @@ __all__ = [
     "ConfigEntity",
     "Task",
     "task_from_benchmark",
-    "MeasureOption",
-    "Measurer",
-    "measure_option",
     "TuningRecord",
     "encode_record",
     "decode_record",

@@ -71,7 +71,6 @@ def warm_start(tuner: XGBTuner, records: Iterable[TuningRecord]) -> int:
     transferred observations immediately.
     """
     absorbed = 0
-    annotations = []
     for rec in records:
         if rec.task != tuner.task.name:
             continue
@@ -83,10 +82,6 @@ def warm_start(tuner: XGBTuner, records: Iterable[TuningRecord]) -> int:
             config = tuner.space.get(idx)
             tuner._X.append(tuner._features(config))
             tuner._y.append(math.log(max(rec.mean_cost, 1e-30)))
-            annotations.append(config)
-            if rec.mean_cost < tuner.best_cost:
-                tuner.best_cost = rec.mean_cost
-                tuner.best_config = config
         absorbed += 1
     if len(tuner._y) >= tuner.min_train:
         # Force an immediate model fit on the transferred data.

@@ -1,41 +1,33 @@
-"""Tuner base class: the AutoTVM tuning loop.
+"""Tuner base class: an AutoTVM strategy as an ask/tell optimizer.
 
-Subclasses implement the strategy (``next_batch`` / ``update``); the base class
-owns the loop — batched measurement through a :class:`Measurer`, visited-set
-bookkeeping, best tracking, tuning records, and early stopping.
+Subclasses implement the strategy (``next_batch`` / ``update``). The base class
+adapts it to the optimizer protocol :class:`~repro.ytopt.AMBS` drives —
+``ask_batch``/``ask``/``tell`` — and owns the visited set and the measured-cost
+history. AMBS owns everything else: measurement, clock charges, the database,
+best tracking and telemetry.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
-from repro.autotvm.measure import Measurer
-from repro.autotvm.record import TuningRecord
 from repro.autotvm.space import ConfigEntity
 from repro.autotvm.task import Task
-from repro.common.errors import TuningError
 from repro.common.rng import ensure_rng
-from repro.runtime.measure import MeasureResult
-
-TuneCallback = Callable[["Tuner", Sequence[ConfigEntity], Sequence[MeasureResult]], None]
 
 
 class Tuner:
     """Base tuner; subclasses provide the candidate-selection strategy."""
-
-    #: Configs measured per batch (AutoTVM default parallelism).
-    batch_size = 8
 
     def __init__(self, task: Task, seed: int | None = None) -> None:
         self.task = task
         self.space = task.space
         self.rng = ensure_rng(seed)
         self.visited: set[int] = set()
-        self.records: list[TuningRecord] = []
-        self.best_cost: float = math.inf
-        self.best_config: ConfigEntity | None = None
-        self.n_trials = 0
+        #: Measured cost per config index, in tell order (``FAILED_COST`` for
+        #: a failed trial).
+        self.costs: dict[int, float] = {}
+        self._told: list[tuple[ConfigEntity, float]] = []
 
     # -- strategy interface -------------------------------------------------
 
@@ -45,10 +37,31 @@ class Tuner:
     def next_batch(self, batch_size: int) -> list[ConfigEntity]:
         raise NotImplementedError
 
-    def update(
-        self, configs: Sequence[ConfigEntity], results: Sequence[MeasureResult]
-    ) -> None:
-        """Strategy hook called after each measured batch (default: no-op)."""
+    def update(self, configs: Sequence[ConfigEntity], costs: Sequence[float]) -> None:
+        """Strategy hook called once per measured wave (default: no-op)."""
+
+    # -- optimizer protocol -------------------------------------------------
+
+    def ask_batch(self, n: int) -> list[ConfigEntity]:
+        """Up to ``n`` unvisited configs; ``[]`` once the strategy is exhausted.
+
+        The tells since the last ask reach :meth:`update` first, as one wave.
+        """
+        if self._told:
+            configs, costs = zip(*self._told)
+            self._told = []
+            self.update(configs, costs)
+        return self.next_batch(n) if self.has_next() else []
+
+    def ask(self) -> ConfigEntity | None:
+        batch = self.ask_batch(1)
+        return batch[0] if batch else None
+
+    def tell(self, config: ConfigEntity, cost: float) -> None:
+        """Record one measured config (``cost == FAILED_COST``: it failed)."""
+        self.visited.add(config.index)
+        self.costs[config.index] = cost
+        self._told.append((config, cost))
 
     # -- shared helpers ----------------------------------------------------
 
@@ -72,57 +85,3 @@ class Tuner:
                 continue
             out.append(self.space.get(idx))
         return out
-
-    # -- the loop --------------------------------------------------------------
-
-    def tune(
-        self,
-        n_trial: int,
-        measurer: Measurer,
-        early_stopping: int | None = None,
-        callbacks: Sequence[TuneCallback] = (),
-    ) -> list[TuningRecord]:
-        """Run up to ``n_trial`` measurements; returns all tuning records."""
-        if n_trial < 1:
-            raise TuningError(f"n_trial must be >= 1, got {n_trial}")
-        if early_stopping is not None and early_stopping < 1:
-            raise TuningError(f"early_stopping must be >= 1, got {early_stopping}")
-
-        last_improvement = 0
-        while self.n_trials < n_trial and self.has_next():
-            want = min(self.batch_size, n_trial - self.n_trials)
-            batch = self.next_batch(want)
-            if not batch:
-                break
-            results = measurer.measure_batch(batch)
-            for config, result in zip(batch, results):
-                self.visited.add(config.index)
-                rec = TuningRecord.from_result(self.task.name, type(self).__name__, result)
-                self.records.append(rec)
-                self.n_trials += 1
-                if rec.ok and rec.mean_cost < self.best_cost:
-                    self.best_cost = rec.mean_cost
-                    self.best_config = config
-                    last_improvement = self.n_trials
-            self.update(batch, results)
-            for cb in callbacks:
-                cb(self, batch, results)
-            if (
-                early_stopping is not None
-                and self.n_trials - last_improvement >= early_stopping
-            ):
-                break
-        return self.records
-
-    # -- results ------------------------------------------------------------
-
-    def best(self) -> tuple[dict[str, int], float]:
-        if self.best_config is None:
-            raise TuningError("best() called before any successful trial")
-        return self.best_config.to_dict(), self.best_cost
-
-    def trajectory(self) -> list[tuple[float, float]]:
-        """(process time, runtime) per evaluation, for the paper's figures."""
-        return [
-            (r.timestamp, r.mean_cost if r.ok else float("inf")) for r in self.records
-        ]

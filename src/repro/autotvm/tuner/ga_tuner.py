@@ -10,7 +10,7 @@ from repro.common.errors import TuningError
 from repro.autotvm.task import Task
 from repro.autotvm.tuner.base import Tuner
 from repro.ml.ga import GeneticAlgorithm
-from repro.runtime.measure import MeasureResult
+from repro.runtime.measure import FAILED_COST
 
 
 class GATuner(Tuner):
@@ -54,23 +54,18 @@ class GATuner(Tuner):
                 self._genome_of[c.index] = c.knob_indices()
         return out
 
-    def _known_fitness(self, idx: int) -> float:
-        for rec in self.records:
-            if rec.ok and self.space.get(idx).to_dict() == rec.config:
-                return -math.log(max(rec.mean_cost, 1e-30))
-        return -1e30
+    @staticmethod
+    def _fitness(cost: float) -> float:
+        return -math.log(max(cost, 1e-30)) if cost != FAILED_COST else -1e30
 
-    def update(
-        self, configs: Sequence[ConfigEntity], results: Sequence[MeasureResult]
-    ) -> None:
-        for config, result in zip(configs, results):
+    def _known_fitness(self, idx: int) -> float:
+        return self._fitness(self.costs.get(idx, FAILED_COST))
+
+    def update(self, configs: Sequence[ConfigEntity], costs: Sequence[float]) -> None:
+        for config, cost in zip(configs, costs):
             genome = self._genome_of.get(config.index, config.knob_indices())
-            if result.ok and result.costs:
-                fitness = -math.log(max(result.mean_cost, 1e-30))
-            else:
-                fitness = -1e30
             try:
-                self.ga.tell(genome, fitness)
+                self.ga.tell(genome, self._fitness(cost))
             except TuningError:
                 # Genome came from the random fallback, never ask()ed: the GA
                 # has no pending slot for it, which is fine — skip.

@@ -9,11 +9,9 @@ drain the plan in batches, refitting periodically.
 
 The paper observes that "XGBoost search tuner could only do at most 56
 evaluations no matter how many evaluations are set for some reason". The
-mechanism reproduced here: the tuner stops once it has exhausted
-``max_plan_refreshes`` model-ranked plans without finding new promising
-candidates. The experiment drivers pin :data:`PAPER_XGB_TRIAL_CAP` = 56 (a
-hard trial cap, documented in DESIGN.md) so the figures show the same
-truncated trajectories; pass ``trial_cap=None`` for an uncapped tuner.
+experiment drivers reproduce that by capping AutoTVM-XGB's evaluation budget
+at :data:`PAPER_XGB_TRIAL_CAP` = 56 (documented in DESIGN.md), so the figures
+show the same truncated trajectories; the tuner itself is uncapped.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from repro.autotvm.task import Task
 from repro.autotvm.tuner.base import Tuner
 from repro.common.errors import TuningError
 from repro.ml.gbt import GradientBoostedTreesRegressor
-from repro.runtime.measure import MeasureResult
+from repro.runtime.measure import FAILED_COST
 
 #: The evaluation count at which the paper's AutoTVM-XGB runs always stopped.
 PAPER_XGB_TRIAL_CAP = 56
@@ -44,7 +42,6 @@ class XGBTuner(Tuner):
         candidate_num: int = 2048,
         min_train: int = 8,
         refit_every: int = 8,
-        trial_cap: int | None = None,
         plan_optimizer: str = "pool",
         seed: int | None = None,
     ) -> None:
@@ -53,8 +50,6 @@ class XGBTuner(Tuner):
             raise TuningError(f"plan_size must be >= 1, got {plan_size}")
         if candidate_num < plan_size:
             raise TuningError("candidate_num must be >= plan_size")
-        if trial_cap is not None and trial_cap < 1:
-            raise TuningError(f"trial_cap must be >= 1, got {trial_cap}")
         if plan_optimizer not in ("pool", "sa"):
             raise TuningError(
                 f"plan_optimizer must be 'pool' or 'sa', got {plan_optimizer!r}"
@@ -63,7 +58,6 @@ class XGBTuner(Tuner):
         self.candidate_num = candidate_num
         self.min_train = min_train
         self.refit_every = refit_every
-        self.trial_cap = trial_cap
         self.plan_optimizer = plan_optimizer
         self.model: GradientBoostedTreesRegressor | None = None
         self._X: list[np.ndarray] = []
@@ -93,20 +87,14 @@ class XGBTuner(Tuner):
 
     # -- strategy ---------------------------------------------------------------
 
-    def has_next(self) -> bool:
-        if self.trial_cap is not None and self.n_trials >= self.trial_cap:
-            return False
-        return super().has_next()
-
     def next_batch(self, batch_size: int) -> list[ConfigEntity]:
-        if self.trial_cap is not None:
-            batch_size = min(batch_size, self.trial_cap - self.n_trials)
-            if batch_size <= 0:
-                return []
         if self.model is None or len(self._y) < self.min_train:
             return self._random_unvisited(batch_size)
+        # Once the wave holds every unvisited config, a refreshed plan could
+        # only re-rank them: stop with a short wave instead of spinning.
+        want = min(batch_size, len(self.space) - len(self.visited))
         out: list[ConfigEntity] = []
-        while len(out) < batch_size:
+        while len(out) < want:
             if not self._plan:
                 self._refresh_plan()
                 if not self._plan:
@@ -115,13 +103,14 @@ class XGBTuner(Tuner):
             if idx in self.visited or any(c.index == idx for c in out):
                 continue
             out.append(self.space.get(idx))
-        if len(out) < batch_size:
-            out.extend(self._random_unvisited(batch_size - len(out)))
+        if len(out) < want:
+            out.extend(self._random_unvisited(want - len(out)))
         return out
 
     def _candidate_indices(self) -> list[int]:
         n = len(self.space)
-        if n <= self.candidate_num:
+        # Sampling needs more unvisited configs than it draws, or it spins.
+        if n <= self.candidate_num or n - len(self.visited) < self.candidate_num:
             return [i for i in range(n) if i not in self.visited]
         picks: set[int] = set()
         while len(picks) < self.candidate_num:
@@ -158,18 +147,10 @@ class XGBTuner(Tuner):
 
         # Warm-start some chains from the best measured configs.
         measured = sorted(
-            (r for r in self.records if r.ok and r.costs),
-            key=lambda r: r.mean_cost,
+            (i for i, cost in self.costs.items() if cost != FAILED_COST),
+            key=self.costs.__getitem__,
         )[:8]
-        seeds = []
-        for rec in measured:
-            indices = []
-            try:
-                for name in self.space.knob_names:
-                    indices.append(self.space.knob_candidates(name).index(rec.config[name]))
-                seeds.append(tuple(indices))
-            except (KeyError, ValueError):  # pragma: no cover - same-task records
-                continue
+        seeds = [self.space.index_to_indices(i) for i in measured]
         sa = SimulatedAnnealingOptimizer(
             self.space.gene_sizes(), seed=int(self.rng.integers(2**31))
         )
@@ -177,13 +158,11 @@ class XGBTuner(Tuner):
         states = sa.find_maximums(score_fn, self.plan_size, exclude=exclude, seeds=seeds)
         self._plan = [self.space.indices_to_index(s) for s in states]
 
-    def update(
-        self, configs: Sequence[ConfigEntity], results: Sequence[MeasureResult]
-    ) -> None:
-        for config, result in zip(configs, results):
-            if result.ok and result.costs:
+    def update(self, configs: Sequence[ConfigEntity], costs: Sequence[float]) -> None:
+        for config, cost in zip(configs, costs):
+            if cost != FAILED_COST:
                 self._X.append(self._features(config))
-                self._y.append(math.log(max(result.mean_cost, 1e-30)))
+                self._y.append(math.log(max(cost, 1e-30)))
         self._since_fit += len(configs)
         if len(self._y) >= self.min_train and (
             self.model is None or self._since_fit >= self.refit_every

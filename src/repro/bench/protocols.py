@@ -90,7 +90,6 @@ class TunerContext:
     seed: int = 0
     max_evals: int = 100
     jobs: int = 1
-    repeats: int = 1
     prune: bool = False
     prune_threshold: float = 1.25
     #: Pipelined execution (see :mod:`repro.ytopt.search`): overlap the
@@ -113,8 +112,9 @@ class TunerSpec:
 
     ``family`` partitions capability: ``"bo"`` tuners (BayesianAutotuner
     front-end) support warm start and surrogate pruning; ``"autotvm"`` tuners
-    use the batch Measurer path. ``supports_transfer`` additionally gates the
-    meta-surrogate transfer stack (RF surrogate only, today).
+    run AutoTVM's batch semantics (waves of 8) and accept no BO loop knobs.
+    ``supports_transfer`` additionally gates the meta-surrogate transfer
+    stack (RF surrogate only, today).
     """
 
     name: str

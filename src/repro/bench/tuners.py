@@ -2,8 +2,11 @@
 
 Each :class:`~repro.bench.protocols.TunerSpec` factory binds a search
 strategy to a :class:`~repro.bench.protocols.TunerContext` and returns a
-bound tuner whose single ``run()`` yields a neutral
-:class:`~repro.bench.protocols.TuneOutcome`. Construction mirrors what
+:class:`BoundSearch` whose single ``run()`` yields a neutral
+:class:`~repro.bench.protocols.TuneOutcome`. Every family runs through the
+one :class:`~repro.ytopt.AMBS` loop: the BO families through
+:class:`~repro.core.framework.BayesianAutotuner`, the four AutoTVM strategies
+as ask/tell optimizers (:func:`autotvm_search`). Construction mirrors what
 :class:`repro.service.session.TuningSession` has always done argument-for-
 argument, so routing the paper tuners through the registry leaves their
 seeded trajectories byte-identical.
@@ -14,15 +17,15 @@ from __future__ import annotations
 from repro.autotvm import (
     GATuner,
     GridSearchTuner,
-    Measurer,
     RandomTuner,
+    Tuner,
     XGBTuner,
-    measure_option,
     task_from_benchmark,
 )
 from repro.bench.protocols import TuneOutcome, TunerContext, TunerSpec
 from repro.bench.registry import register_tuner
 from repro.core.framework import AutotuneConfig, BayesianAutotuner
+from repro.ytopt import AMBS, TuningProblem
 from repro.ytopt.surrogate import GaussianProcessSurrogate
 from repro.ytopt.tpe import TPEOptimizer
 
@@ -45,17 +48,15 @@ _AUTOTVM_CLASSES = {
 }
 
 
-class BoundBO:
-    """A BayesianAutotuner-driven tuner bound to one benchmark."""
+class BoundSearch:
+    """A tuner bound to one benchmark: one AMBS search, BO or AutoTVM."""
 
-    def __init__(self, autotuner: BayesianAutotuner) -> None:
-        self.autotuner = autotuner
-        self.optimizer = autotuner.optimizer
-        self.autotvm_tuner = None
-        self.measurer = None
+    def __init__(self, search: "BayesianAutotuner | AMBS") -> None:
+        self.search = search
+        self.optimizer = search.optimizer
 
     def run(self) -> TuneOutcome:
-        result = self.autotuner.run()
+        result = self.search.run()
         return TuneOutcome(
             best_config=result.best_config,
             best_runtime=result.best_runtime,
@@ -66,31 +67,31 @@ class BoundBO:
         )
 
 
-class BoundAutoTVM:
-    """An AutoTVM tuner + batch measurer bound to one benchmark."""
+def autotvm_search(
+    tuner: Tuner, max_evals: int, jobs: int = 1, name: str = "autotvm"
+) -> AMBS:
+    """The AMBS loop over an AutoTVM strategy, with AutoTVM's batch semantics.
 
-    def __init__(self, tuner, measurer: Measurer, max_evals: int) -> None:
-        self.autotuner = None
-        self.optimizer = None
-        self.autotvm_tuner = tuner
-        self.measurer = measurer
-        self.max_evals = max_evals
-
-    def run(self) -> TuneOutcome:
-        records = self.autotvm_tuner.tune(
-            n_trial=self.max_evals, measurer=self.measurer
-        )
-        best_config, best_runtime = self.autotvm_tuner.best()
-        return TuneOutcome(
-            best_config={k: int(v) for k, v in best_config.items()},
-            best_runtime=best_runtime,
-            n_evals=len(records),
-            total_time=records[-1].timestamp if records else 0.0,
-            trajectory=[
-                (r.timestamp, r.mean_cost if r.ok else float("inf"))
-                for r in records
-            ],
-        )
+    AutoTVM measures in waves of 8 configurations (its default builder
+    parallelism) and pays ~0.5 s of dispatch and teardown per wave, charged
+    to the virtual clock once per wave. The batch structure is why AutoTVM's
+    process time per evaluation differs from ytopt's: compilation is
+    amortized across the wave while execution is repeated (``number=3``, see
+    :func:`repro.service.session.make_evaluator`) — faster per evaluation
+    than ytopt at LARGE sizes (compile-dominated), much slower at EXTRALARGE
+    (3–4 runs of a 14-second kernel). ``jobs`` > 1 measures each wave that
+    many configurations at a time.
+    """
+    problem = TuningProblem(tuner.space, tuner.task.evaluator, name=tuner.task.name)
+    return AMBS(
+        problem,
+        optimizer=tuner,
+        batch_size=8,
+        jobs=jobs,
+        optimizer_overhead=0.5,
+        max_evals=max_evals,
+        tuner_name=name,
+    )
 
 
 def _bo_config(ctx: TunerContext) -> AutotuneConfig:
@@ -107,8 +108,8 @@ def _bo_config(ctx: TunerContext) -> AutotuneConfig:
     )
 
 
-def _make_ytopt(ctx: TunerContext) -> BoundBO:
-    return BoundBO(
+def _make_ytopt(ctx: TunerContext) -> BoundSearch:
+    return BoundSearch(
         BayesianAutotuner(
             ctx.benchmark.config_space(seed=ctx.seed),
             ctx.evaluator,
@@ -121,8 +122,8 @@ def _make_ytopt(ctx: TunerContext) -> BoundBO:
     )
 
 
-def _make_ytopt_gp(ctx: TunerContext) -> BoundBO:
-    return BoundBO(
+def _make_ytopt_gp(ctx: TunerContext) -> BoundSearch:
+    return BoundSearch(
         BayesianAutotuner(
             ctx.benchmark.config_space(seed=ctx.seed),
             ctx.evaluator,
@@ -134,10 +135,10 @@ def _make_ytopt_gp(ctx: TunerContext) -> BoundBO:
     )
 
 
-def _make_ytopt_tpe(ctx: TunerContext) -> BoundBO:
+def _make_ytopt_tpe(ctx: TunerContext) -> BoundSearch:
     space = ctx.benchmark.config_space(seed=ctx.seed)
     cfg = _bo_config(ctx)
-    return BoundBO(
+    return BoundSearch(
         BayesianAutotuner(
             space,
             ctx.evaluator,
@@ -154,16 +155,12 @@ def _make_ytopt_tpe(ctx: TunerContext) -> BoundBO:
 def _make_autotvm(name: str):
     cls = _AUTOTVM_CLASSES[name]
 
-    def factory(ctx: TunerContext) -> BoundAutoTVM:
-        task = task_from_benchmark(ctx.benchmark, ctx.evaluator)
-        if cls is XGBTuner:
-            tuner = XGBTuner(task, trial_cap=ctx.xgb_trial_cap, seed=ctx.seed)
-        else:
-            tuner = cls(task, seed=ctx.seed)
-        measurer = Measurer(
-            ctx.evaluator, measure_option(jobs=ctx.jobs, repeat=ctx.repeats)
-        )
-        return BoundAutoTVM(tuner, measurer, ctx.max_evals)
+    def factory(ctx: TunerContext) -> BoundSearch:
+        tuner = cls(task_from_benchmark(ctx.benchmark, ctx.evaluator), seed=ctx.seed)
+        max_evals = ctx.max_evals
+        if cls is XGBTuner and ctx.xgb_trial_cap is not None:
+            max_evals = min(max_evals, ctx.xgb_trial_cap)
+        return BoundSearch(autotvm_search(tuner, max_evals, jobs=ctx.jobs, name=name))
 
     return factory
 

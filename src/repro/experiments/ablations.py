@@ -17,7 +17,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.autotvm import Measurer, RandomTuner, measure_option, task_from_benchmark
+from repro.autotvm import RandomTuner, task_from_benchmark
+from repro.bench.tuners import autotvm_search
 from repro.common.timing import VirtualClock
 from repro.core.framework import AutotuneConfig, BayesianAutotuner
 from repro.kernels.registry import get_benchmark
@@ -201,20 +202,20 @@ def measure_option_ablation(
     out = []
     benchmark = get_benchmark(kernel, size_name)
     for number, n_parallel in ((1, 1), (3, 1), (1, 8), (3, 8)):
-        evaluator = SwingEvaluator(benchmark.profile, clock=VirtualClock())
-        task = task_from_benchmark(benchmark, evaluator)
-        tuner = RandomTuner(task, seed=seed)
-        measurer = Measurer(
-            evaluator, measure_option(number=number, n_parallel=n_parallel)
+        evaluator = SwingEvaluator(
+            benchmark.profile,
+            clock=VirtualClock(),
+            number=number,
+            compile_parallelism=n_parallel,
         )
-        records = tuner.tune(n_trial=max_evals, measurer=measurer)
-        _, best = tuner.best()
+        tuner = RandomTuner(task_from_benchmark(benchmark, evaluator), seed=seed)
+        result = autotvm_search(tuner, max_evals).run()
         out.append(
             AblationRow(
                 setting=f"number={number}, n_parallel={n_parallel}",
-                best_runtime=best,
-                total_time=records[-1].timestamp,
-                n_evals=len(records),
+                best_runtime=result.best_runtime,
+                total_time=result.total_elapsed,
+                n_evals=result.n_evals,
             )
         )
     return out

@@ -166,7 +166,6 @@ class MultiFidelityEvaluator(Evaluator):
     top-up. All other attributes (``clock``, ``number``, ``seed``, …) are
     transparently forwarded, including assignment, so the wrapper drops into
     every place an evaluator goes — :class:`~repro.ytopt.search.AMBS`,
-    :class:`~repro.autotvm.measure.Measurer`,
     :func:`~repro.runtime.parallel.evaluate_batch` — without those layers
     knowing about fidelity. When the full budget does not exceed the probe
     budget, evaluation degenerates to a single full-fidelity measurement.
@@ -178,7 +177,7 @@ class MultiFidelityEvaluator(Evaluator):
     """
 
     #: Attribute writes forwarded to the wrapped evaluator (measurement
-    #: semantics knobs that callers like Measurer.configure_evaluator set).
+    #: semantics knobs, and the scratch ``clock`` of wave accounting).
     _FORWARD = frozenset(
         {"number", "repeat", "compile_parallelism", "clock", "seed", "timeout",
          "validate", "metric", "run_parallelism"}

@@ -10,8 +10,9 @@ event stream) — so the machinery now lives here, owned by a
 * **evaluator** — a fresh :class:`~repro.swing.SwingEvaluator` (wrapped for
   multi-fidelity when requested), guarded by :class:`GuardedEvaluator` for
   cooperative cancellation and fault injection;
-* **optimizer / tuner** — the ytopt :class:`~repro.core.framework.BayesianAutotuner`
-  (which owns the BO optimizer) or an AutoTVM tuner + measurer;
+* **search** — one :class:`~repro.ytopt.AMBS` loop over the tuner family's
+  optimizer: the ytopt :class:`~repro.core.framework.BayesianAutotuner`
+  (which owns the BO optimizer) or an AutoTVM strategy;
 * **store handles** — when the session is given sink targets it builds its own
   :class:`~repro.telemetry.Telemetry` (StoreSink → per-session shard DB,
   JsonlSink → trace, any extra sinks) and installs it **context-locally**
@@ -35,13 +36,12 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.autotvm import Measurer, PAPER_XGB_TRIAL_CAP
+from repro.autotvm import PAPER_XGB_TRIAL_CAP
 from repro.bench.protocols import TunerContext
 from repro.bench.registry import get_tuner, tuner_names
 from repro.common.errors import RegistryError, ServiceError, TuningError
 from repro.common.timing import VirtualClock
 from repro.configspace import space_hash
-from repro.core.framework import BayesianAutotuner
 from repro.kernels.registry import KernelBenchmark, get_benchmark
 from repro.runtime.fidelity import AdaptiveRepeatPolicy, MultiFidelityEvaluator
 from repro.runtime.measure import Evaluator
@@ -184,17 +184,19 @@ class _CrashingSink(Sink):
 class GuardedEvaluator(Evaluator):
     """Wrap any evaluator with a per-measurement session checkpoint.
 
-    Before every ``evaluate`` (and every batch) the guard lets the session
-    fire injected faults and honour a pending cancellation — the cooperative
-    preemption point that makes quota enforcement and clean shutdown possible
-    without killing threads mid-write.
+    Before every ``evaluate`` the guard lets the session fire injected faults
+    and honour a pending cancellation — the cooperative preemption point that
+    makes quota enforcement and clean shutdown possible without killing
+    threads mid-write.
 
     Attribute access and writes are forwarded to the wrapped evaluator (the
     same proxy idiom as :class:`~repro.runtime.fidelity.MultiFidelityEvaluator`),
     so measurement-semantics knobs like ``number``/``repeat``/``clock`` behave
-    as if the guard were not there. ``evaluate_batch`` exists on the guard
-    exactly when the wrapped evaluator has one, keeping the attribute-based
-    dispatch in :func:`repro.runtime.parallel.evaluate_batch` intact.
+    as if the guard were not there. The one exception is ``evaluate_batch``,
+    which the guard never exposes: :func:`repro.runtime.parallel.evaluate_batch`
+    then measures a batch one guarded ``evaluate`` at a time (max-of-wave
+    accounting on the virtual clock), so the session checks once per
+    evaluation, however wide the wave.
     """
 
     #: Attribute writes forwarded to the wrapped evaluator.
@@ -209,18 +211,9 @@ class GuardedEvaluator(Evaluator):
 
     def __getattr__(self, name: str):
         inner = self.__dict__.get("_inner")
-        if inner is None:
+        if inner is None or name == "evaluate_batch":
             raise AttributeError(name)
-        attr = getattr(inner, name)
-        if name == "evaluate_batch":
-            session = self.__dict__["_session"]
-
-            def guarded_batch(batch):
-                session._checkpoint()
-                return attr(batch)
-
-            return guarded_batch
-        return attr
+        return getattr(inner, name)
 
     def __setattr__(self, name: str, value) -> None:
         inner = self.__dict__.get("_inner")
@@ -245,7 +238,14 @@ def make_evaluator(
     timeout: float | None = None,
     repeats: int = 1,
 ) -> SwingEvaluator:
-    """A fresh simulated evaluator with its own virtual clock."""
+    """A fresh simulated evaluator with its own virtual clock.
+
+    AutoTVM keeps its default measurement semantics: 8 builders compile a
+    wave in parallel (each trial is charged 1/8 of its compile time) and the
+    runner averages ``number=3`` kernel executions per measurement. ytopt
+    builds and runs each configuration once. The AutoTVM wave of 8 and its
+    0.5 s overhead are set by :func:`repro.bench.tuners.autotvm_search`.
+    """
     return SwingEvaluator(
         benchmark.profile,
         model=model
@@ -359,9 +359,9 @@ class TuningSession:
             )
 
         # -- the session's own search stack --------------------------------
-        # Built by the registered tuner family's factory (repro.bench); the
-        # bound tuner exposes its internals so the session keeps its
-        # historical attributes (.autotuner, .optimizer, ._autotvm_tuner).
+        # Built by the registered tuner family's factory (repro.bench):
+        # .autotuner is the bound search (a BayesianAutotuner, or the AMBS
+        # loop over an AutoTVM strategy), .optimizer what it asks and tells.
         self._bound = tuner_spec.factory(
             TunerContext(
                 benchmark=self.benchmark,
@@ -369,7 +369,6 @@ class TuningSession:
                 seed=spec.seed,
                 max_evals=spec.max_evals,
                 jobs=spec.jobs,
-                repeats=spec.repeats,
                 prune=spec.prune,
                 prune_threshold=spec.prune_threshold,
                 warm_start=self.warm_start,
@@ -381,10 +380,8 @@ class TuningSession:
                 refit_every=spec.refit_every,
             )
         )
-        self.autotuner: BayesianAutotuner | None = self._bound.autotuner
+        self.autotuner = self._bound.search
         self.optimizer = self._bound.optimizer
-        self._autotvm_tuner = self._bound.autotvm_tuner
-        self._measurer: Measurer | None = self._bound.measurer
 
         # -- the session's own telemetry / store handles --------------------
         self.store: RunStore | None = None

@@ -23,19 +23,13 @@ from repro.telemetry.store import RunStore, StoredRun
 
 
 def _trajectory(store: RunStore, run: StoredRun) -> list[tuple[float, float]]:
-    """Rebuild the (process time, runtime) trajectory a TunerRun carries.
-
-    The in-process representations differ by tuner family: ytopt's database
-    records FAILED_COST for failed evaluations, the AutoTVM record path maps
-    them to ``inf``. Reproduce each convention exactly so reports match the
-    in-process tables byte for byte.
-    """
-    evals = store.evaluations(run.run_id)
-    # startswith, not equality: labelled ytopt variants ("ytopt-transfer",
-    # "ytopt-cold", ...) store through the same database path as plain ytopt.
-    if run.tuner.startswith("ytopt"):
-        return [(e.elapsed, e.runtime) for e in evals]
-    return [(e.elapsed, e.runtime if e.ok else float("inf")) for e in evals]
+    """Rebuild the (process time, runtime) trajectory a TunerRun carries,
+    with the same ``inf`` for a failed evaluation, so reports match the
+    in-process tables byte for byte."""
+    return [
+        (e.elapsed, e.runtime if e.ok else math.inf)
+        for e in store.evaluations(run.run_id)
+    ]
 
 
 def experiment_from_store(store: RunStore, kernel: str, size_name: str):

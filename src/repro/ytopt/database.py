@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.common.errors import TuningError
-from repro.runtime.measure import FAILED_COST, MeasureResult
+from repro.runtime.measure import MeasureResult
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,9 @@ class PerformanceDatabase:
 
     def trajectory(self) -> list[tuple[float, float]]:
         """(elapsed process time, runtime) per evaluation — the paper's
-        'autotuning process over time' series (failed evals carry FAILED_COST)."""
-        return [(r.elapsed, r.runtime) for r in self._records]
+        'autotuning process over time' series. A failed evaluation's runtime
+        is ``inf``, for every tuner (payloads write it as ``null``)."""
+        return [(r.elapsed, r.runtime if r.ok else math.inf) for r in self._records]
 
     def best_so_far(self) -> list[float]:
         """Running minimum of successful runtimes (inf until the first success)."""
@@ -168,8 +170,3 @@ class PerformanceDatabase:
                     )
                 )
         return db
-
-
-def failed_runtime() -> float:
-    """The sentinel runtime recorded for failed evaluations."""
-    return FAILED_COST

@@ -27,6 +27,12 @@ Observations commit on the loop's thread in ask order in both modes, so at
 ``refit_every=1`` a pipelined run's store is byte-identical to the serial
 run's. Pipelined runs also emit ``pipeline_wait`` spans for the build stalls
 and one :class:`~repro.telemetry.PipelineStats` event at the end.
+
+The loop drives any ask/tell optimizer: ytopt's :class:`~repro.ytopt.Optimizer`
+and TPE, and AutoTVM's four strategies (:class:`repro.autotvm.Tuner`). An
+optimizer may return a wave shorter than asked for; an empty wave (or
+``None`` from ``ask()``) means it is exhausted, and the run ends before the
+wave's ``optimizer_overhead`` is charged.
 """
 
 from __future__ import annotations
@@ -273,6 +279,14 @@ class AMBS:
                 )
             )
 
+    def _ask(self, n: int) -> list:
+        """Step 1: up to ``n`` configurations, ``[]`` once the optimizer is
+        exhausted."""
+        if n > 1:
+            return self.optimizer.ask_batch(n)
+        config = self.optimizer.ask()
+        return [] if config is None else [config]
+
     def measure(self, to_measure: list) -> list[MeasureResult]:
         """Steps 2–4 for one wave."""
         if len(to_measure) == 1:
@@ -409,15 +423,15 @@ class AMBS:
                         if callable(confirm):
                             configs = confirm(n)
                     if configs is None:
-                        configs = (
-                            [self.optimizer.ask()] if n == 1 else self.optimizer.ask_batch(n)
-                        )  # Step 1
-                    if clock is not None:
+                        configs = self._ask(n)  # Step 1
+                    if clock is not None and configs:
                         clock.advance(self.optimizer_overhead)
                 if speculated is not None:
                     pool.score_speculation(speculated, configs)
                     speculated = None
                 self._search_wall += self._stamp(clock) - t0
+                if not configs:
+                    break  # the optimizer has nothing left to propose
                 results: list[MeasureResult | None] = [
                     self._try_prune(c, evaluator, clock) for c in configs
                 ]

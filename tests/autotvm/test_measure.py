@@ -1,71 +1,57 @@
-"""Tests for the AutoTVM measurement pipeline."""
+"""AutoTVM's batch measurement semantics under the AMBS loop.
+
+The strategies propose waves of 8; AMBS measures each wave and charges
+AutoTVM's per-wave dispatch overhead to the virtual clock once.
+"""
 
 import pytest
 
-from repro.autotvm import Measurer, measure_option, task_from_benchmark
-from repro.common.errors import TuningError
-from repro.common.timing import VirtualClock
-from repro.kernels import get_benchmark
-from repro.swing import SwingEvaluator
+from repro.autotvm import GridSearchTuner, RandomTuner
+from repro.bench.tuners import autotvm_search
+from tests.autotvm.loop import swing_task
 
 
-def _task(seed=0):
-    bench = get_benchmark("cholesky", "large")
-    evaluator = SwingEvaluator(bench.profile, clock=VirtualClock())
-    return task_from_benchmark(bench, evaluator), evaluator
-
-
-class TestMeasureOption:
-    def test_defaults(self):
-        opt = measure_option()
-        assert opt.number == 3 and opt.n_parallel == 8
-
-    def test_validation(self):
-        with pytest.raises(TuningError):
-            measure_option(number=0)
-        with pytest.raises(TuningError):
-            measure_option(n_parallel=0)
-        with pytest.raises(TuningError):
-            measure_option(batch_overhead=-1.0)
+def _sequential_cost(kernel, size, configs, **evaluator_knobs):
+    """Virtual seconds to measure ``configs`` one by one on a fresh evaluator."""
+    _, evaluator = swing_task(kernel, size)
+    for name, value in evaluator_knobs.items():
+        setattr(evaluator, name, value)
+    for config in configs:
+        evaluator.evaluate(config)
+    return evaluator.clock.now
 
 
 class TestMeasurer:
-    def test_evaluator_configured(self):
-        task, evaluator = _task()
-        Measurer(evaluator, measure_option(number=5, repeat=2, n_parallel=4))
-        assert evaluator.number == 5
-        assert evaluator.repeat == 2
-        assert evaluator.compile_parallelism == 4
+    """AMBS now plays AutoTVM's measurer: it measures each proposed wave."""
 
     def test_batch_measures_all(self):
-        task, evaluator = _task()
-        measurer = Measurer(evaluator, measure_option())
-        batch = [task.space.get(i) for i in (0, 5, 10)]
-        results = measurer.measure_batch(batch)
-        assert len(results) == 3
-        assert all(r.ok for r in results)
+        task, _ = swing_task()
+        result = autotvm_search(RandomTuner(task, seed=0), 3).run()
+        assert result.n_evals == 3
+        assert all(r.ok for r in result.database)
 
     def test_batch_overhead_charged(self):
-        task, evaluator = _task()
-        measurer = Measurer(evaluator, measure_option(number=1, batch_overhead=100.0))
-        before = evaluator.clock.now
-        measurer.measure_batch([task.space.get(0)])
-        assert evaluator.clock.now >= before + 100.0
+        """One 8-config wave pays AutoTVM's 0.5 s overhead exactly once."""
+        task, evaluator = swing_task()
+        result = autotvm_search(RandomTuner(task, seed=0), 8).run()
+        configs = [r.config for r in result.database]
+        measured = _sequential_cost("cholesky", "large", configs)
+        assert evaluator.clock.now == pytest.approx(measured + 0.5)
+        assert result.overhead is not None  # the loop's stage accounting
 
     def test_empty_batch_free(self):
-        task, evaluator = _task()
-        measurer = Measurer(evaluator, measure_option(batch_overhead=50.0))
-        before = evaluator.clock.now
-        assert measurer.measure_batch([]) == []
-        assert evaluator.clock.now == before
+        """gemm/mini holds 18 configs: waves of 8, 8 and 2, then an empty ask
+        that ends the run without charging a fourth overhead."""
+        task, evaluator = swing_task("gemm", "mini")
+        result = autotvm_search(GridSearchTuner(task), 70).run()
+        assert result.n_evals == 18
+        configs = [r.config for r in result.database]
+        measured = _sequential_cost("gemm", "mini", configs)
+        assert evaluator.clock.now == pytest.approx(measured + 3 * 0.5)
 
     def test_repeated_runs_cost_more_time(self):
-        task1, ev1 = _task()
-        Measurer(ev1, measure_option(number=1, n_parallel=1, batch_overhead=0)).measure_batch(
-            [task1.space.get(7)]
-        )
-        task2, ev2 = _task()
-        Measurer(ev2, measure_option(number=4, n_parallel=1, batch_overhead=0)).measure_batch(
-            [task2.space.get(7)]
-        )
-        assert ev2.clock.now > ev1.clock.now
+        one = _sequential_cost("cholesky", "large", [{"P0": 1, "P1": 1}], number=1)
+        task, ev = swing_task()
+        ev.number = 4
+        autotvm_search(GridSearchTuner(task), 1).run()
+        assert ev.clock.now > one + 0.5

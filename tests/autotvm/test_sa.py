@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.autotvm import Measurer, XGBTuner, measure_option, task_from_benchmark
+from repro.autotvm import XGBTuner
 from repro.autotvm.tuner.sa import SimulatedAnnealingOptimizer
 from repro.common.errors import TuningError
-from repro.common.timing import VirtualClock
-from repro.kernels import get_benchmark
-from repro.swing import SwingEvaluator
+from tests.autotvm.loop import run_search, swing_task
 
 
 def _bowl_score(target):
@@ -73,28 +71,20 @@ class TestSAOptimizer:
 
 class TestXGBTunerWithSA:
     def _setup(self):
-        bench = get_benchmark("cholesky", "large")
-        evaluator = SwingEvaluator(bench.profile, clock=VirtualClock())
-        task = task_from_benchmark(bench, evaluator)
-        measurer = Measurer(evaluator, measure_option(number=1, batch_overhead=0.0))
-        return task, measurer
+        return swing_task("cholesky", "large")[0]
 
     def test_sa_plan_runs(self):
-        task, measurer = self._setup()
-        tuner = XGBTuner(task, plan_optimizer="sa", trial_cap=None, seed=0)
-        records = tuner.tune(n_trial=40, measurer=measurer)
-        assert len(records) == 40
-        _, best = tuner.best()
-        assert best < 10.0  # close to the ~1.65s optimum, far from the corner
+        tuner = XGBTuner(self._setup(), plan_optimizer="sa", seed=0)
+        result = run_search(tuner, 40)
+        assert result.n_evals == 40
+        assert result.best_runtime < 10.0  # close to the ~1.65s optimum, far from the corner
 
     def test_sa_never_revisits(self):
-        task, measurer = self._setup()
-        tuner = XGBTuner(task, plan_optimizer="sa", trial_cap=None, seed=1)
-        records = tuner.tune(n_trial=48, measurer=measurer)
-        configs = {tuple(sorted(r.config.items())) for r in records}
+        tuner = XGBTuner(self._setup(), plan_optimizer="sa", seed=1)
+        result = run_search(tuner, 48)
+        configs = {tuple(sorted(r.config.items())) for r in result.database}
         assert len(configs) == 48
 
     def test_invalid_optimizer_rejected(self):
-        task, _ = self._setup()
         with pytest.raises(TuningError):
-            XGBTuner(task, plan_optimizer="gradient")
+            XGBTuner(self._setup(), plan_optimizer="gradient")

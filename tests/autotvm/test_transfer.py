@@ -2,41 +2,30 @@
 
 import pytest
 
-from repro.autotvm import (
-    Measurer,
-    RandomTuner,
-    XGBTuner,
-    measure_option,
-    task_from_benchmark,
-)
+from repro.autotvm import RandomTuner, XGBTuner
 from repro.autotvm.record import TuningRecord
 from repro.autotvm.transfer import apply_history_best, warm_start
 from repro.common.errors import TuningError
-from repro.common.timing import VirtualClock
-from repro.kernels import get_benchmark
-from repro.swing import SwingEvaluator
+from tests.autotvm.loop import run_search, swing_task, tuning_records
 
 
 def _task(kernel="cholesky", size="large"):
-    bench = get_benchmark(kernel, size)
-    evaluator = SwingEvaluator(bench.profile, clock=VirtualClock())
-    return task_from_benchmark(bench, evaluator), evaluator
+    return swing_task(kernel, size)
 
 
 def _records_from_run(n=30, seed=0):
-    task, evaluator = _task()
-    tuner = RandomTuner(task, seed=seed)
-    measurer = Measurer(evaluator, measure_option(number=1, batch_overhead=0.0))
-    return tuner.tune(n_trial=n, measurer=measurer), tuner
+    task, _ = _task()
+    result = run_search(RandomTuner(task, seed=seed), n)
+    return tuning_records(result, task.name), result
 
 
 class TestApplyHistoryBest:
     def test_picks_recorded_minimum(self):
-        records, tuner = _records_from_run()
+        records, result = _records_from_run()
         task, _ = _task()
         entity, cost = apply_history_best(task, records)
-        assert cost == tuner.best()[1]
-        assert entity.to_dict() == tuner.best()[0]
+        assert cost == result.best_runtime
+        assert entity.to_dict() == result.best_config
 
     def test_skips_other_tasks(self):
         records, _ = _records_from_run()
@@ -72,30 +61,28 @@ class TestWarmStart:
         assert absorbed == 30
         assert tuner.model is not None
         assert len(tuner.visited) == 30
-        assert tuner.best_config is not None
+        assert len(tuner._y) == 30  # every transferred runtime trains the model
 
     def test_no_remeasure_of_transferred_configs(self):
         records, _ = _records_from_run(n=25)
-        task, evaluator = _task()
+        task, _ = _task()
         tuner = XGBTuner(task, seed=2)
         warm_start(tuner, records)
         transferred = set(tuner.visited)
-        measurer = Measurer(evaluator, measure_option(number=1, batch_overhead=0.0))
-        tuner.tune(n_trial=20, measurer=measurer)
+        run_search(tuner, 20)
         new_visits = tuner.visited - transferred
         assert len(new_visits) == 20
 
     def test_warm_started_run_no_worse_than_cold(self):
         records, prior = _records_from_run(n=40, seed=3)
-        task_w, ev_w = _task()
+        task_w, _ = _task()
         warm = XGBTuner(task_w, seed=4)
         warm_start(warm, records)
-        Measurer(ev_w, measure_option(number=1, batch_overhead=0.0))
-        warm.tune(n_trial=16, measurer=Measurer(ev_w, measure_option(number=1, batch_overhead=0.0)))
+        result = run_search(warm, 16)
 
-        # The warm-started tuner's best includes transferred knowledge, so it
-        # can never be worse than the prior run's best.
-        assert warm.best()[1] <= prior.best()[1]
+        # The model starts trained on the prior run, so 16 model-ranked
+        # evaluations do at least as well as the 40 random ones it learned from.
+        assert result.best_runtime <= prior.best_runtime
 
     def test_foreign_records_ignored(self):
         task, _ = _task()

@@ -1,160 +1,176 @@
-"""Tests for the four AutoTVM tuner strategies."""
+"""Tests for the four AutoTVM tuner strategies, driven by the AMBS loop."""
 
 import pytest
 
 from repro.autotvm import (
+    ConfigSpace,
     GATuner,
     GridSearchTuner,
-    Measurer,
     RandomTuner,
+    Task,
     XGBTuner,
-    measure_option,
-    task_from_benchmark,
     PAPER_XGB_TRIAL_CAP,
 )
 from repro.common.errors import TuningError
 from repro.common.timing import VirtualClock
-from repro.kernels import get_benchmark
-from repro.swing import SwingEvaluator
+from repro.runtime.measure import Evaluator, MeasureResult
+from repro.service import JobSpec, TuningSession
+from tests.autotvm.loop import deadline, run_search, search, swing_task
 
 
-def _setup(kernel="cholesky", size="large", seed=0):
-    bench = get_benchmark(kernel, size)
-    evaluator = SwingEvaluator(bench.profile, clock=VirtualClock())
-    task = task_from_benchmark(bench, evaluator)
-    measurer = Measurer(evaluator, measure_option(number=1, batch_overhead=0.0))
-    return task, measurer
+def _setup(kernel="cholesky", size="large"):
+    return swing_task(kernel, size)[0]
 
 
-def _unique_configs(records):
-    return {tuple(sorted(r.config.items())) for r in records}
+def _unique_configs(result):
+    return {tuple(sorted(r.config.items())) for r in result.database}
 
 
 class TestTuningLoop:
     def test_n_trial_respected(self):
-        task, measurer = _setup()
-        tuner = RandomTuner(task, seed=0)
-        records = tuner.tune(n_trial=20, measurer=measurer)
-        assert len(records) == 20
+        result = run_search(RandomTuner(_setup(), seed=0), 20)
+        assert result.n_evals == 20
 
     def test_no_duplicate_configs(self):
-        task, measurer = _setup()
-        tuner = RandomTuner(task, seed=0)
-        records = tuner.tune(n_trial=50, measurer=measurer)
-        assert len(_unique_configs(records)) == 50
+        result = run_search(RandomTuner(_setup(), seed=0), 50)
+        assert len(_unique_configs(result)) == 50
 
     def test_best_tracks_minimum(self):
-        task, measurer = _setup()
-        tuner = RandomTuner(task, seed=1)
-        records = tuner.tune(n_trial=30, measurer=measurer)
-        _, best = tuner.best()
-        assert best == min(r.mean_cost for r in records)
+        result = run_search(RandomTuner(_setup(), seed=1), 30)
+        assert result.best_runtime == min(r.runtime for r in result.database)
 
     def test_best_before_tune_rejected(self):
-        task, _ = _setup()
         with pytest.raises(TuningError):
-            RandomTuner(task).best()
-
-    def test_early_stopping(self):
-        task, measurer = _setup()
-        tuner = GridSearchTuner(task, seed=0)
-        # Grid order explores a monotone-ish corner; with a tiny patience the
-        # loop must stop long before n_trial.
-        records = tuner.tune(n_trial=200, measurer=measurer, early_stopping=8)
-        assert len(records) < 200
+            search(RandomTuner(_setup()), 5).database.best()
 
     def test_invalid_args_rejected(self):
-        task, measurer = _setup()
         with pytest.raises(TuningError):
-            RandomTuner(task).tune(n_trial=0, measurer=measurer)
-        with pytest.raises(TuningError):
-            RandomTuner(task).tune(n_trial=5, measurer=measurer, early_stopping=0)
+            search(RandomTuner(_setup()), 0)
 
     def test_exhausts_small_space(self):
         # cholesky-large space has 400 points; ask for more.
-        task, measurer = _setup()
-        tuner = RandomTuner(task, seed=0)
-        records = tuner.tune(n_trial=500, measurer=measurer)
-        assert len(records) == 400
+        tuner = RandomTuner(_setup(), seed=0)
+        result = run_search(tuner, 500)
+        assert result.n_evals == 400
         assert not tuner.has_next()
 
     def test_trajectory_timestamps_monotone(self):
-        task, measurer = _setup()
-        tuner = RandomTuner(task, seed=2)
-        tuner.tune(n_trial=15, measurer=measurer)
-        times = [t for t, _ in tuner.trajectory()]
+        result = run_search(RandomTuner(_setup(), seed=2), 15)
+        times = [t for t, _ in result.database.trajectory()]
         assert times == sorted(times)
+
+    def test_tells_reach_update_once_per_wave(self):
+        waves = []
+
+        class Recording(RandomTuner):
+            def update(self, configs, costs):
+                waves.append(len(configs))
+
+        tuner = Recording(_setup(), seed=0)
+        run_search(tuner, 20)
+        # Waves of 8, 8, 4; the last wave's tells are never asked for.
+        assert waves == [8, 8]
+        assert len(tuner.visited) == len(tuner.costs) == 20
 
 
 class TestGridSearch:
     def test_enumerates_from_smallest_corner(self):
-        task, measurer = _setup()
-        tuner = GridSearchTuner(task, seed=0)
-        records = tuner.tune(n_trial=3, measurer=measurer)
+        records = run_search(GridSearchTuner(_setup(), seed=0), 3).database.records()
         # Index 0 = both knobs at their first (smallest) candidate.
         assert records[0].config == {"P0": 1, "P1": 1}
         assert records[1].config["P0"] == 2  # first knob varies fastest
 
     def test_deterministic(self):
-        r1 = GridSearchTuner(_setup()[0], seed=0).tune(10, _setup()[1])
-        t2, m2 = _setup()
-        r2 = GridSearchTuner(t2, seed=99).tune(10, m2)
+        r1 = run_search(GridSearchTuner(_setup(), seed=0), 10).database
+        r2 = run_search(GridSearchTuner(_setup(), seed=99), 10).database
         assert [r.config for r in r1] == [r.config for r in r2]
 
 
 class TestGATuner:
     def test_improves_over_generations(self):
-        task, measurer = _setup(seed=0)
-        tuner = GATuner(task, pop_size=8, seed=0)
-        records = tuner.tune(n_trial=80, measurer=measurer)
-        first_gen = min(r.mean_cost for r in records[:8])
-        _, best = tuner.best()
-        assert best <= first_gen
+        result = run_search(GATuner(_setup(), pop_size=8, seed=0), 80)
+        first_gen = min(r.runtime for r in result.database.records()[:8])
+        assert result.best_runtime <= first_gen
 
     def test_unique_visits(self):
-        task, measurer = _setup()
-        tuner = GATuner(task, seed=3)
-        records = tuner.tune(n_trial=40, measurer=measurer)
-        assert len(_unique_configs(records)) == len(records)
+        result = run_search(GATuner(_setup(), seed=3), 40)
+        assert len(_unique_configs(result)) == result.n_evals
 
 
 class TestXGBTuner:
     def test_paper_cap_reproduced(self):
-        task, measurer = _setup()
-        tuner = XGBTuner(task, trial_cap=PAPER_XGB_TRIAL_CAP, seed=0)
-        records = tuner.tune(n_trial=100, measurer=measurer)
-        assert len(records) == PAPER_XGB_TRIAL_CAP == 56
-        assert not tuner.has_next()
+        # The session caps AutoTVM-XGB's budget at the paper's 56 evaluations.
+        run = TuningSession(
+            JobSpec(kernel="cholesky", size="large", tuner="AutoTVM-XGB",
+                    max_evals=100, seed=0)
+        ).run()
+        assert run.n_evals == PAPER_XGB_TRIAL_CAP == 56
 
     def test_uncapped_reaches_budget(self):
-        task, measurer = _setup()
-        tuner = XGBTuner(task, trial_cap=None, seed=0)
-        records = tuner.tune(n_trial=80, measurer=measurer)
-        assert len(records) == 80
+        result = run_search(XGBTuner(_setup(), seed=0), 80)
+        assert result.n_evals == 80
 
     def test_model_trained_after_min_train(self):
-        task, measurer = _setup()
-        tuner = XGBTuner(task, min_train=8, seed=0)
-        tuner.tune(n_trial=24, measurer=measurer)
+        tuner = XGBTuner(_setup(), min_train=8, seed=0)
+        run_search(tuner, 24)
         assert tuner.model is not None
 
     def test_model_guides_search_better_than_grid(self):
-        task_x, measurer_x = _setup(seed=0)
-        xgb = XGBTuner(task_x, trial_cap=None, seed=0)
-        xgb.tune(n_trial=56, measurer=measurer_x)
-        _, best_xgb = xgb.best()
-
-        task_g, measurer_g = _setup(seed=0)
-        grid = GridSearchTuner(task_g, seed=0)
-        grid.tune(n_trial=56, measurer=measurer_g)
-        _, best_grid = grid.best()
+        best_xgb = run_search(XGBTuner(_setup(), seed=0), 56).best_runtime
+        best_grid = run_search(GridSearchTuner(_setup(), seed=0), 56).best_runtime
         assert best_xgb < best_grid
 
     def test_validation(self):
-        task, _ = _setup()
+        task = _setup()
         with pytest.raises(TuningError):
             XGBTuner(task, plan_size=0)
         with pytest.raises(TuningError):
             XGBTuner(task, plan_size=10, candidate_num=5)
-        with pytest.raises(TuningError):
-            XGBTuner(task, trial_cap=0)
+
+
+class _BowlEvaluator(Evaluator):
+    """One simulated second per trial; cost is a bowl around (a=17, b=30)."""
+
+    def __init__(self) -> None:
+        self.clock = VirtualClock()
+
+    def elapsed(self) -> float:
+        return self.clock.now
+
+    def evaluate(self, params):
+        self.clock.advance(1.0)
+        cost = 1.0 + (params["a"] - 17) ** 2 + (params["b"] - 30) ** 2
+        return MeasureResult(
+            config=dict(params), costs=(float(cost),), compile_time=0.0,
+            timestamp=self.clock.now,
+        )
+
+
+class TestExhaustion:
+    """Every strategy stops once it has measured its whole space."""
+
+    @pytest.mark.parametrize(
+        "tuner",
+        ["AutoTVM-Random", "AutoTVM-GridSearch", "AutoTVM-GA", "AutoTVM-XGB"],
+    )
+    @pytest.mark.parametrize("kernel,space_size", [("gemm", 18), ("syrk", 36)])
+    def test_mini_space_runs_out(self, tuner, kernel, space_size):
+        session = TuningSession(
+            JobSpec(kernel=kernel, size="mini", tuner=tuner, max_evals=70, seed=0)
+        )
+        with deadline(60):
+            run = session.run()
+        assert run.n_evals == space_size
+        assert len(_unique_configs(session.autotuner)) == space_size
+
+    def test_xgb_just_above_candidate_pool_finishes(self):
+        # 2050 points: once a few are visited, fewer unvisited configs remain
+        # than the 2048-candidate pool draws.
+        space = ConfigSpace()
+        space.define_knob("a", list(range(1, 51)))
+        space.define_knob("b", list(range(1, 42)))
+        assert len(space) == 2050
+        tuner = XGBTuner(Task("bowl", space, _BowlEvaluator()), seed=0)
+        with deadline(60):
+            result = run_search(tuner, 40)
+        assert result.n_evals == len(_unique_configs(result)) == 40

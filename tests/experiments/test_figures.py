@@ -57,6 +57,37 @@ class TestTables:
         assert len(lines) == 1 + n_points
 
 
+class TestFailedTrials:
+    """A failed trial reads as a failure for every tuner, never as a runtime
+    (ytopt's used to surface as a 1e10-second one)."""
+
+    @pytest.fixture(scope="class")
+    def failing(self):
+        # A 4 s timeout kills the slowest lu/large kernels.
+        return run_experiment(
+            "lu", "large", tuners=("ytopt", "AutoTVM-Random"), max_evals=30,
+            seed=0, timeout=4.0,
+        )
+
+    def test_every_tuner_records_failures_as_inf(self, failing):
+        for run in failing.runs.values():
+            runtimes = [rt for _, rt in run.trajectory]
+            assert float("inf") in runtimes, run.tuner
+            assert max(rt for rt in runtimes if rt != float("inf")) < 1e9
+
+    def test_process_table_ignores_failures(self, failing):
+        rows = process_summary_table(failing).splitlines()[3:]
+        ytopt = next(r for r in rows if r.startswith("ytopt"))
+        assert float(ytopt.split()[-1]) < 1e9  # max rt
+
+    def test_trajectory_csv_marks_failures(self, failing):
+        lines = trajectory_csv(failing).strip().splitlines()[1:]
+        for tuner in ("ytopt", "AutoTVM-Random"):
+            runtimes = [l.split(",")[3] for l in lines if l.startswith(tuner + ",")]
+            assert "failed" in runtimes, tuner
+            assert all(rt == "failed" or float(rt) < 1e9 for rt in runtimes)
+
+
 class TestAsciiTrajectory:
     def test_renders_grid(self, result):
         run = result.runs["ytopt"]

@@ -70,17 +70,11 @@ def build_schedule():
 class TestYtoptRecordsIntoAutoTVM:
     def test_bo_results_warm_start_xgb(self):
         # Run ytopt, convert its database into AutoTVM records, warm-start XGB.
-        from repro.autotvm import (
-            Measurer,
-            TuningRecord,
-            XGBTuner,
-            measure_option,
-            task_from_benchmark,
-            warm_start,
-        )
+        from repro.autotvm import XGBTuner, task_from_benchmark, warm_start
         from repro.kernels import get_benchmark
         from repro.swing import SwingEvaluator
         from repro.ytopt import AMBS, TuningProblem
+        from tests.autotvm.loop import run_search, tuning_records
 
         bench = get_benchmark("cholesky", "large")
         ev1 = SwingEvaluator(bench.profile, clock=VirtualClock())
@@ -90,26 +84,14 @@ class TestYtoptRecordsIntoAutoTVM:
             seed=0,
         ).run()
 
-        records = [
-            TuningRecord(
-                task=bench.name,
-                tuner="ytopt",
-                config=r.config,
-                costs=(r.runtime,) if r.ok else (),
-                compile_time=r.compile_time,
-                timestamp=r.elapsed,
-                error=r.error,
-            )
-            for r in bo_result.database
-        ]
+        records = tuning_records(bo_result, bench.name, tuner="ytopt")
         ev2 = SwingEvaluator(bench.profile, clock=VirtualClock())
         task = task_from_benchmark(bench, ev2)
         tuner = XGBTuner(task, seed=1)
         absorbed = warm_start(tuner, records)
         assert absorbed == 20
-        tuner.tune(
-            n_trial=10,
-            measurer=Measurer(ev2, measure_option(number=1, batch_overhead=0.0)),
-        )
-        # Transferred best is part of the warm-started tuner's view.
-        assert tuner.best()[1] <= bo_result.best_runtime
+        result = run_search(tuner, 10)
+        # None of ytopt's 20 configurations is measured again.
+        assert not {tuple(sorted(r.config.items())) for r in result.database} & {
+            tuple(sorted(r.config.items())) for r in bo_result.database
+        }

@@ -6,25 +6,20 @@ tests wrap the Swing evaluator with deterministic fault injection and assert
 the searches complete, record the failures, and still find good configs.
 """
 
+import math
 from collections.abc import Mapping
 
 import pytest
 
-from repro.autotvm import (
-    GATuner,
-    Measurer,
-    RandomTuner,
-    XGBTuner,
-    measure_option,
-    task_from_benchmark,
-)
+from repro.autotvm import GATuner, RandomTuner, XGBTuner, task_from_benchmark
 from repro.common.errors import TuningError
 from repro.common.rng import stable_hash01
 from repro.common.timing import VirtualClock
 from repro.kernels import get_benchmark
-from repro.runtime.measure import Evaluator, MeasureResult
+from repro.runtime.measure import FAILED_COST, Evaluator, MeasureResult
 from repro.swing import SwingEvaluator
 from repro.ytopt import AMBS, TuningProblem
+from tests.autotvm.loop import run_search, search
 
 
 class FlakyEvaluator(Evaluator):
@@ -63,30 +58,23 @@ class TestAutoTVMUnderFailures:
     @pytest.mark.parametrize("tuner_cls", [RandomTuner, GATuner, XGBTuner])
     def test_tuner_survives_and_finds_config(self, tuner_cls):
         bench, flaky = _flaky_setup()
-        task = task_from_benchmark(bench, flaky)
-        tuner = tuner_cls(task, seed=0)
-        records = tuner.tune(
-            n_trial=40,
-            measurer=Measurer(flaky, measure_option(number=1, batch_overhead=0.0)),
-        )
-        assert len(records) == 40
+        tuner = tuner_cls(task_from_benchmark(bench, flaky), seed=0)
+        result = run_search(tuner, 40)
+        assert result.n_evals == 40
         assert flaky.n_failures > 0, "fault injection never triggered"
-        failed = [r for r in records if not r.ok]
+        failed = [r for r in result.database if not r.ok]
         assert len(failed) == flaky.n_failures
-        _, best = tuner.best()  # a successful config was still found
-        assert best < 1e9
+        # Failed trials reach the strategy as failures, never as runtimes.
+        assert sum(c == FAILED_COST for c in tuner.costs.values()) == flaky.n_failures
+        assert result.best_runtime < 1e9  # a successful config was still found
 
     def test_all_failures_still_completes(self):
         bench, flaky = _flaky_setup(rate=1.0)
-        task = task_from_benchmark(bench, flaky)
-        tuner = RandomTuner(task, seed=0)
-        records = tuner.tune(
-            n_trial=10,
-            measurer=Measurer(flaky, measure_option(number=1, batch_overhead=0.0)),
-        )
-        assert len(records) == 10
+        ambs = search(RandomTuner(task_from_benchmark(bench, flaky), seed=0), 10)
         with pytest.raises(TuningError):
-            tuner.best()
+            ambs.run()
+        assert len(ambs.database) == 10
+        assert all(t == math.inf for _, t in ambs.database.trajectory())
 
 
 class TestYtoptUnderFailures:

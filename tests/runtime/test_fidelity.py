@@ -273,7 +273,7 @@ class TestMultiFidelityEvaluator:
         base = ScriptedEvaluator({1: [1.0] * 8}, repeat=4)
         mfe = MultiFidelityEvaluator(base)
         assert mfe.repeat == 4  # read-through
-        mfe.repeat = 6  # write-through (Measurer.configure_evaluator path)
+        mfe.repeat = 6  # write-through to the wrapped evaluator
         assert base.repeat == 6
         mfe.number = 3
         assert base.number == 3

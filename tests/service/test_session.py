@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.autotvm import GATuner
 from repro.common.errors import ServiceError
 from repro.experiments.runner import run_tuner
 from repro.kernels import get_benchmark
@@ -16,6 +17,7 @@ from repro.service import (
 )
 from repro.telemetry import RunStore, event_line
 from repro.telemetry.bus import Sink
+from repro.ytopt import AMBS
 
 
 def spec(**kw) -> JobSpec:
@@ -54,10 +56,13 @@ class TestOwnership:
         assert a.clock is not b.clock
 
     def test_autotvm_session_owns_tuner_and_measurer(self):
+        # The AutoTVM strategy is the optimizer of the session's AMBS loop,
+        # which measures its waves through the session's guarded evaluator.
         s = TuningSession(spec(tuner="AutoTVM-GA"))
-        assert s.optimizer is None
-        assert s._autotvm_tuner is not None
-        assert s._measurer is not None
+        assert isinstance(s.optimizer, GATuner)
+        assert isinstance(s.autotuner, AMBS)
+        assert s.autotuner.optimizer is s.optimizer
+        assert s.autotuner.problem.evaluator is s.evaluator
 
     def test_single_use(self):
         s = TuningSession(spec(max_evals=3))
@@ -175,6 +180,17 @@ class TestFaultInjection:
         s = TuningSession(spec(fault={"mode": "crash", "at_eval": 2}))
         with pytest.raises(InjectedFault, match="evaluation 2"):
             s.run()
+
+    def test_crash_fires_at_eval_inside_a_probed_wave(self):
+        """Multi-fidelity measures a whole AutoTVM wave; the guard must still
+        check before every evaluation, not once per wave."""
+        knobs = dict(tuner="AutoTVM-Random", max_evals=8, repeats=3, probe_repeats=1)
+        clean = TuningSession(spec(**knobs)).run()
+        s = TuningSession(spec(**knobs, fault={"mode": "crash", "at_eval": 3}))
+        with pytest.raises(InjectedFault, match="evaluation 3"):
+            s.run()
+        # The fault fired right after the wave's second evaluation.
+        assert s.clock.now == clean.trajectory[1][0]
 
     def test_crash_spares_later_attempts(self):
         """attempt > attempts runs clean — the retry-determinism contract."""

@@ -94,8 +94,8 @@ class TestReconstruction:
         ytopt = result.runs["ytopt"]
         assert ytopt.best_runtime == 0.0123
         assert ytopt.total_time == 45.6
-        # ytopt keeps FAILED_COST in its trajectory, as the live database does
-        assert ytopt.trajectory == [(10.0, 0.05), (20.0, 1e10), (45.6, 0.0123)]
+        # a failed trial is inf for ytopt too, as the live database reports it
+        assert ytopt.trajectory == [(10.0, 0.05), (20.0, float("inf")), (45.6, 0.0123)]
 
     def test_autotvm_failures_become_inf(self, tmp_path):
         with RunStore(tmp_path / "r.sqlite") as store:

@@ -53,7 +53,8 @@ class TestDatabase:
     def test_failed_trajectory_uses_sentinel(self):
         db = PerformanceDatabase()
         db.add(_result(0.0, 1.0, error="x"), tuner="t")
-        assert db.trajectory()[0][1] == FAILED_COST
+        assert db.records()[0].runtime == FAILED_COST  # the stored row keeps it
+        assert db.trajectory()[0][1] == math.inf  # the series reads it as failed
 
     def test_best_so_far_monotone(self):
         db = PerformanceDatabase()
