@@ -16,12 +16,13 @@ Not a pytest-benchmark file: run it directly. It produces two JSON documents
   compile's time divided by the time to build the same translation unit
   with a fixed reference recipe (the three libc headers prepended,
   ``-O2 -fPIC -shared … -lm``), right after it.
-* **search** — the BO hot path: batched configuration sampling vs the
-  sequential API, and two 100-step ask/tell loops on a large synthetic space
-  with no kernel execution. The *overhead* loop swaps in ``DummySurrogate``
-  so only the optimizer's own sampling/dedup/acquisition code is measured
-  (the quantity the vectorized ``_suggest`` targets); the *rf* loop runs the
-  production Random-Forest surrogate and includes model fitting.
+* **search** — the BO hot path: the optimizer's index draw vs the
+  sequential sampling API, and two 100-step ask/tell loops on a large
+  synthetic space with no kernel execution. The *overhead* loop swaps in
+  ``DummySurrogate`` so only the optimizer's own sampling/dedup/acquisition
+  code is measured (the quantity the vectorized ``_suggest`` targets); the
+  *rf* loop runs the production Random-Forest surrogate and includes model
+  fitting.
 
 Presets: ``quick`` keeps every instance small enough that the interpreter
 tier finishes in seconds (this is what CI runs); ``full`` adds the paper's
@@ -306,11 +307,13 @@ def search_bench(preset: str) -> dict:
     from repro.ytopt.surrogate import DummySurrogate, RandomForestSurrogate
 
     n = 2000 if preset == "quick" else 5000
-    # Batched vs sequential sampling — same RNG stream, so the draw sequence
-    # is identical; the delta is per-call overhead plus the fused index draw.
+    # The optimizer's index draw (index rows plus their encodings) vs
+    # sequential sampling — same RNG stream, so the draw sequence is
+    # identical; the delta is per-configuration overhead.
     space = _synthetic_space(seed=0)
     t0 = time.perf_counter()
-    space.sample_configuration_batch(n)
+    view = space.index_view()
+    view.encode(view.sample(n))
     batch_s = time.perf_counter() - t0
     space = _synthetic_space(seed=0)
     t0 = time.perf_counter()

@@ -23,25 +23,6 @@ from repro.configspace.hyperparameters import Hyperparameter, _FiniteHyperparame
 INACTIVE = -1.0
 
 
-def _uniform_cardinality(hps: "Sequence[Hyperparameter]") -> int | None:
-    """The shared value count when every hyperparameter is an unweighted
-    finite one with the same cardinality, else None. Such spaces (all of the
-    paper's tiling spaces qualify) admit a single fused index draw in
-    :meth:`ConfigurationSpace.sample_configuration_batch`."""
-    card: int | None = None
-    for hp in hps:
-        if not isinstance(hp, _FiniteHyperparameter):
-            return None
-        if getattr(hp, "_weights", None) is not None:
-            return None
-        k = len(hp._values)
-        if card is None:
-            card = k
-        elif k != card:
-            return None
-    return card
-
-
 class Configuration(Mapping):
     """An immutable assignment of values to (active) hyperparameters."""
 
@@ -253,50 +234,6 @@ class ConfigurationSpace:
         rng = self._rng
         X = np.full((n, len(names)), INACTIVE, dtype=float)
         configs: list[Configuration] = []
-        if not self._conditions:
-            # Unconditional fast path: every parameter is active in every
-            # row, so the (name, hp) walk and the encoded-row layout are
-            # loop-invariant and each row is written in one assignment.
-            pairs = [(name, params[name]) for name in order]
-            cols = [slot[name] for name in order]
-            contiguous = cols == list(range(len(names)))
-            card = _uniform_cardinality([hp for _, hp in pairs])
-            if card is not None and n > 0:
-                # All parameters draw an unweighted index with the same bound,
-                # so the whole row-major draw sequence collapses into a single
-                # Generator.integers call — NumPy fills batched bounded draws
-                # element by element from the same bit stream, so both the
-                # values and the post-call RNG state are identical to per-call
-                # sampling (asserted by the configspace test battery).
-                idx = rng.integers(card, size=(n, len(pairs)))
-                enc = idx / (card - 1) if card > 1 else np.zeros_like(idx, dtype=float)
-                if contiguous:
-                    X[:, :] = enc
-                else:
-                    X[:, cols] = enc
-                value_lists = [hp._values for _, hp in pairs]
-                keys = [name for name, _ in pairs]
-                for row in range(n):
-                    ii = idx[row]
-                    values = {
-                        k: vals[ii[j]]
-                        for j, (k, vals) in enumerate(zip(keys, value_lists))
-                    }
-                    configs.append(Configuration._from_trusted(self, values, X[row]))
-                return configs, X
-            for row in range(n):
-                values = {}
-                encoded: list[float] = []
-                for name, hp in pairs:
-                    v, e = hp.sample_encoded(rng)
-                    values[name] = v
-                    encoded.append(e)
-                if contiguous:
-                    X[row] = encoded
-                else:
-                    X[row, cols] = encoded
-                configs.append(Configuration._from_trusted(self, values, X[row]))
-            return configs, X
         for row in range(n):
             values = {}
             for name in order:
@@ -306,6 +243,23 @@ class ConfigurationSpace:
                     X[row, slot[name]] = e
             configs.append(Configuration._from_trusted(self, values, X[row]))
         return configs, X
+
+    def index_view(self) -> "IndexView | None":
+        """The space as value-index rows (see :class:`IndexView`), or None
+        unless it has hyperparameters, no conditions, fewer than 2**63
+        configurations, and only unweighted finite hyperparameters — the
+        registry's tiling spaces all qualify."""
+        hps = list(self._params.values())
+        if not hps or self._conditions:
+            return None
+        for hp in hps:
+            if not isinstance(hp, _FiniteHyperparameter):
+                return None
+            if getattr(hp, "_weights", None) is not None:
+                return None
+        if math.prod(len(hp._values) for hp in hps) >= 2**63:
+            return None
+        return IndexView(self, hps)
 
     def enumerate_configurations(self) -> list[Configuration]:
         """Every distinct configuration of a finite space, in parameter order.
@@ -405,6 +359,69 @@ class ConfigurationSpace:
         sz = self.size()
         sz_s = "inf" if math.isinf(sz) else f"{int(sz):,}"
         return f"ConfigurationSpace({self.name!r}, {len(self._params)} params, size={sz_s})"
+
+
+class IndexView:
+    """A finite space's configurations as integer rows and codes.
+
+    A row holds one value index per hyperparameter, in space order. Its code
+    is the mixed-radix int64 of that row with the first hyperparameter
+    varying fastest, the linear order of :mod:`repro.autotvm.space`. Rows,
+    codes and configurations are in one-to-one correspondence, so comparing
+    codes compares configurations. Obtain one from
+    :meth:`ConfigurationSpace.index_view`.
+    """
+
+    def __init__(self, space: ConfigurationSpace, hps: "list[_FiniteHyperparameter]") -> None:
+        self.space = space
+        self._hps = hps
+        self.cardinalities = np.array([len(hp._values) for hp in hps], dtype=np.int64)
+        self._strides = np.cumprod(np.concatenate(([1], self.cardinalities[:-1])))
+        # Encoding divisor: index / (cardinality - 1), and 0 for a
+        # single-value hyperparameter (whose only index is 0).
+        self._scale = np.maximum(self.cardinalities - 1, 1)
+
+    def sample(self, n: int) -> np.ndarray:
+        """``(n, d)`` int64 index rows from the space RNG.
+
+        Exactly the draws of ``n`` :meth:`ConfigurationSpace.sample_configuration`
+        calls, which make one bounded integer draw per hyperparameter, row
+        by row. A ``Generator.integers`` call with per-column bounds fills
+        its output element by element from the same bit stream, so the
+        values and the RNG state after the call are the same (a
+        single-value column draws nothing either way).
+        """
+        return self.space._rng.integers(self.cardinalities, size=(n, len(self._hps)))
+
+    def encode(self, rows: np.ndarray) -> np.ndarray:
+        """The rows' encodings, equal to :meth:`Configuration.get_array`."""
+        return rows / self._scale
+
+    def codes(self, rows: np.ndarray) -> np.ndarray:
+        """The rows' int64 codes."""
+        return rows @ self._strides
+
+    def row_of(self, config: Mapping[str, object]) -> np.ndarray:
+        """The index row of a configuration of this space."""
+        return np.array([hp.index_of(config[hp.name]) for hp in self._hps])
+
+    def configuration(self, row: np.ndarray) -> Configuration:
+        """The configuration at an index row."""
+        values = {hp.name: hp.value_at(int(i)) for hp, i in zip(self._hps, row)}
+        return Configuration._from_trusted(self.space, values, self.encode(row))
+
+    def neighbors(
+        self, row: np.ndarray, rng: np.random.Generator, n_per_param: int = 2
+    ) -> np.ndarray:
+        """Index rows of :meth:`ConfigurationSpace.neighbors` of the
+        configuration at ``row``, in its order and with its RNG draws."""
+        out = []
+        for j, hp in enumerate(self._hps):
+            for nb in hp.neighbors(hp.value_at(int(row[j])), rng, n=n_per_param):
+                cand = row.copy()
+                cand[j] = hp.index_of(nb)
+                out.append(cand)
+        return np.array(out, dtype=np.int64).reshape(-1, len(self._hps))
 
 
 def space_hash(space: ConfigurationSpace) -> str:

@@ -136,6 +136,7 @@ class SwingEvaluator(Evaluator):
         self.clock.advance(self.measure_overhead)
         self.n_evaluations += 1
 
+        extra = {"charged_compile": charged_compile}
         if timed_out:
             return MeasureResult(
                 config=cfg,
@@ -143,9 +144,9 @@ class SwingEvaluator(Evaluator):
                 compile_time=compile_t,
                 timestamp=self.clock.now,
                 error=f"timeout after {self.timeout:.1f}s",
+                extra=extra,
                 backend="swing",
             )
-        extra = {"charged_compile": charged_compile}
         if cache_hit:
             extra["cache_hit"] = 1.0
         return MeasureResult(

@@ -15,7 +15,7 @@ been observed it falls back to re-sampling.
 from __future__ import annotations
 
 import time
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -147,9 +147,10 @@ class Optimizer:
         self._y: list[float] = []
         self._configs: list[Configuration] = []
         self._told: set[Configuration] = set()
-        # Hashed encoded rows mirroring _told: dedup in the suggest hot path
-        # compares row bytes instead of hashing configuration dicts.
-        self._told_keys: set[bytes] = set()
+        # Registry spaces draw their candidate pool as integer index rows
+        # (see _index_pool); _codes mirrors _configs as their int64 codes.
+        self._index = space.index_view()
+        self._codes: list[int] = []
         self._asked: list[Configuration] = []
         self._since_fit = 0
         self._fitted = False
@@ -276,7 +277,7 @@ class Optimizer:
                     config = self._sample_unseen(exclude=excl)
                 picks = [config]
             else:
-                picks = [self._suggest(exclude_keys=exclude_keys)]
+                picks = [self._suggest(exclude=exclude)]
             # Everything confirm_speculation() needs to prove the real ask
             # would replay this proposal exactly (see there for the argument).
             token = {
@@ -391,7 +392,8 @@ class Optimizer:
         self._y.pop()
         config = self._configs.pop()
         self._told.discard(config)
-        self._told_keys.discard(config.get_array().tobytes())
+        if self._index is not None:
+            self._codes.pop()
         self._fitted = False  # surrogate saw lies: force a clean refit
 
     def tell(self, config: "Configuration | Mapping[str, int]", cost: float) -> None:
@@ -405,7 +407,8 @@ class Optimizer:
         self._y.append(float(cost))
         self._configs.append(config)
         self._told.add(config)
-        self._told_keys.add(arr.tobytes())
+        if self._index is not None:
+            self._codes.append(int(self._index.codes(self._index.row_of(config))))
         self._since_fit += 1
 
     def best(self) -> tuple[dict[str, int], float]:
@@ -544,23 +547,75 @@ class Optimizer:
             )
 
     def _suggest(
-        self, exclude_keys: "frozenset[bytes]" = frozenset()
+        self, exclude: "Sequence[Configuration]" = ()
     ) -> Configuration:
-        """Vectorized candidate scoring.
+        """Score the candidate pool with one surrogate predict and return the
+        acquisition's argmin.
 
-        The pool is drawn in one batch (identical RNG stream to per-call
-        sampling), deduplicated by hashed encoded rows — the encoding is
-        injective per hyperparameter and inactive slots are out-of-range, so
-        row equality coincides with configuration equality — and scored with
-        a single surrogate predict over the preassembled matrix.
-        ``exclude_keys`` extends the dedup set with encoded rows of in-flight
-        configurations (speculation: they are told by the real ask's time).
+        The pool holds no told configuration and no configuration of
+        ``exclude`` — in-flight ones, which speculation expects to be told by
+        the real ask's time — and no configuration twice.
+        """
+        if self._index is not None:
+            X, candidate = self._index_pool(exclude)
+        else:
+            X, candidate = self._config_pool(exclude)
+        if not len(X):
+            return self._sample_unseen()
+        mean, std = self.surrogate.predict(X)
+        scores = self.acquisition.score(mean, std, best_y=float(np.min(self._log_y())))
+        weight = self._transfer_weight()
+        if weight > 0:
+            scores = self._apply_transfer_bias(
+                scores, weight, [candidate(i).get_dictionary() for i in range(len(X))]
+            )
+        return candidate(int(np.argmin(scores)))
+
+    def _index_pool(
+        self, exclude: "Sequence[Configuration]"
+    ) -> "tuple[np.ndarray, Callable[[int], Configuration]]":
+        """The candidate pool of a space with an index view: its encoded
+        rows, and a function building the configuration of row ``i``.
+
+        The global pool is one ``(n_candidates, d)`` index draw, the RNG
+        stream of ``n_candidates`` ``sample_configuration()`` calls. A row
+        is dropped when its code is told, in flight, or an earlier row's:
+        the first occurrence wins and pool order is kept. The neighbor rows
+        of :meth:`_neighbor_picks` follow. Only the configuration the caller
+        asks for is ever built.
+        """
+        ix = self._index
+        rows = ix.sample(self.n_candidates)
+        taken = np.array(
+            self._codes + [int(ix.codes(ix.row_of(c))) for c in exclude], dtype=np.int64
+        )
+        codes = ix.codes(rows)
+        keep = _first_unseen(codes, taken)
+        seen = set(taken.tolist())
+        seen.update(codes[keep].tolist())
+
+        def neighbors(i: int):
+            nbrs = ix.neighbors(ix.row_of(self._configs[i]), self._rng)
+            return zip(ix.codes(nbrs).tolist(), nbrs)
+
+        picks = self._neighbor_picks(len(keep), seen, neighbors)
+        rows = np.concatenate([rows[keep], *(p[None] for p in picks)])
+        return ix.encode(rows), lambda i: ix.configuration(rows[i])
+
+    def _config_pool(
+        self, exclude: "Sequence[Configuration]"
+    ) -> "tuple[np.ndarray, Callable[[int], Configuration]]":
+        """The candidate pool of any other space (conditions, weights,
+        continuous ranges), as :meth:`_index_pool` returns it.
+
+        The global pool is one batch draw, de-duplicated by encoded-row
+        bytes: the encoding is injective per hyperparameter and inactive
+        slots are out of range, so equal rows are equal configurations.
         """
         candidates: list[Configuration] = []
         rows: list[np.ndarray] = []
-        seen: set[bytes] = set(self._told_keys)
-        seen.update(exclude_keys)
-        # Global exploration pool.
+        seen = {x.tobytes() for x in self._X}
+        seen.update(c.get_array().tobytes() for c in exclude)
         batch, X = self.space.sample_configuration_batch(self.n_candidates)
         for i, c in enumerate(batch):
             key = X[i].tobytes()
@@ -568,54 +623,66 @@ class Optimizer:
                 seen.add(key)
                 candidates.append(c)
                 rows.append(X[i])
-        # Local pool around the best few incumbents (exploitation candidates).
-        if self._y:
-            order = np.argsort(self._y)[:3]
-            budget = self.n_candidates + self.n_neighbor_candidates
-            for idx in order:
-                for c in self.space.neighbors(self._configs[int(idx)], self._rng):
-                    arr = c.get_array()
-                    key = arr.tobytes()
-                    if key not in seen:
-                        seen.add(key)
-                        candidates.append(c)
-                        rows.append(arr)
-                        if len(candidates) >= budget:
-                            break
-                if len(candidates) >= budget:
-                    break
-        if not candidates:
-            return self._sample_unseen()
 
-        mean, std = self.surrogate.predict(np.vstack(rows))
-        scores = self.acquisition.score(mean, std, best_y=float(np.min(self._log_y())))
-        scores = self._apply_transfer_bias(scores, candidates)
-        return candidates[int(np.argmin(scores))]
+        def neighbors(i: int):
+            for c in self.space.neighbors(self._configs[i], self._rng):
+                yield c.get_array().tobytes(), c
+
+        candidates += self._neighbor_picks(len(candidates), seen, neighbors)
+        rows += [c.get_array() for c in candidates[len(rows):]]
+        X = np.vstack(rows) if rows else np.empty((0, len(self.space)))
+        return X, candidates.__getitem__
+
+    def _neighbor_picks(self, n_pool: int, seen: set, neighbors) -> list:
+        """Exploitation candidates: neighbors of the three best incumbents.
+
+        ``neighbors(i)`` yields ``(key, candidate)`` pairs for told
+        configuration ``i``. A candidate whose key is not in ``seen`` is
+        picked (and its key added) until the pool of ``n_pool`` global
+        candidates reaches ``n_candidates + n_neighbor_candidates``; each
+        incumbent's neighbors are listed whole, so they draw from the
+        optimizer RNG even when the budget stops the picks part-way.
+        """
+        picks: list = []
+        budget = self.n_candidates + self.n_neighbor_candidates
+        for i in np.argsort(self._y)[:3]:
+            for key, candidate in list(neighbors(int(i))):
+                if key not in seen:
+                    seen.add(key)
+                    picks.append(candidate)
+                    if n_pool + len(picks) >= budget:
+                        break
+            if n_pool + len(picks) >= budget:
+                break
+        return picks
 
     #: Per-observation decay of the transfer prior's weight past the initial
     #: design: after ~15 real measurements the in-session surrogate has seen
     #: enough of *this* task that the cross-task prior should stop steering.
     _TRANSFER_DECAY = 0.85
 
+    def _transfer_weight(self) -> float:
+        """Weight of the transfer prior in this ask's ranking:
+        ``transfer_bias * decay^(n_told - n_initial_points)`` — strong right
+        after the initial design, gone a couple dozen evaluations later —
+        and 0 without a prior or once the weight falls below 1e-3."""
+        if self.transfer_seed is None or self.transfer_bias <= 0:
+            return 0.0
+        weight = self.transfer_bias * (
+            self._TRANSFER_DECAY ** max(0, self.n_told - self.n_initial_points)
+        )
+        return weight if weight >= 1e-3 else 0.0
+
     def _apply_transfer_bias(
-        self, scores: np.ndarray, candidates: "list[Configuration]"
+        self, scores: np.ndarray, weight: float, candidates: "list[dict]"
     ) -> np.ndarray:
         """Blend the meta-surrogate prior into the acquisition ranking.
 
         The prior is standardized across the candidate pool (the meta model
         predicts a different machine-scale than the live measurements, so only
-        its *ranking* is trusted) and added with weight
-        ``transfer_bias * decay^(n_told - n_initial_points)`` — strong right
-        after the initial design, gone a couple dozen evaluations later.
+        its *ranking* is trusted) and added with ``weight``.
         """
-        if self.transfer_seed is None or self.transfer_bias <= 0:
-            return scores
-        weight = self.transfer_bias * (
-            self._TRANSFER_DECAY ** max(0, self.n_told - self.n_initial_points)
-        )
-        if weight < 1e-3:
-            return scores
-        prior = self.transfer_seed.score([c.get_dictionary() for c in candidates])
+        prior = self.transfer_seed.score(candidates)
         spread = float(prior.std())
         if spread <= 0:
             return scores
@@ -626,3 +693,20 @@ class Optimizer:
         if getattr(self.surrogate, "log_cost", False):
             return np.log(np.maximum(y, 1e-30))
         return y
+
+
+def _first_unseen(codes: np.ndarray, taken: np.ndarray) -> np.ndarray:
+    """Ascending positions of the ``codes`` that are not in ``taken`` and not
+    equal to an earlier code.
+
+    One stable sort of ``taken`` followed by ``codes``: among equal values
+    the first in that order sorts first, so a code survives only as the
+    first occurrence of a value that ``taken`` lacks.
+    """
+    values = np.concatenate([taken, codes])
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    positions = order[first] - len(taken)
+    return np.sort(positions[positions >= 0])

@@ -58,10 +58,13 @@ class SearchResult:
 
     ``overhead`` breaks the run's wall time into stages (the
     ``overhead_breakdown`` report column): ``search_seconds`` — ask/refit/
-    acquisition; ``compile_seconds`` — per-trial build cost on the critical
-    path (plus, pipelined, the seconds stalled on the build pool);
-    ``measure_seconds`` — kernel execution. Pipelined runs add the build-pool
-    counters (speculation hit rate, busy/wait seconds, occupancy).
+    acquisition (and prune decisions); ``compile_seconds`` — per-trial build
+    cost on the critical path (plus, pipelined, the seconds stalled on the
+    build pool); ``measure_seconds`` — kernel execution. Under a virtual
+    clock all four columns are its seconds and the three stages add up to
+    ``wall_seconds``; under a real clock they are ``perf_counter`` seconds.
+    Pipelined runs add the build-pool counters (speculation hit rate,
+    busy/wait seconds, occupancy).
     """
 
     best_config: dict[str, int]
@@ -228,6 +231,7 @@ class AMBS:
             return None
         if clock is not None:
             clock.advance(self.prune_overhead)
+            self._search_wall += self.prune_overhead
         # The recorded estimate is >= the lower bound > incumbent, so a pruned
         # record can never displace a measured best().
         estimate = max(est, lower)
@@ -264,7 +268,6 @@ class AMBS:
         self.optimizer.tell(config, cost)
         if result.ok and not result.low_fidelity:
             self._incumbent = min(self._incumbent, result.mean_cost)
-        self._compile_sum += result.compile_time
         if tel.enabled:
             tel.emit(
                 TrialMeasured(
@@ -297,30 +300,50 @@ class AMBS:
         return []
 
     @staticmethod
+    def _charged_compile(measured: list[MeasureResult]) -> float:
+        """Build seconds the evaluator charged for one measured wave.
+
+        A trial's charge is its ``charged_compile`` (a simulated evaluator's
+        compile time over its build parallelism), else its ``compile_time``.
+        A batch priced in max-of-wave accounting (results stamped
+        ``wave_jobs``) is charged the largest of each ``wave_jobs``-wide
+        wave, as :func:`~repro.runtime.parallel.evaluate_batch` charges its
+        clock; otherwise the trials' charges add up.
+        """
+        charged = [r.extra.get("charged_compile", r.compile_time) for r in measured]
+        width = int(measured[0].extra.get("wave_jobs", 1)) if measured else 1
+        return sum(max(charged[i : i + width]) for i in range(0, len(charged), width))
+
+    @staticmethod
     def _stamp(clock) -> float:
         """Stage-accounting timestamp: virtual seconds under simulation (so
         the breakdown's units match the stored compile/run costs), wall
         seconds for real measurement."""
         return clock.now if clock is not None else time.perf_counter()
 
-    def _overhead_breakdown(self, wall_total: float, **extra: float) -> dict:
+    def _overhead_breakdown(self, wall_total: float, virtual: bool, **extra: float) -> dict:
         """The per-run stage split behind the report's ``overhead_breakdown``
         column. ``compile_seconds`` is critical-path build cost (what the
-        trials paid, plus any pipeline build-pool stall passed via
+        trials were charged, plus any pipeline build-pool stall passed via
         ``extra``); ``measure_seconds`` the measurement wall time net of
-        those builds; ``search_seconds`` ask + refit + acquisition."""
-        measure_net = max(0.0, self._measure_wall - self._compile_sum)
+        those builds; ``search_seconds`` ask + refit + acquisition + prune
+        decisions. Real seconds are rounded to microseconds. Virtual seconds
+        are kept whole: every charge to the clock falls in one of the three
+        stages, so they add up to ``wall_seconds``."""
+        stall = extra.pop("compile_stall", 0.0)
         out = {
             "mode": "pipelined" if self.pipeline else "serial",
-            "search_seconds": round(self._search_wall, 6),
-            "compile_seconds": round(self._compile_sum + extra.pop("compile_stall", 0.0), 6),
-            "measure_seconds": round(measure_net, 6),
-            "wall_seconds": round(wall_total, 6),
+            "search_seconds": self._search_wall,
+            "compile_seconds": self._compile_sum + stall,
+            "measure_seconds": max(0.0, self._measure_wall - self._compile_sum),
+            "wall_seconds": wall_total,
+            **extra,
         }
-        out.update({k: (round(v, 6) if isinstance(v, float) else v) for k, v in extra.items()})
+        if not virtual:
+            out.update({k: round(v, 6) for k, v in out.items() if isinstance(v, float)})
         return out
 
-    def _finish(self, wall_total: float, **extra: float) -> SearchResult:
+    def _finish(self, wall_total: float, virtual: bool, **extra: float) -> SearchResult:
         best = self.database.best()
         return SearchResult(
             best_config=best.config,
@@ -328,7 +351,7 @@ class AMBS:
             n_evals=len(self.database),
             total_elapsed=self.database.total_elapsed(),
             database=self.database,
-            overhead=self._overhead_breakdown(wall_total, **extra),
+            overhead=self._overhead_breakdown(wall_total, virtual, **extra),
         )
 
     def _speculate(self, pool: BuildPool, width: int, wave: tuple) -> list | None:
@@ -406,7 +429,7 @@ class AMBS:
                 )
         speculated = None
         remaining = max(0, self.max_evals - self._preloaded)
-        t_start = time.perf_counter()
+        t_start = self._stamp(clock)
         try:
             while remaining > 0:
                 if self.max_time is not None and evaluator.elapsed() >= self.max_time:
@@ -456,6 +479,7 @@ class AMBS:
                 with tel.span("measure", clock=clock):
                     measured = self.measure(to_measure)  # Steps 2-4
                 self._measure_wall += self._stamp(clock) - t0
+                self._compile_sum += self._charged_compile(measured)
                 if spec_job is not None:
                     # Join before any tell: the optimizer is single-threaded
                     # and the speculation must finish (and restore its
@@ -472,4 +496,4 @@ class AMBS:
             if pool is not None:
                 pool.close()
         extra = self._pipeline_stats(pool, tel) if pool is not None else {}
-        return self._finish(time.perf_counter() - t_start, **extra)
+        return self._finish(self._stamp(clock) - t_start, clock is not None, **extra)

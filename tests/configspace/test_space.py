@@ -173,7 +173,8 @@ class TestEncoding:
 
 
 class TestBatchSampling:
-    """`sample_configuration_batch` is a drop-in for n sequential samples.
+    """`sample_configuration_batch` and the index sampler
+    (`IndexView.sample`) are drop-ins for n sequential samples.
 
     Identical values, identical encodings, and — critically for seeded tuner
     trajectories — an identical RNG stream: the draw *after* a batch must
@@ -182,16 +183,39 @@ class TestBatchSampling:
 
     @staticmethod
     def _uniform_space(seed=None):
-        # Equal cardinalities + no weights: the single-fused-draw fast path.
+        # Equal cardinalities, no weights.
         cs = ConfigurationSpace(seed=seed)
         cs.add_hyperparameters(
             [OrdinalHyperparameter(f"P{i}", [1, 2, 4, 8]) for i in range(3)]
         )
         return cs
 
-    def _assert_batch_matches_sequential(self, make_space, n=50):
+    @staticmethod
+    def _single_value_space(seed=None):
+        # Cardinality-1 columns draw nothing, between columns that do.
+        cs = ConfigurationSpace(seed=seed)
+        cs.add_hyperparameters(
+            [
+                OrdinalHyperparameter("P0", [7]),
+                OrdinalHyperparameter("P1", [1, 2, 4, 8, 16]),
+                CategoricalHyperparameter("P2", ["only"]),
+                CategoricalHyperparameter("P3", ["a", "b", "c"]),
+            ]
+        )
+        return cs
+
+    @staticmethod
+    def _index_batch(cs, n):
+        view = cs.index_view()
+        rows = view.sample(n)
+        return [view.configuration(row) for row in rows], view.encode(rows)
+
+    def _assert_batch_matches_sequential(self, make_space, n=50, batch=None):
         batch_cs = make_space(11)
-        configs, X = batch_cs.sample_configuration_batch(n)
+        if batch is None:
+            configs, X = batch_cs.sample_configuration_batch(n)
+        else:
+            configs, X = batch(batch_cs, n)
         seq_cs = make_space(11)
         expected = [seq_cs.sample_configuration() for _ in range(n)]
         assert [c.get_dictionary() for c in configs] == [
@@ -208,6 +232,41 @@ class TestBatchSampling:
 
     def test_fused_path_matches_sequential(self):
         self._assert_batch_matches_sequential(self._uniform_space)
+
+    @pytest.mark.parametrize("space", ["uniform", "mixed", "single_value"])
+    def test_index_sampler_matches_sequential(self, space):
+        make_space = {
+            "uniform": self._uniform_space,
+            "mixed": _flat_space,
+            "single_value": self._single_value_space,
+        }[space]
+        self._assert_batch_matches_sequential(make_space, batch=self._index_batch)
+        self._assert_batch_matches_sequential(make_space, n=1, batch=self._index_batch)
+
+    def test_index_view_only_for_plain_finite_spaces(self):
+        assert _conditional_space().index_view() is None
+        weighted = ConfigurationSpace()
+        weighted.add_hyperparameter(
+            CategoricalHyperparameter("w", ["a", "b"], weights=[0.9, 0.1])
+        )
+        assert weighted.index_view() is None
+        continuous = _flat_space()
+        continuous.add_hyperparameter(UniformFloatHyperparameter("x", 0, 1))
+        assert continuous.index_view() is None
+        assert ConfigurationSpace().index_view() is None
+        huge = ConfigurationSpace()
+        huge.add_hyperparameters(
+            [OrdinalHyperparameter(f"P{i}", list(range(1 << 16))) for i in range(4)]
+        )
+        assert huge.index_view() is None
+
+    def test_index_codes_are_mixed_radix(self):
+        view = _flat_space().index_view()
+        rows = np.array([[0, 0], [1, 0], [0, 1], [3, 2]])
+        np.testing.assert_array_equal(view.codes(rows), [0, 1, 4, 11])
+        config = view.configuration(np.array([3, 2]))
+        assert config.get_dictionary() == {"P0": 8, "P1": 9}
+        np.testing.assert_array_equal(view.row_of(config), [3, 2])
 
     def test_mixed_cardinality_matches_sequential(self):
         self._assert_batch_matches_sequential(_flat_space)

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.bench import registry
 from repro.common.errors import TuningError
 from repro.common.timing import VirtualClock
 from repro.kernels import get_benchmark
+from repro.service import JobSpec, TuningSession
 from repro.swing import SwingEvaluator
 from repro.ytopt import AMBS, TuningProblem
 
@@ -62,3 +64,33 @@ class TestAMBS:
         r2 = AMBS(_problem(seed=3), max_evals=10, seed=3).run()
         assert r1.best_config == r2.best_config
         assert r1.best_runtime == r2.best_runtime
+
+
+class TestOverheadBreakdown:
+    """Under a virtual clock the breakdown is on that clock: the stages add
+    up to the wall column, which is the run's process time."""
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    @pytest.mark.parametrize("tuner", registry.tuner_names())
+    def test_stages_add_up_to_process_time(self, tuner, jobs):
+        run = TuningSession(
+            JobSpec(kernel="lu", size="mini", tuner=tuner, max_evals=12, seed=0, jobs=jobs)
+        ).run()
+        o = run.overhead
+        search, compile_s, measure, wall = (
+            o[f"{stage}_seconds"] for stage in ("search", "compile", "measure", "wall")
+        )
+        assert min(search, compile_s, measure) >= 0.0
+        assert search + compile_s + measure == pytest.approx(wall, abs=1e-6)
+        assert wall == pytest.approx(run.total_time, abs=1e-6)
+
+    def test_parallel_builds_charge_their_share(self):
+        """AutoTVM builds 8 at a time: compile is charged at 1/8 of each
+        trial's compile time, never more than the run took."""
+        session = TuningSession(
+            JobSpec(kernel="lu", size="mini", tuner="AutoTVM-GA", max_evals=12, seed=0)
+        )
+        run = session.run()
+        raw = sum(r.compile_time for r in session.autotuner.database)
+        assert run.overhead["compile_seconds"] == pytest.approx(raw / 8)
+        assert run.overhead["compile_seconds"] <= run.overhead["wall_seconds"]
