@@ -375,11 +375,11 @@ class IndexView:
     def __init__(self, space: ConfigurationSpace, hps: "list[_FiniteHyperparameter]") -> None:
         self.space = space
         self._hps = hps
-        self.cardinalities = np.array([len(hp._values) for hp in hps], dtype=np.int64)
-        self._strides = np.cumprod(np.concatenate(([1], self.cardinalities[:-1])))
+        self._cardinalities = np.array([len(hp._values) for hp in hps], dtype=np.int64)
+        self._strides = np.cumprod(np.concatenate(([1], self._cardinalities[:-1])))
         # Encoding divisor: index / (cardinality - 1), and 0 for a
         # single-value hyperparameter (whose only index is 0).
-        self._scale = np.maximum(self.cardinalities - 1, 1)
+        self._scale = np.maximum(self._cardinalities - 1, 1)
 
     def sample(self, n: int) -> np.ndarray:
         """``(n, d)`` int64 index rows from the space RNG.
@@ -391,7 +391,7 @@ class IndexView:
         values and the RNG state after the call are the same (a
         single-value column draws nothing either way).
         """
-        return self.space._rng.integers(self.cardinalities, size=(n, len(self._hps)))
+        return self.space._rng.integers(self._cardinalities, size=(n, len(self._hps)))
 
     def encode(self, rows: np.ndarray) -> np.ndarray:
         """The rows' encodings, equal to :meth:`Configuration.get_array`."""

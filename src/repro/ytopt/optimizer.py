@@ -586,12 +586,13 @@ class Optimizer:
         """
         ix = self._index
         rows = ix.sample(self.n_candidates)
-        taken = np.array(
-            self._codes + [int(ix.codes(ix.row_of(c))) for c in exclude], dtype=np.int64
-        )
+        taken = self._codes + [int(ix.codes(ix.row_of(c))) for c in exclude]
         codes = ix.codes(rows)
-        keep = _first_unseen(codes, taken)
-        seen = set(taken.tolist())
+        # np.unique's return_index is each code's first row; sorting those
+        # rows keeps pool order.
+        _, first = np.unique(codes, return_index=True)
+        keep = np.sort(first[~np.isin(codes[first], taken)])
+        seen = set(taken)
         seen.update(codes[keep].tolist())
 
         def neighbors(i: int):
@@ -694,19 +695,3 @@ class Optimizer:
             return np.log(np.maximum(y, 1e-30))
         return y
 
-
-def _first_unseen(codes: np.ndarray, taken: np.ndarray) -> np.ndarray:
-    """Ascending positions of the ``codes`` that are not in ``taken`` and not
-    equal to an earlier code.
-
-    One stable sort of ``taken`` followed by ``codes``: among equal values
-    the first in that order sorts first, so a code survives only as the
-    first occurrence of a value that ``taken`` lacks.
-    """
-    values = np.concatenate([taken, codes])
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    first = np.ones(len(values), dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    positions = order[first] - len(taken)
-    return np.sort(positions[positions >= 0])
