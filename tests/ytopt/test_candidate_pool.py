@@ -93,20 +93,6 @@ class TestPoolMatchesReference:
                 np.testing.assert_array_equal(c.get_array(), opt.space.encode(c))
             assert states == ref_states
 
-    def test_pool_larger_than_space(self):
-        """lu/large's situation: 1000 draws over 16 configurations leave each
-        untold configuration once, in first-drawn order."""
-        space = _space([4, 4], ["ordinal", "ordinal"], seed=3)
-        opt = Optimizer(space, surrogate=DummySurrogate(), seed=3, n_initial_points=1)
-        every = space.enumerate_configurations()
-        for i, config in enumerate(every[:5]):
-            opt.tell(config, 1.0 + i)
-        X, pool, _ = _pool_and_rng_states(opt, opt._index_pool, ())
-        X_ref, ref, _ = _pool_and_rng_states(opt, lambda e: _reference(opt, e), ())
-        assert len(pool) == len(every) - 5
-        assert [c.get_dictionary() for c in pool] == [c.get_dictionary() for c in ref]
-        np.testing.assert_array_equal(X, X_ref)
-
     def test_exhausted_space_falls_back_to_sample_unseen(self):
         def exhausted():
             space = _space([3, 2], ["ordinal", "categorical"], seed=5)
