@@ -410,19 +410,6 @@ class IndexView:
         values = {hp.name: hp.value_at(int(i)) for hp, i in zip(self._hps, row)}
         return Configuration._from_trusted(self.space, values, self.encode(row))
 
-    def neighbors(
-        self, row: np.ndarray, rng: np.random.Generator, n_per_param: int = 2
-    ) -> np.ndarray:
-        """Index rows of :meth:`ConfigurationSpace.neighbors` of the
-        configuration at ``row``, in its order and with its RNG draws."""
-        out = []
-        for j, hp in enumerate(self._hps):
-            for nb in hp.neighbors(hp.value_at(int(row[j])), rng, n=n_per_param):
-                cand = row.copy()
-                cand[j] = hp.index_of(nb)
-                out.append(cand)
-        return np.array(out, dtype=np.int64).reshape(-1, len(self._hps))
-
 
 def space_hash(space: ConfigurationSpace) -> str:
     """Stable digest of a configuration space's *structure*.

@@ -596,8 +596,9 @@ class Optimizer:
         seen.update(codes[keep].tolist())
 
         def neighbors(i: int):
-            nbrs = ix.neighbors(ix.row_of(self._configs[i]), self._rng)
-            return zip(ix.codes(nbrs).tolist(), nbrs)
+            for c in self.space.neighbors(self._configs[i], self._rng):
+                row = ix.row_of(c)
+                yield int(ix.codes(row)), row
 
         picks = self._neighbor_picks(len(keep), seen, neighbors)
         rows = np.concatenate([rows[keep], *(p[None] for p in picks)])
