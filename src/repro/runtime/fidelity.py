@@ -363,6 +363,11 @@ class MultiFidelityEvaluator(Evaluator):
         return out  # type: ignore[return-value] - every slot is filled
 
     def _merge(self, probe_result: MeasureResult, rest: MeasureResult) -> MeasureResult:
+        if "charged_compile" in probe_result.extra:
+            # The trial paid the probe's build; the top-up reuses it.
+            rest.extra["charged_compile"] = probe_result.extra[
+                "charged_compile"
+            ] + rest.extra.get("charged_compile", 0.0)
         if not rest.ok:
             # The top-up failed: the trial as a whole is a failure.
             rest.fidelity = "promoted"
@@ -378,11 +383,6 @@ class MultiFidelityEvaluator(Evaluator):
             backend=rest.backend or probe_result.backend,
         )
         merged.extra["fidelity_repeats"] = float(len(merged.costs))
-        if "charged_compile" in probe_result.extra:
-            # The trial paid the probe's build; the top-up reuses it.
-            merged.extra["charged_compile"] = probe_result.extra[
-                "charged_compile"
-            ] + rest.extra.get("charged_compile", 0.0)
         self.n_promoted += 1
         self._note_trusted(merged)
         tel = get_telemetry()

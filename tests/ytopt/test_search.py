@@ -92,8 +92,10 @@ class TestOverheadBreakdown:
             dict(tuner="AutoTVM-GA", timeout=1.1e-5),
             # Promoted trials reuse the probe's build.
             dict(tuner="ytopt", repeats=3, probe_repeats=1),
+            # The first trial's probe passes and its top-up times out.
+            dict(tuner="ytopt", repeats=3, probe_repeats=1, timeout=8.6e-6),
         ],
-        ids=["autotvm", "autotvm-timeouts", "ytopt-promotions"],
+        ids=["autotvm", "autotvm-timeouts", "ytopt-promotions", "ytopt-promotions-timeouts"],
     )
     def test_compile_is_what_the_clock_charged(self, spec):
         """AutoTVM builds 8 at a time, so each trial is charged 1/8 of its
@@ -101,6 +103,8 @@ class TestOverheadBreakdown:
         session = TuningSession(JobSpec(kernel="lu", size="mini", max_evals=12, seed=0, **spec))
         o = session.run().overhead
         search = getattr(session.autotuner, "_search", session.autotuner)
+        if "timeout" in spec and spec["tuner"] == "ytopt":
+            assert any(r.fidelity == "promoted" and not r.ok for r in search.database)
         raw = sum(r.compile_time for r in search.database)
         builders = 8 if spec["tuner"].startswith("AutoTVM") else 1
         assert o["compile_seconds"] == pytest.approx(raw / builders)
