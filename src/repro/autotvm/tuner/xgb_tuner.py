@@ -42,7 +42,6 @@ class XGBTuner(Tuner):
         candidate_num: int = 2048,
         min_train: int = 8,
         refit_every: int = 8,
-        plan_optimizer: str = "pool",
         seed: int | None = None,
     ) -> None:
         super().__init__(task, seed=seed)
@@ -50,15 +49,10 @@ class XGBTuner(Tuner):
             raise TuningError(f"plan_size must be >= 1, got {plan_size}")
         if candidate_num < plan_size:
             raise TuningError("candidate_num must be >= plan_size")
-        if plan_optimizer not in ("pool", "sa"):
-            raise TuningError(
-                f"plan_optimizer must be 'pool' or 'sa', got {plan_optimizer!r}"
-            )
         self.plan_size = plan_size
         self.candidate_num = candidate_num
         self.min_train = min_train
         self.refit_every = refit_every
-        self.plan_optimizer = plan_optimizer
         self.model: GradientBoostedTreesRegressor | None = None
         self._X: list[np.ndarray] = []
         self._y: list[float] = []
@@ -121,9 +115,6 @@ class XGBTuner(Tuner):
 
     def _refresh_plan(self) -> None:
         assert self.model is not None
-        if self.plan_optimizer == "sa":
-            self._refresh_plan_sa()
-            return
         candidates = self._candidate_indices()
         if not candidates:
             self._plan = []
@@ -132,31 +123,6 @@ class XGBTuner(Tuner):
         pred = self.model.predict(X)  # predicted log cost, lower = better
         order = np.argsort(pred)[: self.plan_size]
         self._plan = [candidates[int(i)] for i in order]
-
-    def _refresh_plan_sa(self) -> None:
-        """AutoTVM's actual plan builder: simulated annealing on the model."""
-        from repro.autotvm.tuner.sa import SimulatedAnnealingOptimizer
-
-        assert self.model is not None
-
-        def score_fn(states) -> np.ndarray:
-            X = np.vstack(
-                [self._features(self.space.from_knob_indices(s)) for s in states]
-            )
-            return self.model.predict(X)
-
-        # Warm-start some chains from the best measured configs.
-        measured = sorted(
-            (i for i, cost in self.costs.items() if cost != FAILED_COST),
-            key=self.costs.__getitem__,
-        )[:8]
-        seeds = [self.space.index_to_indices(i) for i in measured]
-        sa = SimulatedAnnealingOptimizer(
-            self.space.gene_sizes(), seed=int(self.rng.integers(2**31))
-        )
-        exclude = {self.space.index_to_indices(i) for i in self.visited}
-        states = sa.find_maximums(score_fn, self.plan_size, exclude=exclude, seeds=seeds)
-        self._plan = [self.space.indices_to_index(s) for s in states]
 
     def update(self, configs: Sequence[ConfigEntity], costs: Sequence[float]) -> None:
         for config, cost in zip(configs, costs):

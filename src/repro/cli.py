@@ -54,6 +54,7 @@ from repro.telemetry import (
     StoreSink,
     Telemetry,
     format_metrics_summary,
+    resolve_store_paths,
     telemetry_session,
 )
 
@@ -269,6 +270,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.telemetry.report import report_text
 
+    # A mistyped path must be an error, not a new empty store RunStore creates.
+    resolve_store_paths(args.db)
     with RunStore(args.db) as store:
         text = report_text(
             store,
@@ -324,6 +327,9 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.telemetry.report import compare_stores
 
+    # A mistyped path must fail the gate, not compare against a new empty store.
+    for path in (args.baseline, args.candidate):
+        resolve_store_paths(path)
     with RunStore(args.baseline) as base, RunStore(args.candidate) as cand:
         text, regressed = compare_stores(
             base,

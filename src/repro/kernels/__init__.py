@@ -6,8 +6,9 @@ LARGE and EXTRALARGE problem sizes. This package provides:
 * NumPy reference implementations (:mod:`repro.kernels.reference`);
 * TE schedule builders exposing the paper's tunable split factors
   (:mod:`repro.kernels.threemm`, :mod:`repro.kernels.lu`,
-  :mod:`repro.kernels.cholesky`, plus extension kernels in
-  :mod:`repro.kernels.extra`);
+  :mod:`repro.kernels.cholesky`, plus the PolyBench plugin kernels' builders:
+  gemm, syrk and trmm in :mod:`repro.kernels.extra`, jacobi-2d in
+  :mod:`repro.kernels.stencil`);
 * PolyBench problem-size presets (:mod:`repro.kernels.problem_sizes`);
 * the tuning parameter spaces of Table 1 (:mod:`repro.kernels.spaces`);
 * a registry tying each (kernel, size) to its space, builder, and Swing
@@ -25,33 +26,12 @@ from repro.kernels.reference import (
     lu_reference,
     cholesky_reference,
     gemm_reference,
-    twomm_reference,
-    atax_reference,
-    bicg_reference,
-    mvt_reference,
     syrk_reference,
 )
 from repro.kernels.threemm import threemm_basic, threemm_tuned, THREEMM_PARAMS
 from repro.kernels.lu import lu_trailing_update_tuned, BlockedLU
 from repro.kernels.cholesky import cholesky_trailing_update_tuned, BlockedCholesky
-from repro.kernels.extra import (
-    gemm_tuned,
-    twomm_tuned,
-    atax_tuned,
-    bicg_tuned,
-    mvt_tuned,
-    syrk_tuned,
-    syr2k_tuned,
-    gesummv_tuned,
-    doitgen_tuned,
-    trmm_tuned,
-)
-from repro.kernels.datamining import (
-    covariance_tuned,
-    correlation_tuned,
-    covariance_reference,
-    correlation_reference,
-)
+from repro.kernels.extra import gemm_tuned, syrk_tuned, trmm_tuned
 from repro.kernels.stencil import jacobi2d_tuned, jacobi2d_reference
 from repro.kernels.spaces import (
     build_config_space,
@@ -60,7 +40,6 @@ from repro.kernels.spaces import (
     TABLE1_SPACE_SIZES,
 )
 from repro.kernels.registry import KernelBenchmark, get_benchmark, list_benchmarks
-from repro.kernels.pretuned import pretuned_config, PRETUNED_CONFIGS
 
 __all__ = [
     "PROBLEM_SIZES",
@@ -71,10 +50,6 @@ __all__ = [
     "lu_reference",
     "cholesky_reference",
     "gemm_reference",
-    "twomm_reference",
-    "atax_reference",
-    "bicg_reference",
-    "mvt_reference",
     "syrk_reference",
     "threemm_basic",
     "threemm_tuned",
@@ -84,19 +59,8 @@ __all__ = [
     "cholesky_trailing_update_tuned",
     "BlockedCholesky",
     "gemm_tuned",
-    "twomm_tuned",
-    "atax_tuned",
-    "bicg_tuned",
-    "mvt_tuned",
     "syrk_tuned",
-    "syr2k_tuned",
-    "gesummv_tuned",
-    "doitgen_tuned",
     "trmm_tuned",
-    "covariance_tuned",
-    "correlation_tuned",
-    "covariance_reference",
-    "correlation_reference",
     "jacobi2d_tuned",
     "jacobi2d_reference",
     "build_config_space",
@@ -106,6 +70,4 @@ __all__ = [
     "KernelBenchmark",
     "get_benchmark",
     "list_benchmarks",
-    "pretuned_config",
-    "PRETUNED_CONFIGS",
 ]

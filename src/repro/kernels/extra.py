@@ -1,10 +1,10 @@
 """Extension kernels beyond the paper's three (PolyBench linear algebra).
 
-The paper's future work points at tuning more operators; these TE builders make
-the framework immediately usable on the rest of PolyBench's matmul-shaped
-kernels. Each returns ``(schedule, args)`` with the same two-parameter tiling
-mold as the solvers (``P0`` tiles rows, ``P1`` tiles columns of the dominant
-stage), so any tuner in this package drives them unchanged.
+The TE builders behind the registered PolyBench plugin kernels gemm, syrk and
+trmm (:mod:`repro.bench.polybench`). Each returns ``(schedule, args)`` with
+the same two-parameter tiling mold as the solvers (``P0`` tiles rows, ``P1``
+tiles columns of the dominant stage), so any tuner in this package drives
+them unchanged.
 """
 
 from __future__ import annotations
@@ -13,16 +13,15 @@ from collections.abc import Mapping, Sequence
 
 import repro.te as te
 from repro.common.errors import SpaceError
-from repro.kernels.schedules import apply_split_reorder, clamp_factor
+from repro.kernels.schedules import apply_split_reorder
 from repro.te.schedule import Schedule
 from repro.te.tensor import Tensor
 
 
-def _need(params: Mapping[str, int], *names: str) -> list[int]:
+def _need(params: Mapping[str, int], *names: str) -> None:
     missing = [n for n in names if n not in params]
     if missing:
         raise SpaceError(f"kernel params missing {missing}; expected {list(names)}")
-    return [int(params[n]) for n in names]
 
 
 def gemm_tuned(
@@ -50,196 +49,6 @@ def gemm_tuned(
     if vectorize_inner:
         s[OUT].vectorize(s[OUT].op.axis[1])
     return s, [A, B, C, OUT]
-
-
-def twomm_tuned(
-    ni: int,
-    nj: int,
-    nk: int,
-    nl: int,
-    params: Mapping[str, int],
-    alpha: float = 1.5,
-    beta: float = 1.2,
-    dtype: str = "float64",
-    vectorize_inner: bool = True,
-) -> tuple[Schedule, Sequence[Tensor]]:
-    """PolyBench 2mm: ``D_out = alpha·(A·B)·C + beta·D``; P0..P3 tile both GEMMs."""
-    _need(params, "P0", "P1", "P2", "P3")
-    A = te.placeholder((ni, nk), name="A", dtype=dtype)
-    B = te.placeholder((nk, nj), name="B", dtype=dtype)
-    C = te.placeholder((nj, nl), name="C", dtype=dtype)
-    D = te.placeholder((ni, nl), name="D", dtype=dtype)
-    k = te.reduce_axis((0, nk), name="k")
-    j = te.reduce_axis((0, nj), name="j_red")
-    TMP = te.compute((ni, nj), lambda i, jj: te.sum(A[i, k] * B[k, jj], axis=k), name="TMP")
-    TMPC = te.compute(
-        (ni, nl), lambda i, l: te.sum(TMP[i, j] * C[j, l], axis=j), name="TMPC"
-    )
-    OUT = te.compute(
-        (ni, nl), lambda i, l: TMPC[i, l] * alpha + D[i, l] * beta, name="D_out"
-    )
-    s = te.create_schedule(OUT.op)
-    apply_split_reorder(s[TMP], params["P0"], params["P1"], vectorize_inner)
-    apply_split_reorder(s[TMPC], params["P2"], params["P3"], vectorize_inner)
-    if vectorize_inner:
-        s[OUT].vectorize(s[OUT].op.axis[1])
-    return s, [A, B, C, D, OUT]
-
-
-def atax_tuned(
-    m: int,
-    n: int,
-    params: Mapping[str, int],
-    dtype: str = "float64",
-    vectorize_inner: bool = False,
-) -> tuple[Schedule, Sequence[Tensor]]:
-    """PolyBench atax: ``y = Aᵀ·(A·x)``; P0 tiles the tmp stage, P1 the y stage."""
-    p0, p1 = _need(params, "P0", "P1")
-    A = te.placeholder((m, n), name="A", dtype=dtype)
-    x = te.placeholder((n,), name="x", dtype=dtype)
-    kx = te.reduce_axis((0, n), name="kx")
-    km = te.reduce_axis((0, m), name="km")
-    TMP = te.compute((m,), lambda i: te.sum(A[i, kx] * x[kx], axis=kx), name="tmp")
-    Y = te.compute((n,), lambda j: te.sum(A[km, j] * TMP[km], axis=km), name="y")
-    s = te.create_schedule(Y.op)
-    io, ii = s[TMP].split(s[TMP].op.axis[0], factor=clamp_factor(p0, m))
-    jo, ji = s[Y].split(s[Y].op.axis[0], factor=clamp_factor(p1, n))
-    if vectorize_inner:
-        s[TMP].vectorize(ii)
-        s[Y].vectorize(ji)
-    return s, [A, x, Y]
-
-
-def bicg_tuned(
-    m: int,
-    n: int,
-    params: Mapping[str, int],
-    dtype: str = "float64",
-) -> tuple[Schedule, Sequence[Tensor]]:
-    """PolyBench bicg: ``s_out = Aᵀ·r``, ``q = A·p``; P0/P1 tile the two stages."""
-    p0, p1 = _need(params, "P0", "P1")
-    A = te.placeholder((n, m), name="A", dtype=dtype)
-    p = te.placeholder((m,), name="p", dtype=dtype)
-    r = te.placeholder((n,), name="r", dtype=dtype)
-    ki = te.reduce_axis((0, n), name="ki")
-    kj = te.reduce_axis((0, m), name="kj")
-    S = te.compute((m,), lambda j: te.sum(A[ki, j] * r[ki], axis=ki), name="s_out")
-    Q = te.compute((n,), lambda i: te.sum(A[i, kj] * p[kj], axis=kj), name="q")
-    sch = te.create_schedule([S.op, Q.op])
-    sch[S].split(sch[S].op.axis[0], factor=clamp_factor(p0, m))
-    sch[Q].split(sch[Q].op.axis[0], factor=clamp_factor(p1, n))
-    return sch, [A, p, r, S, Q]
-
-
-def mvt_tuned(
-    n: int,
-    params: Mapping[str, int],
-    dtype: str = "float64",
-) -> tuple[Schedule, Sequence[Tensor]]:
-    """PolyBench mvt: ``x1_out = x1 + A·y1``, ``x2_out = x2 + Aᵀ·y2``."""
-    p0, p1 = _need(params, "P0", "P1")
-    A = te.placeholder((n, n), name="A", dtype=dtype)
-    x1 = te.placeholder((n,), name="x1", dtype=dtype)
-    x2 = te.placeholder((n,), name="x2", dtype=dtype)
-    y1 = te.placeholder((n,), name="y1", dtype=dtype)
-    y2 = te.placeholder((n,), name="y2", dtype=dtype)
-    k1 = te.reduce_axis((0, n), name="k1")
-    k2 = te.reduce_axis((0, n), name="k2")
-    AV1 = te.compute((n,), lambda i: te.sum(A[i, k1] * y1[k1], axis=k1), name="Ay1")
-    AV2 = te.compute((n,), lambda i: te.sum(A[k2, i] * y2[k2], axis=k2), name="Aty2")
-    X1 = te.compute((n,), lambda i: x1[i] + AV1[i], name="x1_out")
-    X2 = te.compute((n,), lambda i: x2[i] + AV2[i], name="x2_out")
-    s = te.create_schedule([X1.op, X2.op])
-    s[AV1].split(s[AV1].op.axis[0], factor=clamp_factor(p0, n))
-    s[AV2].split(s[AV2].op.axis[0], factor=clamp_factor(p1, n))
-    return s, [A, x1, x2, y1, y2, X1, X2]
-
-
-def syr2k_tuned(
-    n: int,
-    m: int,
-    params: Mapping[str, int],
-    alpha: float = 1.5,
-    beta: float = 1.2,
-    dtype: str = "float64",
-    vectorize_inner: bool = True,
-) -> tuple[Schedule, Sequence[Tensor]]:
-    """PolyBench syr2k (full update): ``C_out = alpha·(A·Bᵀ + B·Aᵀ) + beta·C``."""
-    _need(params, "P0", "P1")
-    A = te.placeholder((n, m), name="A", dtype=dtype)
-    B = te.placeholder((n, m), name="B", dtype=dtype)
-    C = te.placeholder((n, n), name="C", dtype=dtype)
-    k = te.reduce_axis((0, m), name="k")
-    ACC = te.compute(
-        (n, n),
-        lambda i, j: te.sum(A[i, k] * B[j, k] + B[i, k] * A[j, k], axis=k),
-        name="ACC",
-    )
-    OUT = te.compute(
-        (n, n), lambda i, j: ACC[i, j] * alpha + C[i, j] * beta, name="C_out"
-    )
-    s = te.create_schedule(OUT.op)
-    apply_split_reorder(s[ACC], params["P0"], params["P1"], vectorize_inner)
-    if vectorize_inner:
-        s[OUT].vectorize(s[OUT].op.axis[1])
-    return s, [A, B, C, OUT]
-
-
-def gesummv_tuned(
-    n: int,
-    params: Mapping[str, int],
-    alpha: float = 1.5,
-    beta: float = 1.2,
-    dtype: str = "float64",
-) -> tuple[Schedule, Sequence[Tensor]]:
-    """PolyBench gesummv: ``y = alpha·A·x + beta·B·x``; P0/P1 tile the two MVs."""
-    p0, p1 = _need(params, "P0", "P1")
-    A = te.placeholder((n, n), name="A", dtype=dtype)
-    B = te.placeholder((n, n), name="B", dtype=dtype)
-    x = te.placeholder((n,), name="x", dtype=dtype)
-    k1 = te.reduce_axis((0, n), name="k1")
-    k2 = te.reduce_axis((0, n), name="k2")
-    TMP = te.compute((n,), lambda i: te.sum(A[i, k1] * x[k1], axis=k1), name="tmp")
-    BX = te.compute((n,), lambda i: te.sum(B[i, k2] * x[k2], axis=k2), name="bx")
-    Y = te.compute(
-        (n,), lambda i: TMP[i] * alpha + BX[i] * beta, name="y"
-    )
-    s = te.create_schedule(Y.op)
-    s[TMP].split(s[TMP].op.axis[0], factor=clamp_factor(p0, n))
-    s[BX].split(s[BX].op.axis[0], factor=clamp_factor(p1, n))
-    return s, [A, B, x, Y]
-
-
-def doitgen_tuned(
-    nr: int,
-    nq: int,
-    np_: int,
-    params: Mapping[str, int],
-    dtype: str = "float64",
-    vectorize_inner: bool = True,
-) -> tuple[Schedule, Sequence[Tensor]]:
-    """PolyBench doitgen: ``SUM[r,q,p] = Σ_s A[r,q,s]·C4[s,p]`` (3-D output).
-
-    P0 tiles the ``q`` axis, P1 the ``p`` axis; the reduction is hoisted
-    between the tile levels as in the paper's recipe.
-    """
-    p0, p1 = _need(params, "P0", "P1")
-    A = te.placeholder((nr, nq, np_), name="A", dtype=dtype)
-    C4 = te.placeholder((np_, np_), name="C4", dtype=dtype)
-    s_ax = te.reduce_axis((0, np_), name="s")
-    SUM = te.compute(
-        (nr, nq, np_),
-        lambda r, q, p: te.sum(A[r, q, s_ax] * C4[s_ax, p], axis=s_ax),
-        name="SUM",
-    )
-    sch = te.create_schedule(SUM.op)
-    r, q, p = sch[SUM].op.axis
-    qo, qi = sch[SUM].split(q, factor=clamp_factor(p0, nq))
-    po, pi = sch[SUM].split(p, factor=clamp_factor(p1, np_))
-    sch[SUM].reorder(qo, po, s_ax, qi, pi)
-    if vectorize_inner:
-        sch[SUM].vectorize(pi)
-    return sch, [A, C4, SUM]
 
 
 def trmm_tuned(

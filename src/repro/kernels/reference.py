@@ -96,56 +96,6 @@ def gemm_reference(
     return alpha * (a @ b) + beta * c
 
 
-def twomm_reference(
-    alpha: float,
-    beta: float,
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    d: np.ndarray,
-) -> np.ndarray:
-    """PolyBench 2mm: ``D = alpha·A·B·C + beta·D``."""
-    return alpha * (a @ b) @ c + beta * d
-
-
-def atax_reference(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """PolyBench atax: ``y = Aᵀ·(A·x)``."""
-    return a.T @ (a @ x)
-
-
-def bicg_reference(
-    a: np.ndarray, p: np.ndarray, r: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """PolyBench bicg: ``s = Aᵀ·r``, ``q = A·p``."""
-    return a.T @ r, a @ p
-
-
-def mvt_reference(
-    a: np.ndarray, x1: np.ndarray, x2: np.ndarray, y1: np.ndarray, y2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """PolyBench mvt: ``x1 += A·y1``, ``x2 += Aᵀ·y2``."""
-    return x1 + a @ y1, x2 + a.T @ y2
-
-
-def syr2k_reference(
-    alpha: float, beta: float, c: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """PolyBench syr2k (full update variant): ``C = alpha·(A·Bᵀ + B·Aᵀ) + beta·C``."""
-    return alpha * (a @ b.T + b @ a.T) + beta * c
-
-
-def gesummv_reference(
-    alpha: float, beta: float, a: np.ndarray, b: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """PolyBench gesummv: ``y = alpha·A·x + beta·B·x``."""
-    return alpha * (a @ x) + beta * (b @ x)
-
-
-def doitgen_reference(a: np.ndarray, c4: np.ndarray) -> np.ndarray:
-    """PolyBench doitgen: ``SUM[r,q,p] = Σ_s A[r,q,s]·C4[s,p]``."""
-    return np.einsum("rqs,sp->rqp", a, c4)
-
-
 def trmm_reference(alpha: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """PolyBench trmm: ``B = alpha·(B + strict_lowerᵀ(A)·B)``."""
     strict_lower = np.tril(a, -1)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.errors import ReproError
 from repro.configspace import ConfigurationSpace
 from repro.kernels.cholesky import BlockedCholesky
 from repro.kernels.lu import BlockedLU
@@ -73,24 +72,6 @@ class KernelBenchmark:
         for c in self.candidates.values():
             total *= len(c)
         return total
-
-    def gene_sizes(self) -> list[int]:
-        """Per-parameter candidate counts, in parameter order (for the GA)."""
-        return [len(self.candidates[p]) for p in self.params]
-
-    def config_from_indices(self, indices: Sequence[int]) -> dict[str, int]:
-        """Decode a genome of candidate indices into a configuration."""
-        if len(indices) != len(self.params):
-            raise ReproError(
-                f"{self.name}: genome length {len(indices)} != {len(self.params)} params"
-            )
-        out: dict[str, int] = {}
-        for p, i in zip(self.params, indices):
-            cands = self.candidates[p]
-            if not 0 <= int(i) < len(cands):
-                raise ReproError(f"{self.name}: index {i} out of range for {p}")
-            out[p] = int(cands[int(i)])
-        return out
 
 
 def _threemm_benchmark(size_name: str) -> KernelBenchmark:

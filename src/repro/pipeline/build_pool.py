@@ -2,8 +2,8 @@
 
 Native-tier builds shell out to the C compiler (``subprocess.run`` releases
 the GIL), so a thread pool genuinely parallelizes them; the artifacts land
-in the evaluator's content-addressed caches (the on-disk ``.so`` store, the
-lowered-PrimFunc BuildCache), which is where the later measurement finds
+in the native tier's content-addressed caches (the on-disk ``.so`` store and
+the process-wide entry cache), which is where the later measurement finds
 them. Workers run with telemetry pinned off — the event bus and its sinks
 are not thread-safe — and the pool aggregates its own counters instead:
 occupancy high-water mark, busy-seconds, speculation hits/misses, and the

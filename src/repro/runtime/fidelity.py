@@ -180,7 +180,7 @@ class MultiFidelityEvaluator(Evaluator):
     #: semantics knobs, and the scratch ``clock`` of wave accounting).
     _FORWARD = frozenset(
         {"number", "repeat", "compile_parallelism", "clock", "seed", "timeout",
-         "validate", "metric", "run_parallelism"}
+         "validate", "run_parallelism"}
     )
 
     def __init__(

@@ -154,11 +154,11 @@ class LocalEvaluator(Evaluator):
     def precompile(self, params: Mapping[str, int]) -> bool:
         """Build the kernel for ``params`` without running it (compile-ahead).
 
-        Warms every content-addressed build cache on the way down — for the
-        native tier the expensive subprocess C compile lands in the on-disk
-        ``.so`` store and the process-wide entry cache, so the build step of a
-        later :meth:`evaluate` of the same configuration degenerates to a
-        cache hit. Safe to call from the pipelined loop's build-pool
+        Warms the native tier's content-addressed caches: the expensive
+        subprocess C compile lands in the on-disk ``.so`` store and the
+        process-wide entry cache, so the build step of a later
+        :meth:`evaluate` of the same configuration degenerates to a cache
+        hit. Safe to call from the pipelined loop's build-pool
         threads: the underlying caches are lock-protected and ``.so``
         publication is atomic. Returns True when the build succeeded; a
         failing build returns False and is otherwise swallowed — ``evaluate``

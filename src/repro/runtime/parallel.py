@@ -27,7 +27,6 @@ measurement fleet honestly.
 from __future__ import annotations
 
 import math
-import os
 import signal
 import time
 from collections.abc import Callable, Mapping, Sequence
@@ -612,8 +611,3 @@ def _simulated_wave_batch(
             r.extra.setdefault("wave_jobs", float(jobs))
         results.extend(wave_results)
     return results
-
-
-def default_jobs() -> int:
-    """A sensible worker count for this machine (cores, capped at 8)."""
-    return max(1, min(os.cpu_count() or 1, 8))

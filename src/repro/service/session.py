@@ -38,14 +38,14 @@ from typing import Any
 
 from repro.autotvm import PAPER_XGB_TRIAL_CAP
 from repro.bench.protocols import TunerContext
-from repro.bench.registry import get_tuner, tuner_names
-from repro.common.errors import RegistryError, ServiceError, TuningError
+from repro.bench.registry import get_tuner
+from repro.common.errors import ServiceError, TuningError
 from repro.common.timing import VirtualClock
 from repro.configspace import space_hash
 from repro.kernels.registry import KernelBenchmark, get_benchmark
 from repro.runtime.fidelity import AdaptiveRepeatPolicy, MultiFidelityEvaluator
 from repro.runtime.measure import Evaluator
-from repro.service.jobs import JobSpec
+from repro.service.jobs import JobRejected, JobSpec
 from repro.swing import SwingEvaluator, SwingPerformanceModel
 from repro.telemetry.bus import Sink
 from repro.telemetry.context import Telemetry, get_telemetry, scoped_telemetry
@@ -202,7 +202,7 @@ class GuardedEvaluator(Evaluator):
     #: Attribute writes forwarded to the wrapped evaluator.
     _FORWARD = frozenset(
         {"number", "repeat", "compile_parallelism", "clock", "seed", "timeout",
-         "validate", "metric", "run_parallelism", "cache_builds", "jobs"}
+         "validate", "run_parallelism", "cache_builds", "jobs"}
     )
 
     def __init__(self, inner: Evaluator, session: "TuningSession") -> None:
@@ -273,24 +273,12 @@ class TuningSession:
         extra_sinks: "tuple[Sink, ...] | list[Sink]" = (),
         attempt: int = 1,
     ) -> None:
-        if spec.jobs < 1:
-            raise TuningError(f"jobs must be >= 1, got {spec.jobs}")
-        if spec.repeats < 1:
-            raise TuningError(f"repeats must be >= 1, got {spec.repeats}")
+        # The admission rules `repro submit` applies, raised as TuningError.
         try:
-            tuner_spec = get_tuner(spec.tuner)
-        except RegistryError:
-            raise TuningError(
-                f"unknown tuner {spec.tuner!r}; known: {tuple(tuner_names())}"
-            ) from None
-        if spec.transfer_from is not None and not tuner_spec.supports_transfer:
-            raise TuningError(
-                f"transfer_from only applies to the ytopt tuner, not "
-                f"{spec.tuner!r}"
-            )
-        loop_knob_error = spec.loop_knob_error(tuner_spec.family)
-        if loop_knob_error is not None:
-            raise TuningError(loop_knob_error)
+            spec.validate()
+        except JobRejected as exc:
+            raise TuningError(str(exc)) from None
+        tuner_spec = get_tuner(spec.tuner)
         self.spec = spec
         self.attempt = attempt
         self.benchmark = (

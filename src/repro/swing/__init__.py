@@ -24,7 +24,6 @@ speed.
 from repro.swing.spec import A100Spec, SwingNodeSpec, A100_SPEC, SWING_NODE
 from repro.swing.profile import GemmStageProfile, KernelProfile
 from repro.swing.model import SwingPerformanceModel
-from repro.swing.energy import EnergyModel
 from repro.swing.evaluator import SwingEvaluator
 from repro.swing.features import (
     StageFeatures,
@@ -41,7 +40,6 @@ __all__ = [
     "GemmStageProfile",
     "KernelProfile",
     "SwingPerformanceModel",
-    "EnergyModel",
     "SwingEvaluator",
     "StageFeatures",
     "extract_stage_features",

@@ -39,7 +39,6 @@ class SwingEvaluator(Evaluator):
         compile_parallelism: int = 1,
         measure_overhead: float = 0.05,
         timeout: float | None = None,
-        metric: str = "runtime",
         run_parallelism: int = 1,
         cache_builds: bool = False,
     ) -> None:
@@ -69,18 +68,6 @@ class SwingEvaluator(Evaluator):
         # Swing nodes carry 8 GPUs; a runner can spread a config's repeated
         # runs across them, dividing the wall-clock charge.
         self.run_parallelism = run_parallelism
-        # metric: "runtime" (the paper), or "energy"/"edp" (the authors' ytopt
-        # energy line of work). The clock always advances by *runtime* — energy
-        # tuning still spends wall-clock time per evaluation.
-        self.metric = metric
-        if metric != "runtime":
-            from repro.swing.energy import EnergyModel, METRICS
-
-            if metric not in METRICS:
-                raise ReproError(f"unknown metric {metric!r}; expected one of {METRICS}")
-            self._energy = EnergyModel(self.model)
-        else:
-            self._energy = None
 
     def elapsed(self) -> float:
         return self.clock.now
@@ -114,17 +101,6 @@ class SwingEvaluator(Evaluator):
                 self.model.measured_time(self.profile, cfg, run_index=rep * self.number + i)
                 for i in range(self.number)
             ]
-            if self._energy is not None:
-                rep_costs = [
-                    self._energy.measured(
-                        self.profile, cfg, metric=self.metric,
-                        run_index=rep * self.number + i,
-                    )
-                    for i in range(self.number)
-                ]
-            else:
-                rep_costs = run_times
-            mean_rep = sum(rep_costs) / len(rep_costs)
             mean_time = sum(run_times) / len(run_times)
             if self.timeout is not None and mean_time > self.timeout:
                 # The runner kills the kernel after the timeout; charge it.
@@ -132,7 +108,7 @@ class SwingEvaluator(Evaluator):
                 timed_out = True
                 break
             self.clock.advance(sum(run_times) / self.run_parallelism)
-            costs.append(mean_rep)
+            costs.append(mean_time)
         self.clock.advance(self.measure_overhead)
         self.n_evaluations += 1
 

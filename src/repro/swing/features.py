@@ -66,7 +66,8 @@ def extract_stage_features(stage: Stage) -> StageFeatures:
         and isinstance(op.body, Reduce)
     ):
         # Use the two innermost data axes as the (y, x) plane; any outer data
-        # axes (e.g. doitgen's r) multiply the launch count via m.
+        # axes (e.g. r of a batched SUM[r, q, p]) multiply the launch count
+        # via m.
         *outer, y, x = op.axis
         outer_reps = 1
         for iv in outer:

@@ -1,48 +1,9 @@
-"""Cross-subsystem integrations: AutoScheduler on Relay subgraphs, molds on
-the simulated backend, transfer from ytopt runs into AutoTVM, etc."""
+"""Cross-subsystem integrations: molds on the simulated backend, transfer
+from ytopt runs into AutoTVM."""
 
-import numpy as np
-import pytest
-
-from repro import relay
-from repro.autoscheduler import SearchTask, TuningOptions, auto_schedule
 from repro.common.timing import VirtualClock
-from repro.relay.build import lower_group
-from repro.relay.transform import fuse_ops, infer_shapes
-from repro.runtime import build
 from repro.swing import ScheduleSwingEvaluator
 from repro.ytopt import Plopper
-
-
-class TestAutoschedulerOnRelaySubgraph:
-    def test_auto_schedule_a_fused_dense_group(self):
-        # Build a dense+relu model, take its fused subgraph, and let the
-        # mini-Ansor derive and search the schedule space for it.
-        rng = np.random.default_rng(0)
-        x = relay.var("x", (16, 32))
-        w = relay.const(rng.standard_normal((24, 32)), "w")
-        f = relay.Function([x], relay.relu(relay.dense(x, w)))
-        infer_shapes(f)
-        group = fuse_ops(f)[0]
-
-        def graph_builder():
-            _sched, args, _ext = lower_group(group)
-            return list(args)
-
-        task = SearchTask(graph_builder, name="relay-dense", target="llvm")
-        result = auto_schedule(task, TuningOptions(n_trials=8, seed=0))
-        assert result.n_trials == 8
-        # The derived space tiles the dense stage (named after the graph node).
-        assert any(p.endswith(".y") for p in result.sketch.params)
-
-        # The winning annotation builds and computes the right thing.
-        sched, args = task.apply_best(result.best_annotation)
-        mod = build(sched, args)
-        xv = rng.standard_normal((16, 32))
-        wv = w.value
-        out = np.zeros((16, 24))
-        mod(xv, wv, out)
-        np.testing.assert_allclose(out, np.maximum(xv @ wv.T, 0), rtol=1e-10)
 
 
 class TestMoldOnSimulatedBackend:

@@ -1,16 +1,12 @@
 """Smoke tests: the shipped example scripts must actually run.
 
 Each example is executed in a subprocess with a reduced workload (where the
-script accepts parameters) so the whole module stays under a minute. The
-heavyweight model-tuning examples (MLP/CNN) are exercised through their
-library entry points elsewhere (tests/relay) and only import-checked here.
+script accepts parameters) so the whole module stays under a minute.
 """
 
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
@@ -49,15 +45,3 @@ class TestExamples:
         out = _run("tune_3mm_swing.py", "15")
         assert "228,614,400" in out
         assert "true optimum" in out
-
-    def test_tune_for_energy_reduced(self):
-        out = _run("tune_for_energy.py", "12")
-        assert "energy (J)" in out
-
-    @pytest.mark.parametrize(
-        "script", ["tune_mlp_model.py", "tune_cnn_model.py"]
-    )
-    def test_model_tuning_examples_compile(self, script):
-        # Heavy examples: verify they at least parse and import cleanly.
-        source = (EXAMPLES / script).read_text()
-        compile(source, script, "exec")

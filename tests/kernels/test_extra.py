@@ -1,31 +1,11 @@
-"""Tests for the extension kernels (gemm, 2mm, atax, bicg, mvt, syrk)."""
+"""Tests for the extension kernels (gemm, syrk, trmm)."""
 
 import numpy as np
 import pytest
 
 from repro.common.errors import SpaceError
-from repro.kernels import (
-    atax_tuned,
-    bicg_tuned,
-    doitgen_tuned,
-    gemm_tuned,
-    gesummv_tuned,
-    mvt_tuned,
-    syr2k_tuned,
-    syrk_tuned,
-    twomm_tuned,
-)
-from repro.kernels.reference import (
-    atax_reference,
-    bicg_reference,
-    doitgen_reference,
-    gemm_reference,
-    gesummv_reference,
-    mvt_reference,
-    syr2k_reference,
-    syrk_reference,
-    twomm_reference,
-)
+from repro.kernels import gemm_tuned, syrk_tuned
+from repro.kernels.reference import gemm_reference, syrk_reference
 from repro.runtime import build
 
 
@@ -47,53 +27,7 @@ class TestGemm:
         )
 
 
-class TestTwomm:
-    def test_matches_reference(self, rng):
-        s, args = twomm_tuned(6, 8, 10, 12, {"P0": 3, "P1": 4, "P2": 2, "P3": 6})
-        mod = build(s, args)
-        a, b = rng.random((6, 10)), rng.random((10, 8))
-        c, d = rng.random((8, 12)), rng.random((6, 12))
-        out = np.zeros((6, 12))
-        mod(a, b, c, d, out)
-        np.testing.assert_allclose(
-            out, twomm_reference(1.5, 1.2, a, b, c, d), rtol=1e-12
-        )
-
-    def test_missing_params_rejected(self):
-        with pytest.raises(SpaceError):
-            twomm_tuned(4, 4, 4, 4, {"P0": 2})
-
-
 class TestVectorKernels:
-    def test_atax(self, rng):
-        s, args = atax_tuned(9, 7, {"P0": 3, "P1": 7})
-        mod = build(s, args)
-        a, x = rng.random((9, 7)), rng.random(7)
-        y = np.zeros(7)
-        mod(a, x, y)
-        np.testing.assert_allclose(y, atax_reference(a, x), rtol=1e-12)
-
-    def test_bicg_two_outputs(self, rng):
-        s, args = bicg_tuned(7, 9, {"P0": 1, "P1": 3})
-        mod = build(s, args)
-        a, p, r = rng.random((9, 7)), rng.random(7), rng.random(9)
-        s_out, q_out = np.zeros(7), np.zeros(9)
-        mod(a, p, r, s_out, q_out)
-        ref_s, ref_q = bicg_reference(a, p, r)
-        np.testing.assert_allclose(s_out, ref_s, rtol=1e-12)
-        np.testing.assert_allclose(q_out, ref_q, rtol=1e-12)
-
-    def test_mvt(self, rng):
-        s, args = mvt_tuned(8, {"P0": 4, "P1": 2})
-        mod = build(s, args)
-        a = rng.random((8, 8))
-        vecs = [rng.random(8) for _ in range(4)]
-        o1, o2 = np.zeros(8), np.zeros(8)
-        mod(a, *vecs, o1, o2)
-        r1, r2 = mvt_reference(a, *vecs)
-        np.testing.assert_allclose(o1, r1, rtol=1e-12)
-        np.testing.assert_allclose(o2, r2, rtol=1e-12)
-
     def test_syrk(self, rng):
         s, args = syrk_tuned(8, 6, {"P0": 4, "P1": 8})
         mod = build(s, args)
@@ -103,42 +37,6 @@ class TestVectorKernels:
         np.testing.assert_allclose(
             out, syrk_reference(1.5, 1.2, c, a), rtol=1e-12
         )
-
-    def test_syr2k(self, rng):
-        s, args = syr2k_tuned(8, 6, {"P0": 2, "P1": 4})
-        mod = build(s, args)
-        a, b, c = rng.random((8, 6)), rng.random((8, 6)), rng.random((8, 8))
-        out = np.zeros((8, 8))
-        mod(a, b, c, out)
-        np.testing.assert_allclose(
-            out, syr2k_reference(1.5, 1.2, c, a, b), rtol=1e-12
-        )
-
-    def test_gesummv(self, rng):
-        s, args = gesummv_tuned(9, {"P0": 3, "P1": 9})
-        mod = build(s, args)
-        a, b, x = rng.random((9, 9)), rng.random((9, 9)), rng.random(9)
-        y = np.zeros(9)
-        mod(a, b, x, y)
-        np.testing.assert_allclose(
-            y, gesummv_reference(1.5, 1.2, a, b, x), rtol=1e-12
-        )
-
-    def test_doitgen_3d_output(self, rng):
-        s, args = doitgen_tuned(3, 6, 8, {"P0": 2, "P1": 4})
-        mod = build(s, args)
-        a, c4 = rng.random((3, 6, 8)), rng.random((8, 8))
-        out = np.zeros((3, 6, 8))
-        mod(a, c4, out)
-        np.testing.assert_allclose(out, doitgen_reference(a, c4), rtol=1e-12)
-
-    def test_doitgen_imperfect_tiles(self, rng):
-        s, args = doitgen_tuned(2, 5, 6, {"P0": 3, "P1": 4}, vectorize_inner=False)
-        mod = build(s, args)
-        a, c4 = rng.random((2, 5, 6)), rng.random((6, 6))
-        out = np.zeros((2, 5, 6))
-        mod(a, c4, out)
-        np.testing.assert_allclose(out, doitgen_reference(a, c4), rtol=1e-12)
 
     def test_trmm_masked_reduction(self, rng):
         from repro.kernels import trmm_tuned
@@ -164,9 +62,15 @@ class TestVectorKernels:
         np.testing.assert_allclose(out_cg, out_in, rtol=1e-12)
 
     def test_oversized_tiles_clamped(self, rng):
-        s, args = atax_tuned(5, 4, {"P0": 100, "P1": 100})
+        s, args = gemm_tuned(5, 4, 3, {"P0": 100, "P1": 100})
         mod = build(s, args)
-        a, x = rng.random((5, 4)), rng.random(4)
-        y = np.zeros(4)
-        mod(a, x, y)
-        np.testing.assert_allclose(y, atax_reference(a, x), rtol=1e-12)
+        a, b, c = rng.random((5, 3)), rng.random((3, 4)), rng.random((5, 4))
+        out = np.zeros((5, 4))
+        mod(a, b, c, out)
+        np.testing.assert_allclose(
+            out, gemm_reference(1.5, 1.2, c, a, b), rtol=1e-12
+        )
+
+    def test_missing_params_rejected(self):
+        with pytest.raises(SpaceError):
+            gemm_tuned(4, 4, 4, {"P0": 2})

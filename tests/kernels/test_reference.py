@@ -6,18 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ReproError
 from repro.kernels.reference import (
-    atax_reference,
-    bicg_reference,
     cholesky_reference,
     gemm_reference,
     lu_reference,
     lu_split,
     make_lu_friendly,
     make_spd,
-    mvt_reference,
     syrk_reference,
     threemm_reference,
-    twomm_reference,
 )
 
 
@@ -99,28 +95,9 @@ class TestOtherReferences:
             gemm_reference(2.0, 0.5, c, a, b), 2 * a @ b + 0.5 * c
         )
 
-    def test_2mm(self):
-        rng = np.random.default_rng(2)
-        a, b = rng.random((3, 4)), rng.random((4, 5))
-        c, d = rng.random((5, 6)), rng.random((3, 6))
-        np.testing.assert_allclose(
-            twomm_reference(2.0, 3.0, a, b, c, d), 2 * (a @ b) @ c + 3 * d
-        )
-
-    def test_atax_bicg_mvt_syrk(self):
+    def test_syrk(self):
         rng = np.random.default_rng(3)
         a = rng.random((5, 4))
-        x = rng.random(4)
-        np.testing.assert_allclose(atax_reference(a, x), a.T @ (a @ x))
-        p, r = rng.random(4), rng.random(5)
-        s, q = bicg_reference(a, p, r)
-        np.testing.assert_allclose(s, a.T @ r)
-        np.testing.assert_allclose(q, a @ p)
-        sq = rng.random((4, 4))
-        x1, x2, y1, y2 = (rng.random(4) for _ in range(4))
-        o1, o2 = mvt_reference(sq, x1, x2, y1, y2)
-        np.testing.assert_allclose(o1, x1 + sq @ y1)
-        np.testing.assert_allclose(o2, x2 + sq.T @ y2)
         c = rng.random((5, 5))
         np.testing.assert_allclose(
             syrk_reference(2.0, 0.1, c, a), 2 * a @ a.T + 0.1 * c

@@ -56,22 +56,6 @@ class TestRegistry:
         assert b.space_size() == 74_649_600
         assert b.profile.param_candidates == b.candidates
 
-    def test_gene_sizes(self):
-        assert get_benchmark("lu", "large").gene_sizes() == [20, 20]
-        assert len(get_benchmark("3mm", "extralarge").gene_sizes()) == 6
-
-    def test_config_from_indices(self):
-        b = get_benchmark("lu", "large")
-        cfg = b.config_from_indices([0, 19])
-        assert cfg == {"P0": 1, "P1": 2000}
-
-    def test_config_from_indices_validation(self):
-        b = get_benchmark("lu", "large")
-        with pytest.raises(ReproError):
-            b.config_from_indices([0])
-        with pytest.raises(ReproError):
-            b.config_from_indices([0, 99])
-
     def test_profiles_carry_paper_best(self):
         for (kernel, size), runtime in PAPER_BEST_RUNTIMES.items():
             assert get_benchmark(kernel, size).profile.paper_best == runtime

@@ -120,15 +120,25 @@ class TestLoopKnobAdmission:
             spec(tuner=tuner, pipeline=True, compile_jobs=2, refit_every=1).validate()
 
     def test_cli_tune_exits_1_with_error(self, capsys):
+        """`repro tune` rejects every spec `repro submit` rejects."""
         from repro.cli import main
 
-        rc = main(["tune", "--kernel", "lu", "--size", "large",
-                   "--tuner", "AutoTVM-GA", "--max-evals", "4", "--quiet",
-                   "--compile-jobs", "4"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "compile_jobs" in err and "AutoTVM-GA" in err
+        cases = [
+            (["--tuner", "AutoTVM-GA", "--compile-jobs", "4"],
+             ("compile_jobs", "AutoTVM-GA")),
+            (["--label", "  "], ("label must be a non-empty string",)),
+            (["--tuner", "ytopt-gp", "--transfer-bias", "-1"],
+             ("transfer_bias must be >= 0",)),
+            (["--tuner", "AutoTVM-Random", "--transfer-bias", "-1"],
+             ("transfer_bias must be >= 0",)),
+        ]
+        for flags, expected in cases:
+            rc = main(["tune", "--kernel", "lu", "--size", "large",
+                       "--max-evals", "4", "--quiet", *flags])
+            assert rc == 1, flags
+            err = capsys.readouterr().err
+            assert err.startswith("error: "), flags
+            assert all(text in err for text in expected), err
 
 
 class TestShard:

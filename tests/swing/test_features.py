@@ -50,9 +50,21 @@ class TestExtractStageFeatures:
         assert feats.elements == 64
 
     def test_3d_reduction_stage(self):
-        from repro.kernels.extra import doitgen_tuned
-
-        s, _ = doitgen_tuned(4, 8, 16, {"P0": 2, "P1": 4})
+        # SUM[r, q, p] = sum_s A[r, q, s] * C4[s, p], q and p tiled by 2 and 4.
+        A = te.placeholder((4, 8, 16), name="A")
+        C4 = te.placeholder((16, 16), name="C4")
+        k = te.reduce_axis((0, 16), name="s")
+        SUM = te.compute(
+            (4, 8, 16),
+            lambda r, q, p: te.sum(A[r, q, k] * C4[k, p], axis=k),
+            name="SUM",
+        )
+        s = te.create_schedule(SUM.op)
+        _r, q, p = s[SUM].op.axis
+        qo, qi = s[SUM].split(q, factor=2)
+        po, pi = s[SUM].split(p, factor=4)
+        s[SUM].reorder(qo, po, k, qi, pi)
+        s[SUM].vectorize(pi)
         feats = extract_stage_features(s.stages[0])
         assert feats.kind == "gemm"
         assert feats.m == 8 * 4  # q extent times outer r reps

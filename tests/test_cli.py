@@ -221,6 +221,22 @@ class TestReportCompare:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_report_mistyped_path_creates_nothing(self, tmp_path, capsys):
+        db = tmp_path / "typo" / "runs.sqlite"
+        rc = main(["report", "--db", str(db)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: run store not found: {db}\n"
+        assert not db.parent.exists()
+
+    def test_compare_mistyped_path_creates_nothing(self, tmp_path, capsys):
+        base, cand = tmp_path / "a" / "x.sqlite", tmp_path / "b" / "y.sqlite"
+        rc = main(["compare", str(base), str(cand)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: run store not found: {base}\n"
+        assert "matched" not in captured.out
+        assert not base.parent.exists() and not cand.parent.exists()
+
     def test_compare_flags_regression_and_exits_1(self, tmp_path, capsys):
         import shutil
         import sqlite3
