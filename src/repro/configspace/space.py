@@ -340,11 +340,12 @@ class ConfigurationSpace:
             for nb in hp.neighbors(config[name], rng, n=n_per_param):
                 cand = dict(config)
                 cand[name] = nb
-                cand = {k: v for k, v in cand.items() if self._is_active(k, cand)}
+                if self._conditions:  # else every hyperparameter is active
+                    cand = {k: v for k, v in cand.items() if self._is_active(k, cand)}
                 # Re-activating a child without a value would be invalid; fill
                 # any newly active children with samples.
                 for missing in self._params:
-                    if self._is_active(missing, cand) and missing not in cand:
+                    if missing not in cand and self._is_active(missing, cand):
                         cand[missing] = self._params[missing].sample(rng)
                 out.append(Configuration(self, cand))
         return out

@@ -7,15 +7,25 @@ preorder, and ``walk_forest`` looks up each (tree, row) pair's leaf for
 NumPy code they stand in for (the contract is spelled out in
 ``repro.ml.tree``'s docstring).
 
-The source below is compiled on the first fit or predict of the process by
-the native tier's own toolchain probe and content-addressed ``.so`` store
+The library is looked up on the first fit or predict of the process, with
+the native tier's own toolchain probe and compile step
 (:func:`repro.tir.codegen_c.find_toolchain`,
-:func:`~repro.tir.codegen_c.compile_source`), so ``REPRO_CC`` and
-``REPRO_NATIVE_DIR`` apply to it too. The outcome is remembered per
-toolchain fingerprint; when there is no toolchain, or the library does not
-compile or load, :func:`library` returns None and the callers use their
-NumPy code. That fallback is silent: results are the same either way, only
-slower.
+:func:`~repro.tir.codegen_c.compile_source`), so ``REPRO_CC`` applies to it
+too. It derives from this module's source as the module's bytecode does,
+and is cached beside it: ``<key>.so`` in the ``__pycache__`` directory that
+holds this module's ``.pyc`` (``PYTHONPYCACHEPREFIX`` moves it), keyed by
+:func:`~repro.tir.codegen_c.native_key` (source, toolchain, flags,
+architecture). So a machine compiles it once per toolchain and later
+processes only load it; ``library().path`` names the file, and deleting it
+(or pointing ``PYTHONPYCACHEPREFIX`` at an empty directory) forces a
+rebuild. ``PYTHONDONTWRITEBYTECODE`` does not turn the cache off: container
+images commonly set it for every process. When that directory cannot be
+written, every process compiles the library into the native tier's per-run
+directory instead, as it does kernels. The outcome is
+remembered per toolchain fingerprint; when there is no toolchain, or the
+library does not compile or load, :func:`library` returns None and the
+callers use their NumPy code. That fallback is silent: results are the same
+either way, only slower.
 
 The C calls no libc function, keeps no global state, and uses no
 recursion: NumPy allocates every buffer, growth runs on an explicit stack,
@@ -29,6 +39,7 @@ from __future__ import annotations
 
 import ctypes
 import importlib
+import importlib.util
 import os
 import threading
 
@@ -386,6 +397,7 @@ class _Library:
 
     def __init__(self, path: str) -> None:
         lib = ctypes.CDLL(path)
+        self.path = path
         ptr, i64 = ctypes.c_void_p, ctypes.c_int64
         self.grow_forest = lib.grow_forest
         self.grow_forest.restype = i64
@@ -439,11 +451,21 @@ def _resolve() -> "_Library | None":
         return None
     if toolchain.fingerprint not in _by_toolchain:
         try:
-            path = codegen.compile_source(_SOURCE, toolchain, _flags())
-            _by_toolchain[toolchain.fingerprint] = _Library(path)
+            _by_toolchain[toolchain.fingerprint] = _Library(_build(codegen, toolchain))
         except (codegen.NativeCompileError, OSError, AttributeError):
             _by_toolchain[toolchain.fingerprint] = None
     return _by_toolchain[toolchain.fingerprint]
+
+
+def _build(codegen, toolchain) -> str:
+    """Path of the library for ``toolchain``: found in or compiled into the
+    bytecode cache directory, else compiled into the per-run directory."""
+    cache = os.path.dirname(importlib.util.cache_from_source(__file__))
+    try:
+        os.makedirs(cache, exist_ok=True)
+        return codegen.compile_source(_SOURCE, toolchain, _flags(), cache)
+    except OSError:  # the directory cannot be written
+        return codegen.compile_source(_SOURCE, toolchain, _flags())
 
 
 _capsule_pointer = ctypes.PYFUNCTYPE(

@@ -54,6 +54,7 @@ from __future__ import annotations
 import atexit
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -554,11 +555,16 @@ def native_key(
     """BuildCache key for one native artifact.
 
     Combines the source content hash with the toolchain's version
-    fingerprint and the compile flags: upgrading (or switching) the compiler
-    or changing the recipe changes every key, so stale shared objects are
-    never reused across toolchains or recipes.
+    fingerprint, the compile flags and the host architecture: upgrading (or
+    switching) the compiler or changing the recipe changes every key, so
+    stale shared objects are never reused across toolchains or recipes, and
+    hosts of two architectures sharing a directory never load each other's
+    (``cc --version`` names no target).
     """
-    blob = f"{source_key(source)}::{toolchain.fingerprint}::{' '.join(flags)}"
+    blob = (
+        f"{source_key(source)}::{toolchain.fingerprint}::{' '.join(flags)}"
+        f"::{platform.machine()}"
+    )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -643,23 +649,28 @@ def reset_native_runtime() -> None:
 
 
 def compile_source(
-    source: str, toolchain: Toolchain, flags: tuple[str, ...] = CC_FLAGS
+    source: str,
+    toolchain: Toolchain,
+    flags: tuple[str, ...] = CC_FLAGS,
+    workdir: str | None = None,
 ) -> str:
     """Compile one translation unit to a shared object; returns its path.
 
-    Artifacts are content-addressed by :func:`native_key`, so recompiling
-    identical source under the same toolchain and flags reuses the on-disk
-    ``.so`` even when the in-memory entry cache has evicted the loaded
-    function.
+    Artifacts are content-addressed by :func:`native_key` in ``workdir``
+    (the per-run :func:`_scratch_dir` by default), so recompiling identical
+    source under the same toolchain and flags reuses the on-disk ``.so``
+    even when the in-memory entry cache has evicted the loaded function.
+    Raises OSError when ``workdir`` cannot be written.
     """
     key = native_key(source, toolchain, flags)
-    workdir = _scratch_dir()
+    if workdir is None:
+        workdir = _scratch_dir()
     so_path = os.path.join(workdir, f"{key}.so")
     if os.path.exists(so_path):
         return so_path
     # Compile into writer-private temp names and publish with os.replace
     # (atomic within the directory): concurrent compiles of the same key —
-    # the parallel build pool, or two processes sharing REPRO_NATIVE_DIR —
+    # the parallel build pool, or two processes sharing a directory —
     # can never observe a torn ``.so``; last writer wins with identical
     # content-addressed bytes.
     tag = f"{os.getpid()}.{uuid.uuid4().hex}.tmp"

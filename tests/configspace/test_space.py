@@ -319,6 +319,30 @@ class TestNeighbors:
         for nb in cs.neighbors(base, np.random.default_rng(1)):
             cs.check_configuration(nb.get_dictionary())
 
+    @pytest.mark.parametrize("make, bases", [
+        (_flat_space, [{"P0": 2, "P1": 3}, {"P0": 8}]),
+        (_conditional_space, [{"algo": "naive"}, {"algo": "tiled", "tile": 4}]),
+    ])
+    def test_same_draws_as_the_activity_pass(self, make, bases):
+        # The reference runs the activity pass, which only conditioned
+        # spaces need, on every space: same neighbours and generator state.
+        cs = make(seed=0)
+        for seed, base in enumerate(bases):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = []
+            for name, hp in cs._params.items():
+                if name not in base:
+                    continue
+                for nb in hp.neighbors(base[name], ref_rng, n=2):
+                    cand = dict(base, **{name: nb})
+                    cand = {k: v for k, v in cand.items() if cs._is_active(k, cand)}
+                    for missing in cs._params:
+                        if cs._is_active(missing, cand) and missing not in cand:
+                            cand[missing] = cs._params[missing].sample(ref_rng)
+                    want.append(cand)
+            assert [nb.get_dictionary() for nb in cs.neighbors(base, rng)] == want
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_property_sampling_always_valid(self, seed):

@@ -85,15 +85,119 @@ class TestNativeGrowerIsUsed:
         for s, want in enumerate(serial):
             np.testing.assert_array_equal(_bits(out[s]), _bits(want))
 
-    def test_not_built_at_import_or_session_construction(self):
+    def test_not_built_at_import_or_session_construction(self, tmp_path):
         code = (
             "from repro.ml import native\n"
             "from repro.service import JobSpec, TuningSession\n"
             "TuningSession(JobSpec(kernel='lu', size='large', max_evals=4, seed=0))\n"
             "assert not native._by_setting, native._by_setting\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        subprocess.run([sys.executable, "-c", code], check=True, cwd=ROOT, env=env)
+        subprocess.run([sys.executable, "-c", code], check=True, cwd=ROOT,
+                       env=_cache_env(tmp_path))
+        assert _grower_files(tmp_path) == []
+
+
+#: Prints where the process's grower library was loaded from ("None": no
+#: library).
+_LOAD = "from repro.ml import native; lib = native.library(); print(lib and lib.path)"
+
+
+def _cache_env(tmp_path: Path, **env: str) -> dict:
+    """The environment of a process that keeps its bytecode, and so the
+    grower's cache, under ``tmp_path/pycache`` and compiles per-run
+    artifacts into ``tmp_path/run``: nothing is written into the checkout."""
+    out = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PYTHONPYCACHEPREFIX=str(tmp_path / "pycache"),
+               REPRO_NATIVE_DIR=str(tmp_path / "run"))
+    out.update(env)
+    return out
+
+
+def _cache_dir(tmp_path: Path) -> Path:
+    """The grower's cache directory for :func:`_cache_env`: the prefix
+    mirrors the absolute directory of ``native.py``."""
+    ml = ROOT / "src" / "repro" / "ml"
+    return tmp_path / "pycache" / ml.relative_to(ml.anchor)
+
+
+def _grower_files(tmp_path: Path) -> list[str]:
+    """Everything but bytecode in the cache directory."""
+    cache = _cache_dir(tmp_path)
+    return sorted(p.name for p in cache.glob("*") if p.suffix != ".pyc")
+
+
+def _load(tmp_path: Path, **env: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", _LOAD], check=True, cwd=ROOT,
+                          env=_cache_env(tmp_path, **env), capture_output=True,
+                          text=True)
+    return proc.stdout.strip()
+
+
+@pytest.fixture
+def logging_cc(tmp_path):
+    """A REPRO_CC that appends its arguments to ``cc.log``, then runs the
+    real compiler; returns (its path, the log's path)."""
+    log = tmp_path / "cc.log"
+    cc = tmp_path / "logcc"
+    cc.write_text(f'#!/bin/sh\necho "$@" >> "{log}"\nexec "{find_toolchain().path}" "$@"\n')
+    cc.chmod(cc.stat().st_mode | stat.S_IXUSR)
+    return str(cc), log
+
+
+class TestLibraryCache:
+    """The library is cached beside ``native.py``'s bytecode: a machine
+    compiles it once, and later processes only load it."""
+
+    @pytest.mark.parametrize("dont_write_bytecode", ["", "1"],
+                             ids=["bytecode", "PYTHONDONTWRITEBYTECODE"])
+    def test_second_process_loads_without_compiling(self, tmp_path, logging_cc,
+                                                    dont_write_bytecode):
+        cc, log = logging_cc
+        env = {"REPRO_CC": cc, "PYTHONDONTWRITEBYTECODE": dont_write_bytecode}
+        first = _load(tmp_path, **env)
+        assert Path(first).parent == _cache_dir(tmp_path)
+        assert len(log.read_text().splitlines()) == 2  # --version, then the compile
+        log.write_text("")
+        assert _load(tmp_path, **env) == first
+        assert log.read_text().splitlines() == ["--version"]
+        assert not (tmp_path / "run").exists()
+
+    def test_cached_library_needs_a_toolchain(self, tmp_path):
+        assert _load(tmp_path) != "None"
+        assert _load(tmp_path, REPRO_CC="/nonexistent/cc") == "None"
+
+    @pytest.mark.parametrize("how", ["read-only", "blocked"])
+    def test_unwritable_cache_builds_per_run(self, tmp_path, how):
+        cache = _cache_dir(tmp_path)
+        if how == "read-only":
+            cache.mkdir(parents=True)
+            cache.chmod(0o555)
+            if os.access(cache, os.W_OK):
+                pytest.skip("permission bits do not bind this user")
+        else:  # a file where a directory of the prefix should be
+            (tmp_path / "pycache").write_text("")
+        try:
+            path = _load(tmp_path)
+        finally:
+            if how == "read-only":
+                cache.chmod(0o755)
+        assert Path(path).parent == tmp_path / "run"
+        if how == "read-only":
+            assert _grower_files(tmp_path) == []
+
+    def test_processes_racing_on_an_empty_cache_both_load(self, tmp_path):
+        procs = [
+            subprocess.Popen([sys.executable, "-c", _LOAD], cwd=ROOT,
+                             env=_cache_env(tmp_path), stdout=subprocess.PIPE,
+                             text=True)
+            for _ in range(2)
+        ]
+        paths = [proc.communicate(timeout=120)[0].strip() for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0]
+        assert paths[0] == paths[1]
+        assert Path(paths[0]).parent == _cache_dir(tmp_path)
+        key = Path(paths[0]).stem
+        assert _grower_files(tmp_path) == [f"{key}.c", f"{key}.so"]
 
 
 def _session_rows(tmp_path: Path, name: str) -> tuple[list, RecordingSink]:

@@ -12,6 +12,7 @@ on disk instead of invoking the compiler again.
 from __future__ import annotations
 
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -82,6 +83,15 @@ class TestNativeKey:
         other = tuple("-O1" if f == "-O2" else f for f in CC_FLAGS)
         assert native_key("int x;", tc) == native_key("int x;", tc, CC_FLAGS)
         assert native_key("int x;", tc) != native_key("int x;", tc, other)
+
+    def test_key_varies_with_architecture(self):
+        # ``cc --version`` names no target: amd64 and arm64 print this line.
+        tc = Toolchain("/usr/bin/cc", "cc (Debian 12.2.0-14+deb12u1) 12.2.0")
+        keys = set()
+        for machine in ("x86_64", "aarch64"):
+            with mock.patch("platform.machine", return_value=machine):
+                keys.add(native_key("int x;", tc))
+        assert len(keys) == 2
 
     def test_key_is_not_the_bare_source_hash(self):
         # The toolchain fingerprint must participate, not just the source.
