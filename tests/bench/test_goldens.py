@@ -3,17 +3,22 @@ three model-free AutoTVM strategies (Random, GridSearch, GA).
 
 The committed files under ``goldens/`` are seed-0 quick-preset trajectories
 (canonical JSON via :func:`repro.bench.conformance.trajectory_json`), plus
-seed-0 ytopt and ytopt-gp trajectories at search depth (``DEEP``: 100 evals
-on the large lu and 3mm spaces). A live run must reproduce them
-byte-for-byte — any drift in the forest or boosted tree growers, the GP
-fit, the TPE density split, the AutoTVM strategies' draw order or wave
-accounting, the evaluator pricing, or the JSON canonicalization fails here
-first, with a diffable artifact. The 3mm space (6 parameters) draws
+seed-0 trajectories at search depth (``DEEP``: 100 evals on the large lu
+and 3mm spaces) for ytopt, ytopt-gp and the four AutoTVM strategies, of
+which AutoTVM-XGB stops at the paper's 56-evaluation cap. A live run must
+reproduce them byte-for-byte — any drift in the forest or boosted tree
+growers, the GP fit, the TPE density split, the AutoTVM strategies' draw
+order or wave accounting, the evaluator pricing, or the JSON
+canonicalization fails here first, with a diffable artifact. The 3mm space (6 parameters) draws
 per-node feature subsets in the ytopt forest; gemm (3 parameters) does not,
 so both grower paths are pinned. The quick runs reach the model phase for
 only two asks; the ``DEEP`` runs pin the candidate pool's de-duplication
 against ~90 told configurations, a pool larger than the space (lu/large has
 400 configurations for a 1000-row pool), and 3mm's mixed-cardinality draw.
+At depth the AutoTVM strategies take the paths the quick runs never reach:
+GA breeds past its first population of 16, XGB refreshes its plan more than
+once, and RandomTuner samples 3mm/large (above its shuffle limit) by
+rejection against the visited set.
 
 Regenerate intentionally with::
 
@@ -28,7 +33,8 @@ Regenerate intentionally with::
             Path(f"tests/bench/goldens/{kernel}-{tuner}-seed0.json").write_text(
                 trajectory_json(run) + "\n")
     for kernel in ("lu", "3mm"):
-        for tuner in ("ytopt", "ytopt-gp"):
+        for tuner in ("ytopt", "ytopt-gp", "AutoTVM-Random", "AutoTVM-GridSearch",
+                      "AutoTVM-GA", "AutoTVM-XGB"):
             run = run_pair(kernel, tuner, replace(QUICK, size="large", max_evals=100))
             Path(f"tests/bench/goldens/{kernel}-large-{tuner}-seed0.json").write_text(
                 trajectory_json(run) + "\n")
@@ -41,6 +47,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.autotvm import PAPER_XGB_TRIAL_CAP
 from repro.bench.conformance import QUICK, run_pair, trajectory_json
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -61,7 +68,12 @@ GOLDEN_PAIRS = [
     ("3mm", "AutoTVM-GA"),
 ]
 DEEP = replace(QUICK, size="large", max_evals=100)
-DEEP_PAIRS = [("lu", "ytopt"), ("lu", "ytopt-gp"), ("3mm", "ytopt"), ("3mm", "ytopt-gp")]
+DEEP_PAIRS = [
+    (kernel, tuner)
+    for kernel in ("lu", "3mm")
+    for tuner in ("ytopt", "ytopt-gp", "AutoTVM-Random", "AutoTVM-GridSearch",
+                  "AutoTVM-GA", "AutoTVM-XGB")
+]
 GOLDEN_CASES = [
     pytest.param(kernel, tuner, QUICK, id=f"{kernel}-{tuner}")
     for kernel, tuner in GOLDEN_PAIRS
@@ -95,8 +107,11 @@ def test_golden_files_are_canonical_and_on_budget(kernel, tuner, preset):
     assert payload["kernel"] == kernel
     assert payload["tuner"] == tuner
     assert payload["size"] == preset.size
-    assert payload["n_evals"] == preset.max_evals
-    assert len(payload["trajectory"]) == preset.max_evals
+    budget = preset.max_evals
+    if tuner == "AutoTVM-XGB":
+        budget = min(budget, PAPER_XGB_TRIAL_CAP)
+    assert payload["n_evals"] == budget
+    assert len(payload["trajectory"]) == budget
     # Canonical form: sorted keys, no whitespace (byte-comparable forever).
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     assert golden_path.read_text() == canonical + "\n"
