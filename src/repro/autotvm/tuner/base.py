@@ -1,87 +1,107 @@
 """Tuner base class: an AutoTVM strategy as an ask/tell optimizer.
 
-Subclasses implement the strategy (``next_batch`` / ``update``). The base class
-adapts it to the optimizer protocol :class:`~repro.ytopt.AMBS` drives —
-``ask_batch``/``ask``/``tell`` — and owns the visited set and the measured-cost
+A strategy searches the integer codes of its problem space's
+:class:`~repro.configspace.space.IndexView`: the mixed-radix numbering of the
+configurations with the first parameter varying fastest, AutoTVM's linear
+order. Subclasses implement the strategy (``next_batch`` / ``update``) in
+codes. The base class adapts it to the optimizer protocol
+:class:`~repro.ytopt.AMBS` drives — ``ask_batch``/``ask`` hand out
+:class:`~repro.configspace.Configuration` objects, ``tell`` takes any
+configuration mapping — and owns the visited set and the measured-cost
 history. AMBS owns everything else: measurement, clock charges, the database,
 best tracking and telemetry.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
+from typing import TYPE_CHECKING
 
-from repro.autotvm.space import ConfigEntity
-from repro.autotvm.task import Task
+from repro.common.errors import TuningError
 from repro.common.rng import ensure_rng
+from repro.configspace import Configuration
+
+if TYPE_CHECKING:
+    from repro.ytopt.problem import TuningProblem
 
 
 class Tuner:
     """Base tuner; subclasses provide the candidate-selection strategy."""
 
-    def __init__(self, task: Task, seed: int | None = None) -> None:
-        self.task = task
-        self.space = task.space
+    def __init__(self, problem: TuningProblem, seed: int | None = None) -> None:
+        view = problem.space.index_view()
+        if view is None:
+            raise TuningError(
+                f"{type(self).__name__} searches index-view codes, which need "
+                f"finite, unweighted parameters without conditions; the space "
+                f"of {problem.name!r} is not one"
+            )
+        self.problem = problem
+        self.view = view
         self.rng = ensure_rng(seed)
         self.visited: set[int] = set()
-        #: Measured cost per config index, in tell order (``FAILED_COST`` for
-        #: a failed trial).
+        #: Measured cost per code, in tell order (``FAILED_COST`` for a
+        #: failed trial).
         self.costs: dict[int, float] = {}
-        self._told: list[tuple[ConfigEntity, float]] = []
+        self._told: list[tuple[int, float]] = []
 
     # -- strategy interface -------------------------------------------------
 
     def has_next(self) -> bool:
-        return len(self.visited) < len(self.space)
+        return len(self.visited) < len(self.view)
 
-    def next_batch(self, batch_size: int) -> list[ConfigEntity]:
+    def next_batch(self, batch_size: int) -> list[int]:
         raise NotImplementedError
 
-    def update(self, configs: Sequence[ConfigEntity], costs: Sequence[float]) -> None:
+    def update(self, codes: Sequence[int], costs: Sequence[float]) -> None:
         """Strategy hook called once per measured wave (default: no-op)."""
 
     # -- optimizer protocol -------------------------------------------------
 
-    def ask_batch(self, n: int) -> list[ConfigEntity]:
+    def ask_batch(self, n: int) -> list[Configuration]:
         """Up to ``n`` unvisited configs; ``[]`` once the strategy is exhausted.
 
         The tells since the last ask reach :meth:`update` first, as one wave.
         """
         if self._told:
-            configs, costs = zip(*self._told)
+            codes, costs = zip(*self._told)
             self._told = []
-            self.update(configs, costs)
-        return self.next_batch(n) if self.has_next() else []
+            self.update(codes, costs)
+        if not self.has_next():
+            return []
+        codes = self.next_batch(n)
+        return [self.view.configuration(row) for row in self.view.rows(codes)]
 
-    def ask(self) -> ConfigEntity | None:
+    def ask(self) -> Configuration | None:
         batch = self.ask_batch(1)
         return batch[0] if batch else None
 
-    def tell(self, config: ConfigEntity, cost: float) -> None:
+    def tell(self, config: Mapping[str, object], cost: float) -> None:
         """Record one measured config (``cost == FAILED_COST``: it failed)."""
-        self.visited.add(config.index)
-        self.costs[config.index] = cost
-        self._told.append((config, cost))
+        code = int(self.view.codes(self.view.row_of(config)))
+        self.visited.add(code)
+        self.costs[code] = cost
+        self._told.append((code, cost))
 
     # -- shared helpers ----------------------------------------------------
 
-    def _random_unvisited(self, batch_size: int) -> list[ConfigEntity]:
-        """Uniformly random unvisited configs (used by several strategies)."""
-        out: list[ConfigEntity] = []
-        n = len(self.space)
+    def _random_unvisited(self, batch_size: int) -> list[int]:
+        """Uniformly random unvisited codes (used by several strategies)."""
+        out: list[int] = []
+        n = len(self.view)
         attempts = 0
         while len(out) < batch_size and len(self.visited) + len(out) < n:
-            idx = int(self.rng.integers(n))
-            if idx in self.visited or any(c.index == idx for c in out):
+            code = int(self.rng.integers(n))
+            if code in self.visited or code in out:
                 attempts += 1
                 if attempts > 10 * batch_size + 100:
                     # Dense visited set: fall back to scanning.
-                    for idx2 in range(n):
-                        if idx2 not in self.visited and all(c.index != idx2 for c in out):
-                            out.append(self.space.get(idx2))
+                    for code2 in range(n):
+                        if code2 not in self.visited and code2 not in out:
+                            out.append(code2)
                             if len(out) >= batch_size:
                                 break
                     break
                 continue
-            out.append(self.space.get(idx))
+            out.append(code)
         return out

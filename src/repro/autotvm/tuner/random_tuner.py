@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-from repro.autotvm.space import ConfigEntity
-from repro.autotvm.task import Task
+from typing import TYPE_CHECKING
+
 from repro.autotvm.tuner.base import Tuner
 
-#: Below this size the whole index permutation is materialized; above it,
+if TYPE_CHECKING:
+    from repro.ytopt.problem import TuningProblem
+
+#: Below this size the whole code permutation is materialized; above it,
 #: rejection sampling against the visited set is cheaper than a 100M shuffle.
 _SHUFFLE_LIMIT = 1_000_000
 
@@ -14,19 +17,19 @@ _SHUFFLE_LIMIT = 1_000_000
 class RandomTuner(Tuner):
     """Uniform random search without repeats."""
 
-    def __init__(self, task: Task, seed: int | None = None) -> None:
-        super().__init__(task, seed=seed)
-        n = len(self.space)
+    def __init__(self, problem: TuningProblem, seed: int | None = None) -> None:
+        super().__init__(problem, seed=seed)
+        n = len(self.view)
         self._order = self.rng.permutation(n) if n <= _SHUFFLE_LIMIT else None
         self._cursor = 0
 
-    def next_batch(self, batch_size: int) -> list[ConfigEntity]:
+    def next_batch(self, batch_size: int) -> list[int]:
         if self._order is None:
             return self._random_unvisited(batch_size)
-        out: list[ConfigEntity] = []
+        out: list[int] = []
         while self._cursor < len(self._order) and len(out) < batch_size:
-            idx = int(self._order[self._cursor])
+            code = int(self._order[self._cursor])
             self._cursor += 1
-            if idx not in self.visited:
-                out.append(self.space.get(idx))
+            if code not in self.visited:
+                out.append(code)
         return out

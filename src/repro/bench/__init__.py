@@ -2,8 +2,8 @@
 
 Public surface:
 
-* :class:`~repro.bench.protocols.Benchmark` / :class:`~repro.bench.protocols.Tuner`
-  — the two entry-point protocols;
+* :class:`~repro.bench.protocols.Benchmark` (the benchmark protocol) and
+  :class:`~repro.bench.protocols.TunerSpec` (a tuner family and its factory);
 * :func:`register_benchmark` / :func:`register_tuner` — plugin registration;
 * :func:`get_benchmark` / :func:`get_tuner` / :func:`benchmark_names` /
   :func:`tuner_names` / :func:`benchmark_pairs` — discovery (used by
@@ -20,7 +20,6 @@ TPE).
 from repro.bench.protocols import (
     Benchmark,
     TuneOutcome,
-    Tuner,
     TunerContext,
     TunerSpec,
 )
@@ -40,7 +39,6 @@ from repro.bench.registry import (
 
 __all__ = [
     "Benchmark",
-    "Tuner",
     "TuneOutcome",
     "TunerContext",
     "TunerSpec",

@@ -1,13 +1,15 @@
-"""The two entry-point protocols of the benchmark/tuner registry.
+"""The entry-point types of the benchmark/tuner registry.
 
 A *benchmark* is everything a tuner needs to optimize one kernel at one
 problem size: the parameter space ("config_space"), the code mold that turns
 a configuration into a schedule ("schedule_builder"), and an engine that
 prices or executes the result (an evaluator). A *tuner* is an ask/tell search
-strategy bound to a benchmark + evaluator pair. The shapes follow CATBench's
-decomposition (benchmark = space + mold + engine, tuner = adapter), so new
-kernels and new search families compose with the existing evaluator /
-telemetry / multi-fidelity / transfer stack instead of being hand-wired.
+strategy bound to a benchmark + evaluator pair: a :class:`TunerSpec` factory
+returns it as a :class:`~repro.bench.tuners.BoundSearch`. The shapes follow
+CATBench's decomposition (benchmark = space + mold + engine, tuner =
+adapter), so new kernels and new search families compose with the existing
+evaluator / telemetry / multi-fidelity / transfer stack instead of being
+hand-wired.
 
 :class:`repro.kernels.registry.KernelBenchmark` structurally satisfies
 :class:`Benchmark` already — the registry auto-adapts the paper's three
@@ -18,11 +20,14 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 from repro.configspace import ConfigurationSpace
 from repro.runtime.measure import Evaluator
 from repro.swing.profile import KernelProfile
+
+if TYPE_CHECKING:
+    from repro.bench.tuners import BoundSearch
 
 
 @runtime_checkable
@@ -46,13 +51,6 @@ class Benchmark(Protocol):
     def config_space(self, seed: int | None = None) -> ConfigurationSpace: ...
 
     def space_size(self) -> int: ...
-
-
-@runtime_checkable
-class Tuner(Protocol):
-    """A search strategy bound to one benchmark: single ``run()`` entry point."""
-
-    def run(self) -> "TuneOutcome": ...
 
 
 @dataclass(frozen=True)
@@ -120,5 +118,5 @@ class TunerSpec:
     name: str
     family: str  # "bo" | "autotvm"
     description: str
-    factory: Callable[[TunerContext], Tuner]
+    factory: Callable[[TunerContext], BoundSearch]
     supports_transfer: bool = False

@@ -14,14 +14,7 @@ seeded trajectories byte-identical.
 
 from __future__ import annotations
 
-from repro.autotvm import (
-    GATuner,
-    GridSearchTuner,
-    RandomTuner,
-    Tuner,
-    XGBTuner,
-    task_from_benchmark,
-)
+from repro.autotvm import GATuner, GridSearchTuner, RandomTuner, Tuner, XGBTuner
 from repro.bench.protocols import TuneOutcome, TunerContext, TunerSpec
 from repro.bench.registry import register_tuner
 from repro.core.framework import AutotuneConfig, BayesianAutotuner
@@ -82,9 +75,8 @@ def autotvm_search(
     (3–4 runs of a 14-second kernel). ``jobs`` > 1 measures each wave that
     many configurations at a time.
     """
-    problem = TuningProblem(tuner.space, tuner.task.evaluator, name=tuner.task.name)
     return AMBS(
-        problem,
+        tuner.problem,
         optimizer=tuner,
         batch_size=8,
         jobs=jobs,
@@ -156,7 +148,10 @@ def _make_autotvm(name: str):
     cls = _AUTOTVM_CLASSES[name]
 
     def factory(ctx: TunerContext) -> BoundSearch:
-        tuner = cls(task_from_benchmark(ctx.benchmark, ctx.evaluator), seed=ctx.seed)
+        problem = TuningProblem(
+            ctx.benchmark.config_space(seed=ctx.seed), ctx.evaluator, name=ctx.benchmark.name
+        )
+        tuner = cls(problem, seed=ctx.seed)
         max_evals = ctx.max_evals
         if cls is XGBTuner and ctx.xgb_trial_cap is not None:
             max_evals = min(max_evals, ctx.xgb_trial_cap)

@@ -367,9 +367,10 @@ class IndexView:
 
     A row holds one value index per hyperparameter, in space order. Its code
     is the mixed-radix int64 of that row with the first hyperparameter
-    varying fastest, the linear order of :mod:`repro.autotvm.space`. Rows,
-    codes and configurations are in one-to-one correspondence, so comparing
-    codes compares configurations. Obtain one from
+    varying fastest (AutoTVM's linear order; the strategies in
+    :mod:`repro.autotvm` search these codes). Rows, codes and configurations
+    are in one-to-one correspondence, so comparing codes compares
+    configurations; ``len(view)`` counts them. Obtain one from
     :meth:`ConfigurationSpace.index_view`.
     """
 
@@ -378,6 +379,7 @@ class IndexView:
         self._hps = hps
         self._cardinalities = np.array([len(hp._values) for hp in hps], dtype=np.int64)
         self._strides = np.cumprod(np.concatenate(([1], self._cardinalities[:-1])))
+        self._size = math.prod(len(hp._values) for hp in hps)
         # Encoding divisor: index / (cardinality - 1), and 0 for a
         # single-value hyperparameter (whose only index is 0).
         self._scale = np.maximum(self._cardinalities - 1, 1)
@@ -398,9 +400,17 @@ class IndexView:
         """The rows' encodings, equal to :meth:`Configuration.get_array`."""
         return rows / self._scale
 
+    def __len__(self) -> int:
+        return self._size
+
     def codes(self, rows: np.ndarray) -> np.ndarray:
         """The rows' int64 codes."""
         return rows @ self._strides
+
+    def rows(self, codes: np.ndarray) -> np.ndarray:
+        """The index rows of int64 codes (the inverse of :meth:`codes`)."""
+        codes = np.asarray(codes, dtype=np.int64)[..., None]
+        return codes // self._strides % self._cardinalities
 
     def row_of(self, config: Mapping[str, object]) -> np.ndarray:
         """The index row of a configuration of this space."""

@@ -17,12 +17,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.autotvm import RandomTuner, task_from_benchmark
+from repro.autotvm import RandomTuner
 from repro.bench.tuners import autotvm_search
 from repro.common.timing import VirtualClock
 from repro.core.framework import AutotuneConfig, BayesianAutotuner
 from repro.kernels.registry import get_benchmark
 from repro.swing import SwingEvaluator
+from repro.ytopt import TuningProblem
 from repro.ytopt.surrogate import DummySurrogate, GBTSurrogate, RandomForestSurrogate
 
 
@@ -208,7 +209,10 @@ def measure_option_ablation(
             number=number,
             compile_parallelism=n_parallel,
         )
-        tuner = RandomTuner(task_from_benchmark(benchmark, evaluator), seed=seed)
+        problem = TuningProblem(
+            benchmark.config_space(seed=seed), evaluator, name=benchmark.name
+        )
+        tuner = RandomTuner(problem, seed=seed)
         result = autotvm_search(tuner, max_evals).run()
         out.append(
             AblationRow(

@@ -180,7 +180,7 @@ class MultiFidelityEvaluator(Evaluator):
     #: semantics knobs, and the scratch ``clock`` of wave accounting).
     _FORWARD = frozenset(
         {"number", "repeat", "compile_parallelism", "clock", "seed", "timeout",
-         "validate", "run_parallelism"}
+         "validate"}
     )
 
     def __init__(

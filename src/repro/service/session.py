@@ -202,7 +202,7 @@ class GuardedEvaluator(Evaluator):
     #: Attribute writes forwarded to the wrapped evaluator.
     _FORWARD = frozenset(
         {"number", "repeat", "compile_parallelism", "clock", "seed", "timeout",
-         "validate", "run_parallelism", "cache_builds", "jobs"}
+         "validate", "cache_builds", "jobs"}
     )
 
     def __init__(self, inner: Evaluator, session: "TuningSession") -> None:

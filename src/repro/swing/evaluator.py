@@ -39,15 +39,12 @@ class SwingEvaluator(Evaluator):
         compile_parallelism: int = 1,
         measure_overhead: float = 0.05,
         timeout: float | None = None,
-        run_parallelism: int = 1,
         cache_builds: bool = False,
     ) -> None:
         if number < 1 or repeat < 1:
             raise ReproError("SwingEvaluator requires number >= 1 and repeat >= 1")
         if compile_parallelism < 1:
             raise ReproError(f"compile_parallelism must be >= 1, got {compile_parallelism}")
-        if run_parallelism < 1:
-            raise ReproError(f"run_parallelism must be >= 1, got {run_parallelism}")
         if timeout is not None and timeout <= 0:
             raise ReproError(f"timeout must be positive, got {timeout}")
         self.profile = profile
@@ -65,9 +62,6 @@ class SwingEvaluator(Evaluator):
         # seed tables' time accounting is unchanged.
         self.cache_builds = cache_builds
         self._built: set[tuple[tuple[str, int], ...]] = set()
-        # Swing nodes carry 8 GPUs; a runner can spread a config's repeated
-        # runs across them, dividing the wall-clock charge.
-        self.run_parallelism = run_parallelism
 
     def elapsed(self) -> float:
         return self.clock.now
@@ -107,7 +101,7 @@ class SwingEvaluator(Evaluator):
                 self.clock.advance(self.timeout)
                 timed_out = True
                 break
-            self.clock.advance(sum(run_times) / self.run_parallelism)
+            self.clock.advance(sum(run_times))
             costs.append(mean_time)
         self.clock.advance(self.measure_overhead)
         self.n_evaluations += 1

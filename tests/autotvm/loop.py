@@ -5,28 +5,28 @@ from __future__ import annotations
 import signal
 from contextlib import contextmanager
 
-from repro.autotvm import Task, Tuner, TuningRecord, task_from_benchmark
+from repro.autotvm import Tuner
 from repro.common.timing import VirtualClock
 from repro.kernels import get_benchmark
 from repro.swing import SwingEvaluator
 from repro.ytopt import AMBS, SearchResult, TuningProblem
 
 
-def swing_task(
+def swing_problem(
     kernel: str = "cholesky", size: str = "large"
-) -> tuple[Task, SwingEvaluator]:
-    """An AutoTVM task priced by a fresh Swing evaluator (one run per
-    measurement, 8 parallel builders)."""
+) -> tuple[TuningProblem, SwingEvaluator]:
+    """A benchmark's tuning problem priced by a fresh Swing evaluator (one
+    run per measurement, 8 parallel builders)."""
     bench = get_benchmark(kernel, size)
     evaluator = SwingEvaluator(bench.profile, clock=VirtualClock(), compile_parallelism=8)
-    return task_from_benchmark(bench, evaluator), evaluator
+    problem = TuningProblem(bench.config_space(seed=0), evaluator, name=bench.name)
+    return problem, evaluator
 
 
 def search(tuner: Tuner, max_evals: int) -> AMBS:
     """AMBS over ``tuner`` in AutoTVM's waves of 8, with no per-wave overhead."""
-    problem = TuningProblem(tuner.space, tuner.task.evaluator, name=tuner.task.name)
     return AMBS(
-        problem,
+        tuner.problem,
         optimizer=tuner,
         batch_size=8,
         optimizer_overhead=0.0,
@@ -53,19 +53,3 @@ def deadline(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def tuning_records(result: SearchResult, task: str, tuner: str = "x") -> list[TuningRecord]:
-    """A finished search's database as AutoTVM tuning records."""
-    return [
-        TuningRecord(
-            task=task,
-            tuner=tuner,
-            config=r.config,
-            costs=(r.runtime,) if r.ok else (),
-            compile_time=r.compile_time,
-            timestamp=r.elapsed,
-            error=r.error,
-        )
-        for r in result.database
-    ]

@@ -1,25 +1,35 @@
 """Tests for the four AutoTVM tuner strategies, driven by the AMBS loop."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.autotvm import (
-    ConfigSpace,
     GATuner,
     GridSearchTuner,
     RandomTuner,
-    Task,
     XGBTuner,
     PAPER_XGB_TRIAL_CAP,
 )
 from repro.common.errors import TuningError
 from repro.common.timing import VirtualClock
+from repro.configspace import (
+    ConfigurationSpace,
+    EqualsCondition,
+    OrdinalHyperparameter,
+    UniformFloatHyperparameter,
+)
 from repro.runtime.measure import Evaluator, MeasureResult
 from repro.service import JobSpec, TuningSession
-from tests.autotvm.loop import deadline, run_search, search, swing_task
+from repro.ytopt import TuningProblem
+from tests.autotvm.loop import deadline, run_search, search, swing_problem
+
+STRATEGIES = [RandomTuner, GridSearchTuner, GATuner, XGBTuner]
 
 
 def _setup(kernel="cholesky", size="large"):
-    return swing_task(kernel, size)[0]
+    return swing_problem(kernel, size)[0]
 
 
 def _unique_configs(result):
@@ -76,9 +86,9 @@ class TestTuningLoop:
 class TestGridSearch:
     def test_enumerates_from_smallest_corner(self):
         records = run_search(GridSearchTuner(_setup(), seed=0), 3).database.records()
-        # Index 0 = both knobs at their first (smallest) candidate.
+        # Code 0 = both parameters at their first (smallest) value.
         assert records[0].config == {"P0": 1, "P1": 1}
-        assert records[1].config["P0"] == 2  # first knob varies fastest
+        assert records[1].config["P0"] == 2  # first parameter varies fastest
 
     def test_deterministic(self):
         r1 = run_search(GridSearchTuner(_setup(), seed=0), 10).database
@@ -120,12 +130,55 @@ class TestXGBTuner:
         best_grid = run_search(GridSearchTuner(_setup(), seed=0), 56).best_runtime
         assert best_xgb < best_grid
 
+    def test_block_features_match_per_config_formula(self):
+        problem = _setup("3mm", "large")
+        tuner = XGBTuner(problem, seed=0)
+        n = len(tuner.view)
+        codes = [0, n - 1, *np.random.default_rng(0).integers(n, size=30)]
+        expected = []
+        for code in codes:
+            config = tuner.view.configuration(tuner.view.rows(code))
+            row = []
+            for hp in problem.space.get_hyperparameters():
+                i, k = hp.index_of(config[hp.name]), int(hp.size())
+                row += [i / (k - 1) if k > 1 else 0.0, math.log2(config[hp.name])]
+            expected.append(row)
+        assert tuner._features(codes).tolist() == expected
+
     def test_validation(self):
-        task = _setup()
+        problem = _setup()
         with pytest.raises(TuningError):
-            XGBTuner(task, plan_size=0)
+            XGBTuner(problem, plan_size=0)
         with pytest.raises(TuningError):
-            XGBTuner(task, plan_size=10, candidate_num=5)
+            XGBTuner(problem, plan_size=10, candidate_num=5)
+
+
+def _conditioned_space():
+    space = ConfigurationSpace()
+    tile = space.add_hyperparameter(OrdinalHyperparameter("tile", [1, 2, 4]))
+    unroll = space.add_hyperparameter(OrdinalHyperparameter("unroll", [0, 1]))
+    space.add_condition(EqualsCondition(unroll, tile, 4))
+    return space
+
+
+def _float_space():
+    space = ConfigurationSpace()
+    space.add_hyperparameter(OrdinalHyperparameter("tile", [1, 2, 4]))
+    space.add_hyperparameter(UniformFloatHyperparameter("alpha", 0.0, 1.0))
+    return space
+
+
+class TestSpaceRequirement:
+    """The strategies search index-view codes, so a space without an index
+    view (conditions, floats) is rejected up front rather than tuned as if
+    it were a plain grid."""
+
+    @pytest.mark.parametrize("space", [_conditioned_space, _float_space])
+    @pytest.mark.parametrize("tuner_cls", STRATEGIES)
+    def test_space_without_index_view_rejected(self, tuner_cls, space):
+        problem = TuningProblem(space(), _BowlEvaluator(), name="bowl")
+        with pytest.raises(TuningError, match="without conditions"):
+            tuner_cls(problem, seed=0)
 
 
 class _BowlEvaluator(Evaluator):
@@ -146,6 +199,14 @@ class _BowlEvaluator(Evaluator):
         )
 
 
+def _bowl_problem():
+    space = ConfigurationSpace()
+    space.add_hyperparameter(OrdinalHyperparameter("a", list(range(1, 51))))
+    space.add_hyperparameter(OrdinalHyperparameter("b", list(range(1, 42))))
+    assert space.size() == 2050
+    return TuningProblem(space, _BowlEvaluator(), name="bowl")
+
+
 class TestExhaustion:
     """Every strategy stops once it has measured its whole space."""
 
@@ -153,10 +214,16 @@ class TestExhaustion:
         "tuner",
         ["AutoTVM-Random", "AutoTVM-GridSearch", "AutoTVM-GA", "AutoTVM-XGB"],
     )
-    @pytest.mark.parametrize("kernel,space_size", [("gemm", 18), ("syrk", 36)])
+    @pytest.mark.parametrize(
+        "kernel,space_size",
+        [("gemm", 18), ("syrk", 36), ("trmm", 48), ("lu", 64), ("cholesky", 64),
+         ("jacobi2d", 64)],
+    )
     def test_mini_space_runs_out(self, tuner, kernel, space_size):
+        # Uncapped: AutoTVM-XGB's paper cap (56) would stop it short of 64.
         session = TuningSession(
-            JobSpec(kernel=kernel, size="mini", tuner=tuner, max_evals=70, seed=0)
+            JobSpec(kernel=kernel, size="mini", tuner=tuner, max_evals=70, seed=0),
+            xgb_trial_cap=None,
         )
         with deadline(60):
             run = session.run()
@@ -166,11 +233,16 @@ class TestExhaustion:
     def test_xgb_just_above_candidate_pool_finishes(self):
         # 2050 points: once a few are visited, fewer unvisited configs remain
         # than the 2048-candidate pool draws.
-        space = ConfigSpace()
-        space.define_knob("a", list(range(1, 51)))
-        space.define_knob("b", list(range(1, 42)))
-        assert len(space) == 2050
-        tuner = XGBTuner(Task("bowl", space, _BowlEvaluator()), seed=0)
+        tuner = XGBTuner(_bowl_problem(), seed=0)
         with deadline(60):
             result = run_search(tuner, 40)
         assert result.n_evals == len(_unique_configs(result)) == 40
+
+    def test_dense_visited_set_falls_back_to_scanning(self):
+        # Random draws hit the 40 unvisited codes of 2050 about once in 50
+        # tries; after the rejection budget the scan collects the rest,
+        # skipping the ones already drawn.
+        tuner = XGBTuner(_bowl_problem(), seed=0)
+        left = list(range(5, 2050, 52))
+        tuner.visited = set(range(2050)) - set(left)
+        assert sorted(tuner._random_unvisited(40)) == left

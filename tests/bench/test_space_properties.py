@@ -9,7 +9,9 @@ kernels, and index vectors:
   declaration order (the conformance battery compares hashes across runs that
   may build spaces differently);
 * the space's :class:`~repro.configspace.space.IndexView` round-trips with
-  the candidate lists — decode then re-encode recovers the same index row.
+  the candidate lists — decode then re-encode recovers the same index row —
+  and numbers the configurations in AutoTVM's mixed-radix order (first
+  parameter fastest), which the AutoTVM strategies search.
 """
 
 import numpy as np
@@ -69,6 +71,13 @@ def test_index_view_round_trips(kernel, size, data):
     ]
     assert recovered == indices
     assert view.row_of(config).tolist() == indices
+    code, stride = 0, 1
+    for p, i in zip(bench.params, indices):
+        code += i * stride
+        stride *= len(bench.candidates[p])
+    assert int(view.codes(np.array(indices))) == code
+    assert view.rows(code).tolist() == indices
+    assert len(view) == stride == bench.space_size()
 
 
 @settings(max_examples=30, deadline=None)

@@ -11,7 +11,7 @@ from collections.abc import Mapping
 
 import pytest
 
-from repro.autotvm import GATuner, RandomTuner, XGBTuner, task_from_benchmark
+from repro.autotvm import GATuner, RandomTuner, XGBTuner
 from repro.common.errors import TuningError
 from repro.common.rng import stable_hash01
 from repro.common.timing import VirtualClock
@@ -54,11 +54,15 @@ def _flaky_setup(rate=0.3, kernel="cholesky", size="large"):
     return bench, FlakyEvaluator(inner, failure_rate=rate)
 
 
+def _flaky_problem(bench, flaky):
+    return TuningProblem(bench.config_space(seed=0), flaky, name=bench.name)
+
+
 class TestAutoTVMUnderFailures:
     @pytest.mark.parametrize("tuner_cls", [RandomTuner, GATuner, XGBTuner])
     def test_tuner_survives_and_finds_config(self, tuner_cls):
         bench, flaky = _flaky_setup()
-        tuner = tuner_cls(task_from_benchmark(bench, flaky), seed=0)
+        tuner = tuner_cls(_flaky_problem(bench, flaky), seed=0)
         result = run_search(tuner, 40)
         assert result.n_evals == 40
         assert flaky.n_failures > 0, "fault injection never triggered"
@@ -70,7 +74,7 @@ class TestAutoTVMUnderFailures:
 
     def test_all_failures_still_completes(self):
         bench, flaky = _flaky_setup(rate=1.0)
-        ambs = search(RandomTuner(task_from_benchmark(bench, flaky), seed=0), 10)
+        ambs = search(RandomTuner(_flaky_problem(bench, flaky), seed=0), 10)
         with pytest.raises(TuningError):
             ambs.run()
         assert len(ambs.database) == 10

@@ -73,17 +73,6 @@ class TestEvaluate:
         res = ev.evaluate({"P0": 80, "P1": 80})
         assert res.ok
 
-    def test_run_parallelism_divides_clock_charge(self, profile):
-        cfg = {"P0": 40, "P1": 50}
-        c1, c8 = VirtualClock(), VirtualClock()
-        SwingEvaluator(
-            profile, clock=c1, number=8, measure_overhead=0.0
-        ).evaluate(cfg)
-        SwingEvaluator(
-            profile, clock=c8, number=8, run_parallelism=8, measure_overhead=0.0
-        ).evaluate(cfg)
-        assert c8.now < c1.now  # runs spread over the node's 8 GPUs
-
     def test_validation(self, profile):
         with pytest.raises(ReproError):
             SwingEvaluator(profile, number=0)
@@ -91,8 +80,6 @@ class TestEvaluate:
             SwingEvaluator(profile, compile_parallelism=0)
         with pytest.raises(ReproError):
             SwingEvaluator(profile, timeout=0.0)
-        with pytest.raises(ReproError):
-            SwingEvaluator(profile, run_parallelism=0)
 
     def test_elapsed_tracks_clock(self, profile):
         clock = VirtualClock(100.0)
