@@ -31,6 +31,11 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from repro.core import BayesianAutotuner, AutotuneConfig
+from repro import _lazy
 
-__all__ = ["BayesianAutotuner", "AutotuneConfig", "__version__"]
+# Each name imports its subpackage on first use, so `import repro.<x>`
+# loads only what x needs (see repro._lazy).
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__, {"core": ("BayesianAutotuner", "AutotuneConfig")}
+)
+__all__.append("__version__")

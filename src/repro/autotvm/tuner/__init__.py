@@ -10,7 +10,8 @@ from repro.autotvm.tuner.base import Tuner
 from repro.autotvm.tuner.random_tuner import RandomTuner
 from repro.autotvm.tuner.gridsearch_tuner import GridSearchTuner
 from repro.autotvm.tuner.ga_tuner import GATuner
-from repro.autotvm.tuner.xgb_tuner import XGBTuner, PAPER_XGB_TRIAL_CAP
+from repro.autotvm.tuner.xgb_tuner import XGBTuner
+from repro.bench.protocols import PAPER_XGB_TRIAL_CAP
 
 __all__ = [
     "Tuner",

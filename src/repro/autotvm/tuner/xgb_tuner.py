@@ -10,8 +10,9 @@ pool by predicted runtime, keep the top ``plan_size`` as the measurement
 The paper observes that "XGBoost search tuner could only do at most 56
 evaluations no matter how many evaluations are set for some reason". The
 experiment drivers reproduce that by capping AutoTVM-XGB's evaluation budget
-at :data:`PAPER_XGB_TRIAL_CAP` = 56 (documented in DESIGN.md), so the figures
-show the same truncated trajectories; the tuner itself is uncapped.
+at :data:`~repro.bench.protocols.PAPER_XGB_TRIAL_CAP` = 56 (documented in
+DESIGN.md), so the figures show the same truncated trajectories; the tuner
+itself is uncapped.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ from repro.runtime.measure import FAILED_COST
 
 if TYPE_CHECKING:
     from repro.ytopt.problem import TuningProblem
-
-#: The evaluation count at which the paper's AutoTVM-XGB runs always stopped.
-PAPER_XGB_TRIAL_CAP = 56
 
 
 class XGBTuner(Tuner):

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.bench.registry import BenchmarkEntry, register_benchmark
 from repro.common.errors import RegistryError
-from repro.kernels.extra import gemm_tuned, syrk_tuned, trmm_tuned
 from repro.kernels.problem_sizes import (
     PROBLEM_SIZES,
     GemmSize,
@@ -40,7 +39,6 @@ from repro.kernels.problem_sizes import (
 from repro.kernels.reference import gemm_reference, syrk_reference, trmm_reference
 from repro.kernels.registry import KernelBenchmark
 from repro.kernels.spaces import param_candidates
-from repro.kernels.stencil import jacobi2d_reference, jacobi2d_tuned
 from repro.swing.profile import GemmStageProfile, KernelProfile
 
 #: The plugin kernels and the sizes they register (all PolyBench presets).
@@ -63,6 +61,12 @@ def _profile(kernel: str, size_name: str, stage: GemmStageProfile) -> KernelProf
 def gemm_benchmark(size_name: str) -> KernelBenchmark:
     size = problem_size("gemm", size_name)
     assert isinstance(size, GemmSize)
+
+    def schedule_builder(params: Mapping[str, int]):
+        from repro.kernels.extra import gemm_tuned
+
+        return gemm_tuned(size.ni, size.nj, size.nk, params, alpha=ALPHA, beta=BETA)
+
     return KernelBenchmark(
         kernel="gemm",
         size_name=size_name,
@@ -72,15 +76,19 @@ def gemm_benchmark(size_name: str) -> KernelBenchmark:
             "gemm", size_name,
             GemmStageProfile("AB", size.ni, size.nj, size.nk, "P0", "P1"),
         ),
-        schedule_builder=lambda params: gemm_tuned(
-            size.ni, size.nj, size.nk, params, alpha=ALPHA, beta=BETA
-        ),
+        schedule_builder=schedule_builder,
     )
 
 
 def syrk_benchmark(size_name: str) -> KernelBenchmark:
     size = problem_size("syrk", size_name)
     assert isinstance(size, RankUpdateSize)
+
+    def schedule_builder(params: Mapping[str, int]):
+        from repro.kernels.extra import syrk_tuned
+
+        return syrk_tuned(size.n, size.m, params, alpha=ALPHA, beta=BETA)
+
     return KernelBenchmark(
         kernel="syrk",
         size_name=size_name,
@@ -90,15 +98,19 @@ def syrk_benchmark(size_name: str) -> KernelBenchmark:
             "syrk", size_name,
             GemmStageProfile("AAT", size.n, size.n, size.m, "P0", "P1"),
         ),
-        schedule_builder=lambda params: syrk_tuned(
-            size.n, size.m, params, alpha=ALPHA, beta=BETA
-        ),
+        schedule_builder=schedule_builder,
     )
 
 
 def trmm_benchmark(size_name: str) -> KernelBenchmark:
     size = problem_size("trmm", size_name)
     assert isinstance(size, RankUpdateSize)
+
+    def schedule_builder(params: Mapping[str, int]):
+        from repro.kernels.extra import trmm_tuned
+
+        return trmm_tuned(size.n, size.m, params, alpha=ALPHA)
+
     # Output is (M, N) = (size.n, size.m); the masked reduction over k > i
     # touches half the (M-deep) reduction on average.
     return KernelBenchmark(
@@ -112,9 +124,7 @@ def trmm_benchmark(size_name: str) -> KernelBenchmark:
                 "ACC", size.n, size.m, size.n, "P0", "P1", flops_scale=0.5
             ),
         ),
-        schedule_builder=lambda params: trmm_tuned(
-            size.n, size.m, params, alpha=ALPHA
-        ),
+        schedule_builder=schedule_builder,
     )
 
 
@@ -128,6 +138,12 @@ def jacobi2d_benchmark(size_name: str) -> KernelBenchmark:
     size = problem_size("jacobi2d", size_name)
     assert isinstance(size, StencilSize)
     exec_tsteps = min(size.tsteps, _JACOBI_EXEC_TSTEPS)
+
+    def schedule_builder(params: Mapping[str, int]):
+        from repro.kernels.stencil import jacobi2d_tuned
+
+        return jacobi2d_tuned(size.n, exec_tsteps, params)
+
     return KernelBenchmark(
         kernel="jacobi2d",
         size_name=size_name,
@@ -146,9 +162,7 @@ def jacobi2d_benchmark(size_name: str) -> KernelBenchmark:
                 launches=size.tsteps,
             ),
         ),
-        schedule_builder=lambda params: jacobi2d_tuned(
-            size.n, exec_tsteps, params
-        ),
+        schedule_builder=schedule_builder,
     )
 
 
@@ -188,6 +202,8 @@ def reference_check(
     elif kernel == "trmm":
         expect = trmm_reference(ALPHA, inputs["A"], inputs["B"])
     elif kernel == "jacobi2d":
+        from repro.kernels.stencil import jacobi2d_reference
+
         size = problem_size("jacobi2d", size_name)
         assert isinstance(size, StencilSize)
         expect = jacobi2d_reference(

@@ -29,6 +29,12 @@ from repro.swing.profile import KernelProfile
 if TYPE_CHECKING:
     from repro.bench.tuners import BoundSearch
 
+#: The evaluation count at which the paper's AutoTVM-XGB runs always stopped
+#: ("at most 56 evaluations no matter how many evaluations are set"). The
+#: default ``xgb_trial_cap`` of sessions and experiments; the tuner itself is
+#: uncapped.
+PAPER_XGB_TRIAL_CAP = 56
+
 
 @runtime_checkable
 class Benchmark(Protocol):

@@ -14,13 +14,17 @@ seeded trajectories byte-identical.
 
 from __future__ import annotations
 
-from repro.autotvm import GATuner, GridSearchTuner, RandomTuner, Tuner, XGBTuner
+from typing import TYPE_CHECKING
+
 from repro.bench.protocols import TuneOutcome, TunerContext, TunerSpec
 from repro.bench.registry import register_tuner
 from repro.core.framework import AutotuneConfig, BayesianAutotuner
-from repro.ytopt import AMBS, TuningProblem
+from repro.ytopt.problem import TuningProblem
+from repro.ytopt.search import AMBS
 from repro.ytopt.surrogate import GaussianProcessSurrogate
-from repro.ytopt.tpe import TPEOptimizer
+
+if TYPE_CHECKING:
+    from repro.autotvm import Tuner
 
 #: Paper legend order first, then the two new surrogate families.
 BUILTIN_ORDER = (
@@ -33,11 +37,13 @@ BUILTIN_ORDER = (
     "ytopt-tpe",
 )
 
+#: AutoTVM tuner name -> its strategy class in :mod:`repro.autotvm`, which
+#: is imported when a session of that tuner is built.
 _AUTOTVM_CLASSES = {
-    "AutoTVM-Random": RandomTuner,
-    "AutoTVM-GridSearch": GridSearchTuner,
-    "AutoTVM-GA": GATuner,
-    "AutoTVM-XGB": XGBTuner,
+    "AutoTVM-Random": "RandomTuner",
+    "AutoTVM-GridSearch": "GridSearchTuner",
+    "AutoTVM-GA": "GATuner",
+    "AutoTVM-XGB": "XGBTuner",
 }
 
 
@@ -128,6 +134,8 @@ def _make_ytopt_gp(ctx: TunerContext) -> BoundSearch:
 
 
 def _make_ytopt_tpe(ctx: TunerContext) -> BoundSearch:
+    from repro.ytopt.tpe import TPEOptimizer
+
     space = ctx.benchmark.config_space(seed=ctx.seed)
     cfg = _bo_config(ctx)
     return BoundSearch(
@@ -145,15 +153,15 @@ def _make_ytopt_tpe(ctx: TunerContext) -> BoundSearch:
 
 
 def _make_autotvm(name: str):
-    cls = _AUTOTVM_CLASSES[name]
-
     def factory(ctx: TunerContext) -> BoundSearch:
+        from repro import autotvm
+
         problem = TuningProblem(
             ctx.benchmark.config_space(seed=ctx.seed), ctx.evaluator, name=ctx.benchmark.name
         )
-        tuner = cls(problem, seed=ctx.seed)
+        tuner = getattr(autotvm, _AUTOTVM_CLASSES[name])(problem, seed=ctx.seed)
         max_evals = ctx.max_evals
-        if cls is XGBTuner and ctx.xgb_trial_cap is not None:
+        if name == "AutoTVM-XGB" and ctx.xgb_trial_cap is not None:
             max_evals = min(max_evals, ctx.xgb_trial_cap)
         return BoundSearch(autotvm_search(tuner, max_evals, jobs=ctx.jobs, name=name))
 

@@ -36,16 +36,6 @@ from collections.abc import Sequence
 
 from repro.common.errors import ReproError
 from repro.common.tabulate import format_table
-from repro.experiments import (
-    ALL_TUNERS,
-    EXPERIMENT_FIGURES,
-    min_runtime_table,
-    process_summary_table,
-    run_experiment,
-    run_tuner,
-    trajectory_csv,
-    format_tensor_size,
-)
 from repro.kernels import TABLE1_SPACE_SIZES, get_benchmark, list_benchmarks, space_size
 from repro.telemetry import (
     ConsoleSink,
@@ -60,6 +50,8 @@ from repro.telemetry import (
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    from repro.experiments import ALL_TUNERS, EXPERIMENT_FIGURES
+
     rows = [
         [k, s, f"{space_size(k, s):,}", len(get_benchmark(k, s).params)]
         for k, s in list_benchmarks()
@@ -155,6 +147,8 @@ def _run_payload(run) -> dict:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
+    from repro.experiments import format_tensor_size, run_tuner
+
     benchmark = get_benchmark(args.kernel, args.size)
     console = _console_from_args(args)
     telemetry = _telemetry_from_args(args, console)
@@ -200,6 +194,15 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.experiments import (
+        ALL_TUNERS,
+        EXPERIMENT_FIGURES,
+        min_runtime_table,
+        process_summary_table,
+        run_experiment,
+        trajectory_csv,
+    )
+
     try:
         kernel, size, figures = EXPERIMENT_FIGURES[args.name]
     except KeyError:
@@ -614,6 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     from repro.bench import benchmark_names, tuner_names
+    from repro.experiments import EXPERIMENT_FIGURES
 
     bench_kernels = list(benchmark_names())
     bench_tuners = list(tuner_names())

@@ -23,10 +23,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.autotvm import PAPER_XGB_TRIAL_CAP
+from repro.bench.protocols import PAPER_XGB_TRIAL_CAP
 from repro.kernels.registry import KernelBenchmark, get_benchmark
 from repro.service.jobs import JobSpec
-from repro.bench.tuners import _AUTOTVM_CLASSES  # noqa: F401 - re-exported name
 from repro.service.session import (  # noqa: F401 - re-exported names
     ALL_TUNERS,
     TunerRun,
@@ -34,9 +33,6 @@ from repro.service.session import (  # noqa: F401 - re-exported names
     make_evaluator,
 )
 from repro.swing import SwingPerformanceModel
-
-#: Backward-compatible alias for the pre-service private helper name.
-_make_evaluator = make_evaluator
 
 
 @dataclass

@@ -15,59 +15,30 @@ LARGE and EXTRALARGE problem sizes. This package provides:
   performance profile (:mod:`repro.kernels.registry`).
 """
 
-from repro.kernels.problem_sizes import (
-    PROBLEM_SIZES,
-    ThreeMMSize,
-    SolverSize,
-    problem_size,
-)
-from repro.kernels.reference import (
-    threemm_reference,
-    lu_reference,
-    cholesky_reference,
-    gemm_reference,
-    syrk_reference,
-)
-from repro.kernels.threemm import threemm_basic, threemm_tuned, THREEMM_PARAMS
-from repro.kernels.lu import lu_trailing_update_tuned, BlockedLU
-from repro.kernels.cholesky import cholesky_trailing_update_tuned, BlockedCholesky
-from repro.kernels.extra import gemm_tuned, syrk_tuned, trmm_tuned
-from repro.kernels.stencil import jacobi2d_tuned, jacobi2d_reference
-from repro.kernels.spaces import (
-    build_config_space,
-    param_candidates,
-    space_size,
-    TABLE1_SPACE_SIZES,
-)
-from repro.kernels.registry import KernelBenchmark, get_benchmark, list_benchmarks
+from repro import _lazy
 
-__all__ = [
-    "PROBLEM_SIZES",
-    "ThreeMMSize",
-    "SolverSize",
-    "problem_size",
-    "threemm_reference",
-    "lu_reference",
-    "cholesky_reference",
-    "gemm_reference",
-    "syrk_reference",
-    "threemm_basic",
-    "threemm_tuned",
-    "THREEMM_PARAMS",
-    "lu_trailing_update_tuned",
-    "BlockedLU",
-    "cholesky_trailing_update_tuned",
-    "BlockedCholesky",
-    "gemm_tuned",
-    "syrk_tuned",
-    "trmm_tuned",
-    "jacobi2d_tuned",
-    "jacobi2d_reference",
-    "build_config_space",
-    "param_candidates",
-    "space_size",
-    "TABLE1_SPACE_SIZES",
-    "KernelBenchmark",
-    "get_benchmark",
-    "list_benchmarks",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        "problem_sizes": ("PROBLEM_SIZES", "ThreeMMSize", "SolverSize", "problem_size"),
+        "reference": (
+            "threemm_reference",
+            "lu_reference",
+            "cholesky_reference",
+            "gemm_reference",
+            "syrk_reference",
+        ),
+        "threemm": ("threemm_basic", "threemm_tuned", "THREEMM_PARAMS"),
+        "lu": ("lu_trailing_update_tuned", "BlockedLU"),
+        "cholesky": ("cholesky_trailing_update_tuned", "BlockedCholesky"),
+        "extra": ("gemm_tuned", "syrk_tuned", "trmm_tuned"),
+        "stencil": ("jacobi2d_tuned", "jacobi2d_reference"),
+        "spaces": (
+            "build_config_space",
+            "param_candidates",
+            "space_size",
+            "TABLE1_SPACE_SIZES",
+        ),
+        "registry": ("KernelBenchmark", "get_benchmark", "list_benchmarks"),
+    },
+)

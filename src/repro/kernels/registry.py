@@ -3,25 +3,27 @@
 A :class:`KernelBenchmark` bundles the tunable parameter list and candidate
 values (Table 1), the TE schedule builder (for real execution), a runnable
 end-to-end factory for the blocked solvers, and the Swing performance profile
-(with the paper's reported best runtime as the calibration anchor).
+(with the paper's reported best runtime as the calibration anchor). Each
+builder imports its kernel module (and with it :mod:`repro.te`) when first
+called, so a Swing-priced benchmark never loads the compiler.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.configspace import ConfigurationSpace
-from repro.kernels.cholesky import BlockedCholesky
-from repro.kernels.lu import BlockedLU
 from repro.kernels.problem_sizes import SolverSize, ThreeMMSize, problem_size
 from repro.kernels.spaces import build_config_space, param_candidates
-from repro.kernels.threemm import threemm_tuned
 from repro.swing.profile import GemmStageProfile, KernelProfile
-from repro.te.schedule import Schedule
-from repro.te.tensor import Tensor
+
+if TYPE_CHECKING:
+    from repro.te.schedule import Schedule
+    from repro.te.tensor import Tensor
 
 #: Best runtimes the paper reports (seconds); calibration anchors for the model.
 #: 3mm/large is not reported in the paper — extrapolated from 3mm/extralarge by
@@ -89,13 +91,19 @@ def _threemm_benchmark(size_name: str) -> KernelBenchmark:
         paper_best=PAPER_BEST_RUNTIMES.get(("3mm", size_name)),
         param_candidates=cands,
     )
+
+    def schedule_builder(params: Mapping[str, int]):
+        from repro.kernels.threemm import threemm_tuned
+
+        return threemm_tuned(size, params)
+
     return KernelBenchmark(
         kernel="3mm",
         size_name=size_name,
         params=("P0", "P1", "P2", "P3", "P4", "P5"),
         candidates=cands,
         profile=profile,
-        schedule_builder=lambda params: threemm_tuned(size, params),
+        schedule_builder=schedule_builder,
     )
 
 
@@ -119,22 +127,26 @@ def _solver_benchmark(kernel: str, size_name: str) -> KernelBenchmark:
         param_candidates=cands,
     )
     if kernel == "lu":
-        from repro.kernels.lu import lu_trailing_update_tuned
-
         def schedule_builder(params: Mapping[str, int]):
+            from repro.kernels.lu import lu_trailing_update_tuned
+
             depth = min(64, n)
             return lu_trailing_update_tuned(n, n, depth, params)
 
         def runner_factory(params: Mapping[str, int]):
+            from repro.kernels.lu import BlockedLU
+
             return BlockedLU(n, params, panel=min(8, n))
     else:
-        from repro.kernels.cholesky import cholesky_trailing_update_tuned
-
         def schedule_builder(params: Mapping[str, int]):
+            from repro.kernels.cholesky import cholesky_trailing_update_tuned
+
             depth = min(64, n)
             return cholesky_trailing_update_tuned(n, depth, params)
 
         def runner_factory(params: Mapping[str, int]):
+            from repro.kernels.cholesky import BlockedCholesky
+
             return BlockedCholesky(n, params, panel=min(8, n))
 
     return KernelBenchmark(

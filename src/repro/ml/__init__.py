@@ -15,15 +15,14 @@ These replace the third-party dependencies the paper's stack uses:
 All of them operate on plain NumPy arrays and accept explicit seeds.
 """
 
-from repro.ml.tree import TREE_FORMAT_VERSION, DecisionTreeRegressor
-from repro.ml.forest import RandomForestRegressor
-from repro.ml.gbt import GradientBoostedTreesRegressor
-from repro.ml.ga import GeneticAlgorithm
+from repro import _lazy
 
-__all__ = [
-    "TREE_FORMAT_VERSION",
-    "DecisionTreeRegressor",
-    "RandomForestRegressor",
-    "GradientBoostedTreesRegressor",
-    "GeneticAlgorithm",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        "tree": ("TREE_FORMAT_VERSION", "DecisionTreeRegressor"),
+        "forest": ("RandomForestRegressor",),
+        "gbt": ("GradientBoostedTreesRegressor",),
+        "ga": ("GeneticAlgorithm",),
+    },
+)

@@ -8,13 +8,14 @@ NumPy code they stand in for (the contract is spelled out in
 ``repro.ml.tree``'s docstring).
 
 The library is looked up on the first fit or predict of the process, with
-the native tier's own toolchain probe and compile step
-(:func:`repro.tir.codegen_c.find_toolchain`,
-:func:`~repro.tir.codegen_c.compile_source`), so ``REPRO_CC`` applies to it
-too. It derives from this module's source as the module's bytecode does,
-and is cached beside it: ``<key>.so`` in the ``__pycache__`` directory that
-holds this module's ``.pyc`` (``PYTHONPYCACHEPREFIX`` moves it), keyed by
-:func:`~repro.tir.codegen_c.native_key` (source, toolchain, flags,
+the toolchain probe and compile step the native kernel tier uses
+(:func:`repro.common.toolchain.find_toolchain`,
+:func:`~repro.common.toolchain.compile_source`), so ``REPRO_CC`` applies to
+it too; the kernel compiler itself (:mod:`repro.tir`) is not loaded. It
+derives from this module's source as the module's bytecode does, and is
+cached beside it: ``<key>.so`` in the ``__pycache__`` directory that holds
+this module's ``.pyc`` (``PYTHONPYCACHEPREFIX`` moves it), keyed by
+:func:`~repro.common.toolchain.native_key` (source, toolchain, flags,
 architecture). So a machine compiles it once per toolchain and later
 processes only load it; ``library().path`` names the file, and deleting it
 (or pointing ``PYTHONPYCACHEPREFIX`` at an empty directory) forces a
@@ -38,12 +39,13 @@ generators' locks for its duration.
 from __future__ import annotations
 
 import ctypes
-import importlib
 import importlib.util
 import os
 import threading
 
 import numpy as np
+
+from repro.common import toolchain
 
 #: Widest feature count whose subsets :func:`grow` can draw: above 10000
 #: ``Generator.choice`` may switch from Floyd's algorithm to a tail shuffle.
@@ -423,9 +425,7 @@ _by_setting: dict[str, "_Library | None"] = {}
 def _flags() -> tuple[str, ...]:
     """The native tier's compile recipe with FP contraction off: a fused
     multiply-add would round the split scores differently from NumPy."""
-    from repro.tir.codegen_c import CC_FLAGS
-
-    return CC_FLAGS + ("-ffp-contract=off",)
+    return toolchain.CC_FLAGS + ("-ffp-contract=off",)
 
 
 def library() -> "_Library | None":
@@ -442,30 +442,27 @@ def library() -> "_Library | None":
 
 
 def _resolve() -> "_Library | None":
-    # The module, not the re-exported function ``repro.tir.codegen_c``:
-    # compile_source is looked up on it at call time.
-    codegen = importlib.import_module("repro.tir.codegen_c")
     try:
-        toolchain = codegen.find_toolchain()
-    except codegen.NativeToolchainError:
+        tc = toolchain.find_toolchain()
+    except toolchain.NativeToolchainError:
         return None
-    if toolchain.fingerprint not in _by_toolchain:
+    if tc.fingerprint not in _by_toolchain:
         try:
-            _by_toolchain[toolchain.fingerprint] = _Library(_build(codegen, toolchain))
-        except (codegen.NativeCompileError, OSError, AttributeError):
-            _by_toolchain[toolchain.fingerprint] = None
-    return _by_toolchain[toolchain.fingerprint]
+            _by_toolchain[tc.fingerprint] = _Library(_build(tc))
+        except (toolchain.NativeCompileError, OSError, AttributeError):
+            _by_toolchain[tc.fingerprint] = None
+    return _by_toolchain[tc.fingerprint]
 
 
-def _build(codegen, toolchain) -> str:
-    """Path of the library for ``toolchain``: found in or compiled into the
+def _build(tc: toolchain.Toolchain) -> str:
+    """Path of the library for ``tc``: found in or compiled into the
     bytecode cache directory, else compiled into the per-run directory."""
     cache = os.path.dirname(importlib.util.cache_from_source(__file__))
     try:
         os.makedirs(cache, exist_ok=True)
-        return codegen.compile_source(_SOURCE, toolchain, _flags(), cache)
+        return toolchain.compile_source(_SOURCE, tc, _flags(), cache)
     except OSError:  # the directory cannot be written
-        return codegen.compile_source(_SOURCE, toolchain, _flags())
+        return toolchain.compile_source(_SOURCE, tc, _flags())
 
 
 _capsule_pointer = ctypes.PYFUNCTYPE(

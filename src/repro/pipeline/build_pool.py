@@ -1,10 +1,9 @@
 """Bounded thread pool of ahead-of-time kernel builds (compile-ahead).
 
 Native-tier builds shell out to the C compiler (``subprocess.run`` releases
-the GIL), so a thread pool genuinely parallelizes them; the artifacts land
-in the native tier's content-addressed caches (the on-disk ``.so`` store and
-the process-wide entry cache), which is where the later measurement finds
-them. Workers run with telemetry pinned off — the event bus and its sinks
+the GIL), so a thread pool genuinely parallelizes them; the evaluator holds
+each built module until the later measurement of that configuration takes
+it (:meth:`repro.runtime.measure.LocalEvaluator.precompile`). Workers run with telemetry pinned off — the event bus and its sinks
 are not thread-safe — and the pool aggregates its own counters instead:
 occupancy high-water mark, busy-seconds, speculation hits/misses, and the
 seconds the tuning loop spent blocked on an unfinished build.
@@ -133,8 +132,8 @@ class BuildPool:
 
     def wait(self, configs: Iterable[Any]) -> float:
         """Block until the builds for ``configs`` finish; returns the seconds
-        spent blocked. Finished futures are dropped — the artifacts live in
-        the evaluator's caches, not here."""
+        spent blocked. Finished futures are dropped — the built modules are
+        held by the evaluator, not here."""
         if not self.enabled:
             return 0.0
         t0 = time.perf_counter()
@@ -151,7 +150,8 @@ class BuildPool:
     def discard(self, configs: Iterable[Any]) -> None:
         """Forget pending builds for configs that will never be measured
         (pruned trials, end of run). The build may still finish in the
-        background; its artifact stays harmlessly in the content cache."""
+        background; the evaluator's bounded store of built modules drops it
+        in time."""
         for config in configs:
             with self._lock:
                 self._futures.pop(config_key(config), None)

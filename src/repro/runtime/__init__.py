@@ -6,37 +6,22 @@ chosen by the :class:`Target` (generated NumPy code for ``llvm``-style CPU targe
 the reference interpreter for ``interp``).
 """
 
-from repro.runtime.ndarray import NDArray, array, empty, zeros
-from repro.runtime.target import Target
-from repro.runtime.module import Module, build, build_from_primfunc
-from repro.runtime.measure import MeasureResult, LocalEvaluator, Evaluator
-from repro.runtime.build_cache import BuildCache, schedule_key
-from repro.runtime.fidelity import (
-    AdaptiveRepeatPolicy,
-    FidelityDecision,
-    MultiFidelityEvaluator,
-    probe_statistics,
-)
-from repro.runtime.parallel import ParallelEvaluator, evaluate_batch
+from repro import _lazy
 
-__all__ = [
-    "NDArray",
-    "array",
-    "empty",
-    "zeros",
-    "Target",
-    "Module",
-    "build",
-    "build_from_primfunc",
-    "MeasureResult",
-    "LocalEvaluator",
-    "Evaluator",
-    "BuildCache",
-    "schedule_key",
-    "AdaptiveRepeatPolicy",
-    "FidelityDecision",
-    "MultiFidelityEvaluator",
-    "probe_statistics",
-    "ParallelEvaluator",
-    "evaluate_batch",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        "ndarray": ("NDArray", "array", "empty", "zeros"),
+        "target": ("Target",),
+        "module": ("Module", "build", "build_from_primfunc"),
+        "measure": ("MeasureResult", "LocalEvaluator", "Evaluator", "evaluate_batch"),
+        "build_cache": ("BuildCache", "schedule_key"),
+        "fidelity": (
+            "AdaptiveRepeatPolicy",
+            "FidelityDecision",
+            "MultiFidelityEvaluator",
+            "probe_statistics",
+        ),
+        "parallel": ("ParallelEvaluator",),
+    },
+)

@@ -41,7 +41,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.common.errors import ReproError
-from repro.runtime.measure import Evaluator, MeasureResult
+from repro.runtime.measure import Evaluator, MeasureResult, _simulated_wave_batch
 from repro.telemetry.context import get_telemetry
 from repro.telemetry.events import TrialPromoted, TrialPruned
 
@@ -166,14 +166,14 @@ class MultiFidelityEvaluator(Evaluator):
     top-up. All other attributes (``clock``, ``number``, ``seed``, …) are
     transparently forwarded, including assignment, so the wrapper drops into
     every place an evaluator goes — :class:`~repro.ytopt.search.AMBS`,
-    :func:`~repro.runtime.parallel.evaluate_batch` — without those layers
+    :func:`~repro.runtime.measure.evaluate_batch` — without those layers
     knowing about fidelity. When the full budget does not exceed the probe
     budget, evaluation degenerates to a single full-fidelity measurement.
 
     ``jobs`` is the simulated wave width used when a constant-liar batch is
     measured under a virtual clock: each wave of ``jobs`` configurations
     charges the clock by the slowest member's probe+promote total, mirroring
-    :func:`~repro.runtime.parallel.evaluate_batch`'s fleet accounting.
+    :func:`~repro.runtime.measure.evaluate_batch`'s fleet accounting.
     """
 
     #: Attribute writes forwarded to the wrapped evaluator (measurement
@@ -264,8 +264,6 @@ class MultiFidelityEvaluator(Evaluator):
         clock = getattr(self._base, "clock", None)
         if clock is None or self.jobs == 1 or len(batch) <= 1:
             return [self.evaluate(params) for params in batch]
-        from repro.runtime.parallel import _simulated_wave_batch
-
         return _simulated_wave_batch(self, batch, self.jobs, clock)
 
     # -- internals ---------------------------------------------------------

@@ -11,28 +11,43 @@ kernel definition; an :class:`Evaluator` turns a parameter configuration into a
 
 Both charge time to a clock object, so "autotuning process time" (the paper's
 x-axis) is produced identically for real and simulated measurement.
+:func:`evaluate_batch` measures a batch through either, and through
+:class:`repro.runtime.parallel.ParallelEvaluator`'s worker pool.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 import time
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.common.errors import ReproError
 from repro.common.rng import ensure_rng
-from repro.te.schedule import Schedule
-from repro.te.tensor import Tensor
-from repro.runtime.module import build
+from repro.common.timing import VirtualClock
 from repro.telemetry.context import get_telemetry
 
-ScheduleBuilder = Callable[[Mapping[str, int]], tuple[Schedule, Sequence[Tensor]]]
+if TYPE_CHECKING:
+    from repro.te.schedule import Schedule
+    from repro.te.tensor import Tensor
+
+ScheduleBuilder = Callable[[Mapping[str, int]], "tuple[Schedule, Sequence[Tensor]]"]
 
 #: Sentinel cost for failed measurements (matches AutoTVM's practice of
 #: recording a huge cost rather than dropping the trial).
 FAILED_COST = 1.0e10
+
+#: Built configurations a :class:`LocalEvaluator` holds for :meth:`evaluate`
+#: at most: room for the wave being measured and a speculated next wave.
+PREBUILT_LIMIT = 32
+
+
+def _config_key(cfg: Mapping[str, int]) -> tuple:
+    return tuple(sorted(cfg.items()))
 
 
 def _describe_error(exc: BaseException) -> str:
@@ -147,6 +162,16 @@ class LocalEvaluator(Evaluator):
         self.backend = backend
         self.dispatch_latency = dispatch_latency
         self._start = time.perf_counter()
+        # The compiler (repro.runtime.module and repro.tir) loads with the
+        # first LocalEvaluator, not with this module: Swing-priced runs
+        # never build a kernel.
+        from repro.runtime.module import build
+
+        self._build = build
+        #: Configurations :meth:`precompile` built that :meth:`evaluate` has
+        #: not taken yet: config key -> (module, argument tensors).
+        self._prebuilt: dict[tuple, tuple] = {}
+        self._prebuilt_lock = threading.Lock()
 
     def elapsed(self) -> float:
         return time.perf_counter() - self._start
@@ -154,23 +179,35 @@ class LocalEvaluator(Evaluator):
     def precompile(self, params: Mapping[str, int]) -> bool:
         """Build the kernel for ``params`` without running it (compile-ahead).
 
-        Warms the native tier's content-addressed caches: the expensive
-        subprocess C compile lands in the on-disk ``.so`` store and the
-        process-wide entry cache, so the build step of a later
-        :meth:`evaluate` of the same configuration degenerates to a cache
-        hit. Safe to call from the pipelined loop's build-pool
-        threads: the underlying caches are lock-protected and ``.so``
-        publication is atomic. Returns True when the build succeeded; a
-        failing build returns False and is otherwise swallowed — ``evaluate``
-        will reproduce the failure and record it as the trial's result.
+        The built module and its argument tensors are held until
+        :meth:`evaluate` of the same configuration takes them, so a trial
+        the pipelined loop built ahead is built once (and its
+        ``compile_time`` is only what ``evaluate`` spent taking it). At most
+        :data:`PREBUILT_LIMIT` built-but-unmeasured configurations are held
+        (a speculation miss is never evaluated); the oldest is dropped
+        first. Safe to call from the pipelined loop's build-pool threads:
+        the held entries and the native tier's caches are lock-protected
+        and ``.so`` publication is atomic. Returns True when the build
+        succeeded; a failing build holds nothing and returns False —
+        ``evaluate`` will reproduce the failure and record it as the
+        trial's result.
         """
         cfg = {k: int(v) for k, v in params.items()}
         try:
-            sched, args = self.builder(cfg)
-            build(sched, args, target=self.target, backend=self.backend)
+            built = self._build_kernel(cfg)
         except Exception:  # noqa: BLE001 — ahead-of-time builds never raise
             return False
+        key = _config_key(cfg)
+        with self._prebuilt_lock:
+            self._prebuilt.pop(key, None)
+            self._prebuilt[key] = built
+            while len(self._prebuilt) > PREBUILT_LIMIT:
+                del self._prebuilt[next(iter(self._prebuilt))]
         return True
+
+    def _build_kernel(self, cfg: dict[str, int]) -> tuple:
+        sched, args = self.builder(cfg)
+        return self._build(sched, args, target=self.target, backend=self.backend), args
 
     def evaluate(self, params: Mapping[str, int]) -> MeasureResult:
         tel = get_telemetry()
@@ -180,8 +217,9 @@ class LocalEvaluator(Evaluator):
         t0 = time.perf_counter()
         try:
             with tel.span("compile"):
-                sched, args = self.builder(cfg)
-                mod = build(sched, args, target=self.target, backend=self.backend)
+                with self._prebuilt_lock:
+                    built = self._prebuilt.pop(_config_key(cfg), None)
+                mod, args = built if built is not None else self._build_kernel(cfg)
         except Exception as exc:  # noqa: BLE001 — any builder/compile failure
             # must become a failed MeasureResult, not kill the whole search;
             # kernels and user builders raise plain Exceptions, not just
@@ -229,3 +267,67 @@ class LocalEvaluator(Evaluator):
             error=error,
             backend=mod.backend,
         )
+
+
+# ---------------------------------------------------------------------------
+# Tuner-facing batch dispatch (real and simulated evaluators alike)
+# ---------------------------------------------------------------------------
+
+
+def evaluate_batch(
+    evaluator: Evaluator,
+    batch: Sequence[Mapping[str, int]],
+    jobs: int = 1,
+) -> list[MeasureResult]:
+    """Measure a batch of configurations through any evaluator.
+
+    * An evaluator with a native ``evaluate_batch``
+      (:class:`~repro.runtime.parallel.ParallelEvaluator`)
+      measures with its own worker pool — real wall-clock is naturally the
+      makespan of the batch.
+    * A simulated evaluator (one carrying a ``clock``; e.g.
+      :class:`repro.swing.SwingEvaluator`) is emulated: configurations are
+      priced individually on a scratch clock, then the shared virtual clock
+      advances by the **maximum** duration of each wave of ``jobs`` configs —
+      not the sum — which is what a ``jobs``-wide measurement fleet would
+      charge to the paper's process-time axis.
+    * Anything else falls back to sequential evaluation.
+    """
+    if jobs < 1:
+        raise ReproError(f"evaluate_batch requires jobs >= 1, got {jobs}")
+    native = getattr(evaluator, "evaluate_batch", None)
+    if callable(native):
+        return native(batch)
+    clock = getattr(evaluator, "clock", None)
+    if jobs == 1 or clock is None or len(batch) <= 1:
+        return [evaluator.evaluate(params) for params in batch]
+    return _simulated_wave_batch(evaluator, batch, jobs, clock)
+
+
+def _simulated_wave_batch(
+    evaluator: Evaluator,
+    batch: Sequence[Mapping[str, int]],
+    jobs: int,
+    clock: VirtualClock,
+) -> list[MeasureResult]:
+    """Max-of-wave virtual-clock accounting for simulated parallel measurement."""
+    results: list[MeasureResult] = []
+    n_waves = math.ceil(len(batch) / jobs)
+    for w in range(n_waves):
+        wave = batch[w * jobs : (w + 1) * jobs]
+        wave_results: list[MeasureResult] = []
+        durations: list[float] = []
+        for params in wave:
+            scratch = VirtualClock()
+            evaluator.clock = scratch
+            try:
+                wave_results.append(evaluator.evaluate(params))
+            finally:
+                evaluator.clock = clock
+            durations.append(scratch.now)
+        clock.advance(max(durations) if durations else 0.0)
+        for r in wave_results:
+            r.timestamp = clock.now
+            r.extra.setdefault("wave_jobs", float(jobs))
+        results.extend(wave_results)
+    return results

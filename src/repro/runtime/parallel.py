@@ -16,17 +16,13 @@ target) stores the lowered PrimFunc, so duplicate or resumed configurations
 skip the lower/simplify pipeline. Hit/miss counters are surfaced in
 ``MeasureResult.extra``.
 
-:func:`evaluate_batch` is the tuner-facing entry point: it dispatches a batch
-to an evaluator's native batch engine when it has one, and otherwise emulates
-parallel measurement for simulated evaluators by advancing the shared virtual
-clock by the **maximum** cost of each wave of ``jobs`` configurations — never
-the sum — so simulated "autotuning process time" reflects a ``jobs``-wide
-measurement fleet honestly.
+The tuner-facing entry point, :func:`~repro.runtime.measure.evaluate_batch`
+(re-exported here), dispatches a batch to this evaluator's pool; it lives in
+:mod:`repro.runtime.measure` so simulated runs never import this module.
 """
 
 from __future__ import annotations
 
-import math
 import signal
 import time
 from collections.abc import Callable, Mapping, Sequence
@@ -37,13 +33,13 @@ import numpy as np
 
 from repro.common.errors import ReproError
 from repro.common.rng import ensure_rng
-from repro.common.timing import VirtualClock
 from repro.runtime.build_cache import BuildCache, schedule_key
-from repro.runtime.measure import (
+from repro.runtime.measure import (  # noqa: F401 - evaluate_batch is re-exported
     Evaluator,
     MeasureResult,
     ScheduleBuilder,
     _describe_error,
+    evaluate_batch,
 )
 from repro.runtime.module import build, build_from_primfunc
 from repro.telemetry.context import get_telemetry
@@ -548,66 +544,3 @@ def _describeerror_safe(exc: BaseException) -> str:
         return _describe_error(exc)
     except Exception:  # noqa: BLE001 - never let diagnostics raise
         return type(exc).__name__
-
-
-# ---------------------------------------------------------------------------
-# Tuner-facing batch dispatch (real and simulated evaluators alike)
-# ---------------------------------------------------------------------------
-
-
-def evaluate_batch(
-    evaluator: Evaluator,
-    batch: Sequence[Mapping[str, int]],
-    jobs: int = 1,
-) -> list[MeasureResult]:
-    """Measure a batch of configurations through any evaluator.
-
-    * An evaluator with a native ``evaluate_batch`` (:class:`ParallelEvaluator`)
-      measures with its own worker pool — real wall-clock is naturally the
-      makespan of the batch.
-    * A simulated evaluator (one carrying a ``clock``; e.g.
-      :class:`repro.swing.SwingEvaluator`) is emulated: configurations are
-      priced individually on a scratch clock, then the shared virtual clock
-      advances by the **maximum** duration of each wave of ``jobs`` configs —
-      not the sum — which is what a ``jobs``-wide measurement fleet would
-      charge to the paper's process-time axis.
-    * Anything else falls back to sequential evaluation.
-    """
-    if jobs < 1:
-        raise ReproError(f"evaluate_batch requires jobs >= 1, got {jobs}")
-    native = getattr(evaluator, "evaluate_batch", None)
-    if callable(native):
-        return native(batch)
-    clock = getattr(evaluator, "clock", None)
-    if jobs == 1 or clock is None or len(batch) <= 1:
-        return [evaluator.evaluate(params) for params in batch]
-    return _simulated_wave_batch(evaluator, batch, jobs, clock)
-
-
-def _simulated_wave_batch(
-    evaluator: Evaluator,
-    batch: Sequence[Mapping[str, int]],
-    jobs: int,
-    clock: VirtualClock,
-) -> list[MeasureResult]:
-    """Max-of-wave virtual-clock accounting for simulated parallel measurement."""
-    results: list[MeasureResult] = []
-    n_waves = math.ceil(len(batch) / jobs)
-    for w in range(n_waves):
-        wave = batch[w * jobs : (w + 1) * jobs]
-        wave_results: list[MeasureResult] = []
-        durations: list[float] = []
-        for params in wave:
-            scratch = VirtualClock()
-            evaluator.clock = scratch
-            try:
-                wave_results.append(evaluator.evaluate(params))
-            finally:
-                evaluator.clock = clock
-            durations.append(scratch.now)
-        clock.advance(max(durations) if durations else 0.0)
-        for r in wave_results:
-            r.timestamp = clock.now
-            r.extra.setdefault("wave_jobs", float(jobs))
-        results.extend(wave_results)
-    return results

@@ -14,35 +14,23 @@ Layers, bottom-up:
   newline-JSON wire protocol and its synchronous client.
 """
 
-from repro.service.client import ServiceClient
-from repro.service.jobs import JobRecord, JobRejected, JobSpec, JobState, ServerQuotas
-from repro.service.server import ServerConfig, TuningServer
-from repro.service.session import (
-    FaultInjector,
-    GuardedEvaluator,
-    InjectedFault,
-    SessionCancelled,
-    TunerRun,
-    TuningSession,
-    make_evaluator,
-)
-from repro.service.shards import ShardedRunStore
+from repro import _lazy
 
-__all__ = [
-    "FaultInjector",
-    "GuardedEvaluator",
-    "InjectedFault",
-    "JobRecord",
-    "JobRejected",
-    "JobSpec",
-    "JobState",
-    "ServerConfig",
-    "ServerQuotas",
-    "ServiceClient",
-    "SessionCancelled",
-    "ShardedRunStore",
-    "TunerRun",
-    "TuningServer",
-    "TuningSession",
-    "make_evaluator",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        "client": ("ServiceClient",),
+        "jobs": ("JobRecord", "JobRejected", "JobSpec", "JobState", "ServerQuotas"),
+        "server": ("ServerConfig", "TuningServer"),
+        "session": (
+            "FaultInjector",
+            "GuardedEvaluator",
+            "InjectedFault",
+            "SessionCancelled",
+            "TunerRun",
+            "TuningSession",
+            "make_evaluator",
+        ),
+        "shards": ("ShardedRunStore",),
+    },
+)

@@ -34,16 +34,14 @@ import threading
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.autotvm import PAPER_XGB_TRIAL_CAP
-from repro.bench.protocols import TunerContext
+from repro.bench.protocols import PAPER_XGB_TRIAL_CAP, TunerContext
 from repro.bench.registry import get_tuner
 from repro.common.errors import ServiceError, TuningError
 from repro.common.timing import VirtualClock
 from repro.configspace import space_hash
 from repro.kernels.registry import KernelBenchmark, get_benchmark
-from repro.runtime.fidelity import AdaptiveRepeatPolicy, MultiFidelityEvaluator
 from repro.runtime.measure import Evaluator
 from repro.service.jobs import JobRejected, JobSpec
 from repro.swing import SwingEvaluator, SwingPerformanceModel
@@ -53,7 +51,9 @@ from repro.telemetry.events import Event, RunFinished, RunStarted, make_run_id
 from repro.telemetry.meta import run_metadata
 from repro.telemetry.sinks import JsonlSink
 from repro.telemetry.store import RunStore, StoreSink
-from repro.ytopt.warmstart import WarmStart
+
+if TYPE_CHECKING:
+    from repro.ytopt.warmstart import WarmStart
 
 #: Display names, matching the paper's figure legends. Experiments and the
 #: golden report tables default to exactly these five; the bench registry
@@ -193,7 +193,7 @@ class GuardedEvaluator(Evaluator):
     same proxy idiom as :class:`~repro.runtime.fidelity.MultiFidelityEvaluator`),
     so measurement-semantics knobs like ``number``/``repeat``/``clock`` behave
     as if the guard were not there. The one exception is ``evaluate_batch``,
-    which the guard never exposes: :func:`repro.runtime.parallel.evaluate_batch`
+    which the guard never exposes: :func:`repro.runtime.measure.evaluate_batch`
     then measures a batch one guarded ``evaluate`` at a time (max-of-wave
     accounting on the virtual clock), so the session checks once per
     evaluation, however wide the wave.
@@ -309,6 +309,8 @@ class TuningSession:
         )
         self.clock = inner.clock
         if spec.probe_repeats is not None:
+            from repro.runtime.fidelity import AdaptiveRepeatPolicy, MultiFidelityEvaluator
+
             inner = MultiFidelityEvaluator(
                 inner,
                 policy=AdaptiveRepeatPolicy(
@@ -321,6 +323,8 @@ class TuningSession:
 
         self.warm_start: WarmStart | None = None
         if spec.warm_start_db is not None and tuner_spec.family == "bo":
+            from repro.ytopt.warmstart import WarmStart
+
             self.warm_start = WarmStart.from_store(
                 spec.warm_start_db,
                 self.benchmark.kernel,

@@ -21,28 +21,20 @@ reproduction targets concern *who finds what, how fast* — not absolute silicon
 speed.
 """
 
-from repro.swing.spec import A100Spec, SwingNodeSpec, A100_SPEC, SWING_NODE
-from repro.swing.profile import GemmStageProfile, KernelProfile
-from repro.swing.model import SwingPerformanceModel
-from repro.swing.evaluator import SwingEvaluator
-from repro.swing.features import (
-    StageFeatures,
-    extract_stage_features,
-    price_schedule,
-    ScheduleSwingEvaluator,
-)
+from repro import _lazy
 
-__all__ = [
-    "A100Spec",
-    "SwingNodeSpec",
-    "A100_SPEC",
-    "SWING_NODE",
-    "GemmStageProfile",
-    "KernelProfile",
-    "SwingPerformanceModel",
-    "SwingEvaluator",
-    "StageFeatures",
-    "extract_stage_features",
-    "price_schedule",
-    "ScheduleSwingEvaluator",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        "spec": ("A100Spec", "SwingNodeSpec", "A100_SPEC", "SWING_NODE"),
+        "profile": ("GemmStageProfile", "KernelProfile"),
+        "model": ("SwingPerformanceModel",),
+        "evaluator": ("SwingEvaluator",),
+        "features": (
+            "StageFeatures",
+            "extract_stage_features",
+            "price_schedule",
+            "ScheduleSwingEvaluator",
+        ),
+    },
+)

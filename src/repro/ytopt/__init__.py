@@ -8,37 +8,24 @@ drives evaluations until the budget is exhausted, recording every result in a
 performance database.
 """
 
-from repro.ytopt.problem import TuningProblem
-from repro.ytopt.surrogate import (
-    RandomForestSurrogate,
-    GBTSurrogate,
-    DummySurrogate,
-    GaussianProcessSurrogate,
-)
-from repro.ytopt.acquisition import LowerConfidenceBound, ExpectedImprovement
-from repro.ytopt.optimizer import Optimizer, RefitSchedule
-from repro.ytopt.tpe import TPEOptimizer
-from repro.ytopt.database import PerformanceDatabase, EvaluationRecord
-from repro.ytopt.search import AMBS, SearchResult
-from repro.ytopt.warmstart import WarmStart
-from repro.ytopt.codemold import CodeMold, Plopper
+from repro import _lazy
 
-__all__ = [
-    "TuningProblem",
-    "RandomForestSurrogate",
-    "GBTSurrogate",
-    "DummySurrogate",
-    "GaussianProcessSurrogate",
-    "LowerConfidenceBound",
-    "ExpectedImprovement",
-    "Optimizer",
-    "RefitSchedule",
-    "TPEOptimizer",
-    "PerformanceDatabase",
-    "EvaluationRecord",
-    "AMBS",
-    "SearchResult",
-    "WarmStart",
-    "CodeMold",
-    "Plopper",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        "problem": ("TuningProblem",),
+        "surrogate": (
+            "RandomForestSurrogate",
+            "GBTSurrogate",
+            "DummySurrogate",
+            "GaussianProcessSurrogate",
+        ),
+        "acquisition": ("LowerConfidenceBound", "ExpectedImprovement"),
+        "optimizer": ("Optimizer", "RefitSchedule"),
+        "tpe": ("TPEOptimizer",),
+        "database": ("PerformanceDatabase", "EvaluationRecord"),
+        "search": ("AMBS", "SearchResult"),
+        "warmstart": ("WarmStart",),
+        "codemold": ("CodeMold", "Plopper"),
+    },
+)

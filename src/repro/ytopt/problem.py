@@ -12,8 +12,7 @@ from collections.abc import Mapping, Sequence
 
 from repro.common.errors import SpaceError
 from repro.configspace import ConfigurationSpace
-from repro.runtime.measure import Evaluator, MeasureResult
-from repro.runtime.parallel import evaluate_batch
+from repro.runtime.measure import Evaluator, MeasureResult, evaluate_batch
 
 
 class TuningProblem:
@@ -40,7 +39,7 @@ class TuningProblem:
     ) -> list[MeasureResult]:
         """Evaluate a batch of configurations, ``jobs`` at a time.
 
-        Dispatches through :func:`repro.runtime.parallel.evaluate_batch`: a
+        Dispatches through :func:`repro.runtime.measure.evaluate_batch`: a
         :class:`~repro.runtime.parallel.ParallelEvaluator` measures with its
         worker pool; simulated evaluators charge the virtual clock by the
         max of each wave (a ``jobs``-wide fleet), not the sum.

@@ -41,15 +41,18 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.common.errors import TuningError
-from repro.pipeline.build_pool import BuildPool, default_compile_jobs
 from repro.runtime.measure import FAILED_COST, MeasureResult
 from repro.telemetry.context import NULL_TELEMETRY, get_telemetry, scoped_telemetry
 from repro.telemetry.events import PipelineStats, TrialMeasured, TrialPruned
 from repro.ytopt.database import PerformanceDatabase
 from repro.ytopt.optimizer import Optimizer, refit_policy
 from repro.ytopt.problem import TuningProblem
+
+if TYPE_CHECKING:
+    from repro.pipeline.build_pool import BuildPool
 
 
 @dataclass
@@ -307,7 +310,7 @@ class AMBS:
         compile time over its build parallelism), else its ``compile_time``.
         A batch priced in max-of-wave accounting (results stamped
         ``wave_jobs``) is charged the largest of each ``wave_jobs``-wide
-        wave, as :func:`~repro.runtime.parallel.evaluate_batch` charges its
+        wave, as :func:`~repro.runtime.measure.evaluate_batch` charges its
         clock; otherwise the trials' charges add up.
         """
         charged = [r.extra.get("charged_compile", r.compile_time) for r in measured]
@@ -409,6 +412,8 @@ class AMBS:
         pool = spec_pool = None
         can_speculate = False
         if self.pipeline:
+            from repro.pipeline.build_pool import BuildPool, default_compile_jobs
+
             precompiler = getattr(evaluator, "precompile", None)
             pool = BuildPool(
                 precompiler if callable(precompiler) else None,

@@ -5,7 +5,7 @@ import pytest
 
 from repro.common.errors import ReproError
 from repro.kernels.extra import gemm_tuned
-from repro.runtime.measure import FAILED_COST, LocalEvaluator, MeasureResult
+from repro.runtime.measure import FAILED_COST, PREBUILT_LIMIT, LocalEvaluator, MeasureResult
 
 
 def _builder(params):
@@ -91,3 +91,62 @@ class TestLocalEvaluator:
         )
         assert res.ok
         assert res.backend == "native"
+
+
+class TestPrecompile:
+    """A configuration ``precompile`` built is built once: ``evaluate``
+    takes the held module instead of rebuilding it."""
+
+    @staticmethod
+    def _counting(fail_on=None):
+        calls = []
+
+        def builder(params):
+            calls.append(dict(params))
+            if params.get("i") == fail_on:
+                raise ReproError("bad tile")
+            return gemm_tuned(8, 8, 8, {"P0": 2, "P1": 2})
+
+        return builder, calls
+
+    def test_evaluate_takes_the_precompiled_build(self):
+        builder, calls = self._counting()
+        ev = LocalEvaluator(builder, seed=0)
+        assert ev.precompile({"i": 0}) is True
+        res = ev.evaluate({"i": 0})
+        assert res.ok and res.backend == "tensor"
+        assert len(calls) == 1
+        ev.evaluate({"i": 0})  # the held build was taken: this one rebuilds
+        assert len(calls) == 2
+
+    def test_same_output_as_a_fresh_build(self):
+        builder, _ = self._counting()
+        outputs = []
+
+        def keep(bufs):
+            outputs.append(bufs[-1].copy())
+
+        assert LocalEvaluator(builder, seed=0, validate=keep).evaluate({"i": 0}).ok
+        ahead = LocalEvaluator(builder, seed=0, validate=keep)
+        ahead.precompile({"i": 0})
+        assert ahead.evaluate({"i": 0}).ok
+        np.testing.assert_array_equal(outputs[0], outputs[1])
+
+    def test_failed_precompile_holds_nothing(self):
+        builder, calls = self._counting(fail_on=1)
+        ev = LocalEvaluator(builder, seed=0)
+        assert ev.precompile({"i": 1}) is False
+        res = ev.evaluate({"i": 1})
+        assert not res.ok
+        assert res.error == "compile error: bad tile"
+        assert len(calls) == 2
+
+    def test_held_builds_are_bounded(self):
+        builder, calls = self._counting()
+        ev = LocalEvaluator(builder, seed=0)
+        for i in range(PREBUILT_LIMIT + 1):
+            assert ev.precompile({"i": i})
+        ev.evaluate({"i": 1})  # still held
+        assert len(calls) == PREBUILT_LIMIT + 1
+        ev.evaluate({"i": 0})  # the oldest was dropped
+        assert len(calls) == PREBUILT_LIMIT + 2

@@ -7,13 +7,9 @@ import threading
 
 import pytest
 
-import importlib
-
-# Bind the module itself: the ``repro.tir`` package also exports a
-# *function* named ``codegen_c`` that shadows attribute-style imports.
-codegen_c = importlib.import_module("repro.tir.codegen_c")
-
-from repro.tir.codegen_c import (  # noqa: E402
+# The probe lives in the toolchain module; codegen_c re-exports the rest.
+from repro.common import toolchain
+from repro.tir.codegen_c import (
     NativeToolchainError,
     compile_source,
     find_toolchain,
@@ -105,13 +101,13 @@ class TestNegativeProbeCache:
         per build attempt — each retry would cost a subprocess spawn (or a
         30s timeout for a hung wrapper)."""
         probes = []
-        real_probe = codegen_c._probe_version
+        real_probe = toolchain._probe_version
 
         def counting_probe(path):
             probes.append(path)
             return real_probe(path)
 
-        monkeypatch.setattr(codegen_c, "_probe_version", counting_probe)
+        monkeypatch.setattr(toolchain, "_probe_version", counting_probe)
         monkeypatch.setenv("REPRO_CC", "/nonexistent/cc")
         for _ in range(3):
             with pytest.raises(NativeToolchainError, match="no usable C compiler"):
@@ -122,13 +118,13 @@ class TestNegativeProbeCache:
         self, clean_native_state, monkeypatch, tmp_path
     ):
         probes = []
-        real_probe = codegen_c._probe_version
+        real_probe = toolchain._probe_version
 
         def counting_probe(path):
             probes.append(path)
             return real_probe(path)
 
-        monkeypatch.setattr(codegen_c, "_probe_version", counting_probe)
+        monkeypatch.setattr(toolchain, "_probe_version", counting_probe)
         monkeypatch.setenv("REPRO_CC", str(_slow_cc(tmp_path)))
         assert find_toolchain() is find_toolchain()
         assert len(probes) == 1
