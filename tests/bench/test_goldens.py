@@ -4,17 +4,19 @@ three model-free AutoTVM strategies (Random, GridSearch, GA).
 The committed files under ``goldens/`` are seed-0 quick-preset trajectories
 (canonical JSON via :func:`repro.bench.conformance.trajectory_json`), plus
 seed-0 trajectories at search depth (``DEEP``: 100 evals on the large lu
-and 3mm spaces) for ytopt, ytopt-gp and the four AutoTVM strategies, of
-which AutoTVM-XGB stops at the paper's 56-evaluation cap. A live run must
-reproduce them byte-for-byte — any drift in the forest or boosted tree
-growers, the GP fit, the TPE density split, the AutoTVM strategies' draw
+and 3mm spaces) for ytopt, ytopt-gp, ytopt-tpe and the four AutoTVM
+strategies, of which AutoTVM-XGB stops at the paper's 56-evaluation cap.
+A live run must reproduce them byte-for-byte — any drift in the forest or
+boosted tree growers, the GP fit, the TPE density split, the AutoTVM strategies' draw
 order or wave accounting, the evaluator pricing, or the JSON
 canonicalization fails here first, with a diffable artifact. The 3mm space (6 parameters) draws
 per-node feature subsets in the ytopt forest; gemm (3 parameters) does not,
 so both grower paths are pinned. The quick runs reach the model phase for
 only two asks; the ``DEEP`` runs pin the candidate pool's de-duplication
 against ~90 told configurations, a pool larger than the space (lu/large has
-400 configurations for a 1000-row pool), and 3mm's mixed-cardinality draw.
+400 configurations for a 1000-row pool), and 3mm's mixed-cardinality draw;
+for TPE they pin the density split and the de-duplication of its candidates
+against the same told sets.
 At depth the AutoTVM strategies take the paths the quick runs never reach:
 GA breeds past its first population of 16, XGB refreshes its plan more than
 once, and RandomTuner samples 3mm/large (above its shuffle limit) by
@@ -33,8 +35,8 @@ Regenerate intentionally with::
             Path(f"tests/bench/goldens/{kernel}-{tuner}-seed0.json").write_text(
                 trajectory_json(run) + "\n")
     for kernel in ("lu", "3mm"):
-        for tuner in ("ytopt", "ytopt-gp", "AutoTVM-Random", "AutoTVM-GridSearch",
-                      "AutoTVM-GA", "AutoTVM-XGB"):
+        for tuner in ("ytopt", "ytopt-gp", "ytopt-tpe", "AutoTVM-Random",
+                      "AutoTVM-GridSearch", "AutoTVM-GA", "AutoTVM-XGB"):
             run = run_pair(kernel, tuner, replace(QUICK, size="large", max_evals=100))
             Path(f"tests/bench/goldens/{kernel}-large-{tuner}-seed0.json").write_text(
                 trajectory_json(run) + "\n")
@@ -71,8 +73,8 @@ DEEP = replace(QUICK, size="large", max_evals=100)
 DEEP_PAIRS = [
     (kernel, tuner)
     for kernel in ("lu", "3mm")
-    for tuner in ("ytopt", "ytopt-gp", "AutoTVM-Random", "AutoTVM-GridSearch",
-                  "AutoTVM-GA", "AutoTVM-XGB")
+    for tuner in ("ytopt", "ytopt-gp", "ytopt-tpe", "AutoTVM-Random",
+                  "AutoTVM-GridSearch", "AutoTVM-GA", "AutoTVM-XGB")
 ]
 GOLDEN_CASES = [
     pytest.param(kernel, tuner, QUICK, id=f"{kernel}-{tuner}")

@@ -7,7 +7,8 @@ kernels, and index vectors:
   candidates;
 * :func:`~repro.configspace.space.space_hash` is invariant to hyperparameter
   declaration order (the conformance battery compares hashes across runs that
-  may build spaces differently);
+  may build spaces differently), and every registered space's digest is
+  pinned, since warm-start and transfer stores key on it;
 * the space's :class:`~repro.configspace.space.IndexView` round-trips with
   the candidate lists — decode then re-encode recovers the same index row —
   and numbers the configurations in AutoTVM's mixed-radix order (first
@@ -18,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.polybench import PLUGIN_KERNELS
-from repro.bench.registry import get_benchmark
+from repro.bench.registry import benchmark_pairs, get_benchmark
 from repro.configspace import ConfigurationSpace, OrdinalHyperparameter
 from repro.configspace.space import space_hash
 
@@ -87,3 +88,52 @@ def test_space_hash_stable_across_builds(kernel, size, seed):
     assert space_hash(bench.config_space(seed=seed)) == space_hash(
         bench.config_space(seed=seed + 1)
     )
+
+
+#: ``space_hash`` of every registered (kernel, size) space. Stores written by
+#: earlier versions key on these digests; a change to ``space_hash`` or to a
+#: candidate list that moves one orphans every stored run of that space.
+SPACE_HASHES = {
+    ("3mm", "mini"): "3a6786fbfc435fef",
+    ("3mm", "small"): "3d74edd79932e4c9",
+    ("3mm", "medium"): "ea519c24d9d6f59a",
+    ("3mm", "large"): "4feda4703595da12",
+    ("3mm", "extralarge"): "cc841559b0a97b8f",
+    ("cholesky", "mini"): "259a55182df21f81",
+    ("cholesky", "small"): "b7be4245ca40f3cf",
+    ("cholesky", "medium"): "1529620ee60faa3a",
+    ("cholesky", "large"): "718d1a48aa340d21",
+    ("cholesky", "extralarge"): "3d28a3ec18ae2386",
+    ("gemm", "mini"): "313aba1f4be4f585",
+    ("gemm", "small"): "cb543352443edfa0",
+    ("gemm", "medium"): "f7bc43f7e56a9474",
+    ("gemm", "large"): "d35cb4969fe5d71f",
+    ("gemm", "extralarge"): "524c38c254ef96d6",
+    ("jacobi2d", "mini"): "26f3bcedf34d3e6b",
+    ("jacobi2d", "small"): "01b17610653eb124",
+    ("jacobi2d", "medium"): "1611b6be0762bbb3",
+    ("jacobi2d", "large"): "b05b9d211a42989c",
+    ("jacobi2d", "extralarge"): "a510d41772358ec1",
+    ("lu", "mini"): "259a55182df21f81",
+    ("lu", "small"): "b7be4245ca40f3cf",
+    ("lu", "medium"): "1529620ee60faa3a",
+    ("lu", "large"): "718d1a48aa340d21",
+    ("lu", "extralarge"): "3d28a3ec18ae2386",
+    ("syrk", "mini"): "a336773080ef18b3",
+    ("syrk", "small"): "b984945681a9c0f4",
+    ("syrk", "medium"): "a2993aa27135735c",
+    ("syrk", "large"): "2350baaba7603627",
+    ("syrk", "extralarge"): "718d1a48aa340d21",
+    ("trmm", "mini"): "6a852e9470051aba",
+    ("trmm", "small"): "018ef4c83ba0bf33",
+    ("trmm", "medium"): "9c4de5fc80e63891",
+    ("trmm", "large"): "10ecc2dba5ca75f7",
+    ("trmm", "extralarge"): "1059a2094b031076",
+}
+
+
+def test_space_hash_digests_are_pinned():
+    assert sorted(SPACE_HASHES) == sorted(benchmark_pairs())
+    for (kernel, size), digest in SPACE_HASHES.items():
+        space = get_benchmark(kernel, size).config_space(seed=0)
+        assert space_hash(space) == digest, f"{kernel}/{size}"
