@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING
 
-from repro.common.errors import TuningError
 from repro.common.rng import ensure_rng
 from repro.configspace import Configuration
 
@@ -29,15 +28,8 @@ class Tuner:
     """Base tuner; subclasses provide the candidate-selection strategy."""
 
     def __init__(self, problem: TuningProblem, seed: int | None = None) -> None:
-        view = problem.space.index_view()
-        if view is None:
-            raise TuningError(
-                f"{type(self).__name__} searches index-view codes, which need "
-                f"finite, unweighted parameters without conditions; the space "
-                f"of {problem.name!r} is not one"
-            )
         self.problem = problem
-        self.view = view
+        self.view = problem.space.index_view()
         self.rng = ensure_rng(seed)
         self.visited: set[int] = set()
         #: Measured cost per code, in tell order (``FAILED_COST`` for a
@@ -78,7 +70,7 @@ class Tuner:
 
     def tell(self, config: Mapping[str, object], cost: float) -> None:
         """Record one measured config (``cost == FAILED_COST``: it failed)."""
-        code = int(self.view.codes(self.view.row_of(config)))
+        code = self.view.code_of(config)
         self.visited.add(code)
         self.costs[code] = cost
         self._told.append((code, cost))

@@ -1,35 +1,22 @@
 """A from-scratch reimplementation of the ConfigSpace API subset ytopt uses.
 
 The paper defines its parameter spaces with ConfigSpace
-(``CSH.OrdinalHyperparameter`` over tiling-factor candidate lists); this package
-provides the same surface: hyperparameter types, a seeded
-:class:`ConfigurationSpace` with sampling, size computation, [0,1]-encoding for
-surrogate models, neighbor generation for local search, and equality/in
-conditions for hierarchical spaces.
+(``CSH.OrdinalHyperparameter`` over tiling-factor candidate lists); this
+package provides that surface: :class:`OrdinalHyperparameter`, a seeded
+:class:`ConfigurationSpace` with sampling, size computation and
+[0,1]-encoding for surrogate models, and the space's :class:`IndexView`,
+which numbers its configurations as integer rows and int64 codes. The tuners
+de-duplicate, search and take local-search neighbours on those rows and
+codes.
 """
 
-from repro.configspace.hyperparameters import (
-    Hyperparameter,
-    OrdinalHyperparameter,
-    CategoricalHyperparameter,
-    UniformIntegerHyperparameter,
-    UniformFloatHyperparameter,
-    Constant,
-)
-from repro.configspace.conditions import Condition, EqualsCondition, InCondition
-from repro.configspace.space import Configuration, ConfigurationSpace, space_hash
+from repro.configspace.hyperparameters import OrdinalHyperparameter
+from repro.configspace.space import Configuration, ConfigurationSpace, IndexView, space_hash
 
 __all__ = [
-    "Hyperparameter",
     "OrdinalHyperparameter",
-    "CategoricalHyperparameter",
-    "UniformIntegerHyperparameter",
-    "UniformFloatHyperparameter",
-    "Constant",
-    "Condition",
-    "EqualsCondition",
-    "InCondition",
     "Configuration",
     "ConfigurationSpace",
+    "IndexView",
     "space_hash",
 ]

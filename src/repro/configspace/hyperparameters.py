@@ -1,14 +1,16 @@
-"""Hyperparameter types.
+"""The ordinal hyperparameter: a named, ordered list of candidate values.
 
-Each hyperparameter knows how to sample a value, validate one, encode it to a
-float in [0, 1] for surrogate models, and enumerate neighbors for local search.
-Ordinals encode by sequence *position* (as in ConfigSpace), which is what makes
-tiling-factor spaces behave well under tree surrogates.
+The paper declares every search space as ``CSH.OrdinalHyperparameter``s over
+tiling-factor lists, and so does every space in this package. A
+hyperparameter samples a value, validates one, and encodes it to a float in
+[0, 1] by sequence *position* (as in ConfigSpace), which is what makes
+tiling-factor spaces behave well under tree surrogates. Local search moves
+along those positions on index rows (:meth:`IndexView.neighbors
+<repro.configspace.space.IndexView.neighbors>`).
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -16,75 +18,23 @@ import numpy as np
 from repro.common.errors import SpaceError
 
 
-class Hyperparameter:
-    """Base class; subclasses implement the sampling/encoding protocol."""
+class OrdinalHyperparameter:
+    """An ordered finite set of values (the paper's tiling-factor lists)."""
 
-    def __init__(self, name: str, default_value: object) -> None:
+    def __init__(self, name: str, sequence: Sequence[object]) -> None:
         if not name or not isinstance(name, str):
             raise SpaceError(f"hyperparameter name must be a non-empty string, got {name!r}")
-        self.name = name
-        self.default_value = default_value
-
-    # Protocol -----------------------------------------------------------
-    def sample(self, rng: np.random.Generator) -> object:
-        raise NotImplementedError
-
-    def sample_encoded(self, rng: np.random.Generator) -> tuple[object, float]:
-        """Sample a value together with its encoding (one RNG draw, same
-        stream as :meth:`sample`). Hot-path helper for batch sampling;
-        subclasses that know the drawn index skip the value->index lookup."""
-        v = self.sample(rng)
-        return v, self.encode(v)
-
-    def is_legal(self, value: object) -> bool:
-        raise NotImplementedError
-
-    def encode(self, value: object) -> float:
-        """Map a legal value into [0, 1]."""
-        raise NotImplementedError
-
-    def decode(self, x: float) -> object:
-        """Map a float in [0, 1] back to a legal value (inverse-ish of encode)."""
-        raise NotImplementedError
-
-    def neighbors(self, value: object, rng: np.random.Generator, n: int = 4) -> list[object]:
-        """Nearby legal values (for local-search candidate generation)."""
-        raise NotImplementedError
-
-    def size(self) -> float:
-        """Number of distinct values (``inf`` for continuous)."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"
-
-
-class _FiniteHyperparameter(Hyperparameter):
-    """Shared implementation for value-list hyperparameters."""
-
-    def __init__(self, name: str, values: Sequence[object], default_value: object | None) -> None:
-        vals = list(values)
+        vals = list(sequence)
         if not vals:
             raise SpaceError(f"hyperparameter {name}: empty value list")
         if len(set(map(repr, vals))) != len(vals):
             raise SpaceError(f"hyperparameter {name}: duplicate values")
-        if default_value is None:
-            default_value = vals[0]
-        if default_value not in vals:
-            raise SpaceError(
-                f"hyperparameter {name}: default {default_value!r} not in values"
-            )
-        super().__init__(name, default_value)
+        self.name = name
         self._values = vals
         self._index = {v: i for i, v in enumerate(vals)}
 
     def sample(self, rng: np.random.Generator) -> object:
         return self._values[int(rng.integers(len(self._values)))]
-
-    def sample_encoded(self, rng: np.random.Generator) -> tuple[object, float]:
-        n = len(self._values)
-        i = int(rng.integers(n))
-        return self._values[i], 0.0 if n == 1 else i / (n - 1)
 
     def is_legal(self, value: object) -> bool:
         return value in self._index
@@ -99,235 +49,15 @@ class _FiniteHyperparameter(Hyperparameter):
         return self._values[index]
 
     def encode(self, value: object) -> float:
+        """Map a legal value to its position in [0, 1] (0 for one value)."""
         n = len(self._values)
         if n == 1:
             return 0.0
         return self.index_of(value) / (n - 1)
 
-    def decode(self, x: float) -> object:
-        n = len(self._values)
-        idx = int(round(float(np.clip(x, 0.0, 1.0)) * (n - 1)))
-        return self._values[idx]
-
     def size(self) -> float:
+        """Number of distinct values."""
         return float(len(self._values))
 
-
-class OrdinalHyperparameter(_FiniteHyperparameter):
-    """An ordered finite set (the paper's tiling-factor lists).
-
-    Neighbors are adjacent sequence positions, so local search moves to the next
-    smaller/larger tiling factor.
-    """
-
-    def __init__(
-        self, name: str, sequence: Sequence[object], default_value: object | None = None
-    ) -> None:
-        super().__init__(name, sequence, default_value)
-
-    @property
-    def sequence(self) -> list[object]:
-        return list(self._values)
-
-    def neighbors(self, value: object, rng: np.random.Generator, n: int = 4) -> list[object]:
-        i = self.index_of(value)
-        out = []
-        for step in range(1, n // 2 + 2):
-            if i - step >= 0:
-                out.append(self._values[i - step])
-            if i + step < len(self._values):
-                out.append(self._values[i + step])
-            if len(out) >= n:
-                break
-        return out[:n]
-
-
-class CategoricalHyperparameter(_FiniteHyperparameter):
-    """An unordered finite set; neighbors are random other choices."""
-
-    def __init__(
-        self,
-        name: str,
-        choices: Sequence[object],
-        default_value: object | None = None,
-        weights: Sequence[float] | None = None,
-    ) -> None:
-        super().__init__(name, choices, default_value)
-        if weights is not None:
-            w = np.asarray(weights, dtype=float)
-            if w.shape != (len(self._values),) or (w < 0).any() or w.sum() <= 0:
-                raise SpaceError(f"{name}: invalid weights")
-            self._weights = w / w.sum()
-        else:
-            self._weights = None
-
-    @property
-    def choices(self) -> list[object]:
-        return list(self._values)
-
-    def sample(self, rng: np.random.Generator) -> object:
-        if self._weights is None:
-            return super().sample(rng)
-        return self._values[int(rng.choice(len(self._values), p=self._weights))]
-
-    def sample_encoded(self, rng: np.random.Generator) -> tuple[object, float]:
-        if self._weights is None:
-            return super().sample_encoded(rng)
-        n = len(self._values)
-        i = int(rng.choice(n, p=self._weights))
-        return self._values[i], 0.0 if n == 1 else i / (n - 1)
-
-    def neighbors(self, value: object, rng: np.random.Generator, n: int = 4) -> list[object]:
-        others = [v for v in self._values if v != value]
-        if not others:
-            return []
-        k = min(n, len(others))
-        picks = rng.choice(len(others), size=k, replace=False)
-        return [others[int(i)] for i in picks]
-
-
-class UniformIntegerHyperparameter(Hyperparameter):
-    """An integer range [lower, upper], optionally log-uniform."""
-
-    def __init__(
-        self,
-        name: str,
-        lower: int,
-        upper: int,
-        default_value: int | None = None,
-        log: bool = False,
-    ) -> None:
-        if lower > upper:
-            raise SpaceError(f"{name}: lower {lower} > upper {upper}")
-        if log and lower <= 0:
-            raise SpaceError(f"{name}: log scale requires lower > 0")
-        super().__init__(name, default_value if default_value is not None else lower)
-        self.lower = int(lower)
-        self.upper = int(upper)
-        self.log = log
-        if not self.is_legal(self.default_value):
-            raise SpaceError(f"{name}: default {self.default_value} out of range")
-
-    def sample(self, rng: np.random.Generator) -> int:
-        if self.log:
-            lo, hi = math.log(self.lower), math.log(self.upper + 1)
-            return int(min(self.upper, math.floor(math.exp(rng.uniform(lo, hi)))))
-        return int(rng.integers(self.lower, self.upper + 1))
-
-    def is_legal(self, value: object) -> bool:
-        return isinstance(value, (int, np.integer)) and self.lower <= value <= self.upper
-
-    def encode(self, value: object) -> float:
-        if self.upper == self.lower:
-            return 0.0
-        if self.log:
-            return (math.log(value) - math.log(self.lower)) / (
-                math.log(self.upper) - math.log(self.lower)
-            )
-        return (int(value) - self.lower) / (self.upper - self.lower)
-
-    def decode(self, x: float) -> int:
-        x = float(np.clip(x, 0.0, 1.0))
-        if self.log:
-            v = math.exp(math.log(self.lower) + x * (math.log(self.upper) - math.log(self.lower)))
-            return int(round(v))
-        return int(round(self.lower + x * (self.upper - self.lower)))
-
-    def neighbors(self, value: object, rng: np.random.Generator, n: int = 4) -> list[int]:
-        span = max(1, (self.upper - self.lower) // 20)
-        out: set[int] = set()
-        for _ in range(4 * n):
-            cand = int(value) + int(rng.integers(-span, span + 1))
-            if cand != value and self.lower <= cand <= self.upper:
-                out.add(cand)
-            if len(out) >= n:
-                break
-        return sorted(out)
-
-    def size(self) -> float:
-        return float(self.upper - self.lower + 1)
-
-
-class UniformFloatHyperparameter(Hyperparameter):
-    """A float range [lower, upper], optionally log-uniform."""
-
-    def __init__(
-        self,
-        name: str,
-        lower: float,
-        upper: float,
-        default_value: float | None = None,
-        log: bool = False,
-    ) -> None:
-        if lower > upper:
-            raise SpaceError(f"{name}: lower {lower} > upper {upper}")
-        if log and lower <= 0:
-            raise SpaceError(f"{name}: log scale requires lower > 0")
-        super().__init__(name, default_value if default_value is not None else lower)
-        self.lower = float(lower)
-        self.upper = float(upper)
-        self.log = log
-
-    def sample(self, rng: np.random.Generator) -> float:
-        if self.log:
-            return float(math.exp(rng.uniform(math.log(self.lower), math.log(self.upper))))
-        return float(rng.uniform(self.lower, self.upper))
-
-    def is_legal(self, value: object) -> bool:
-        return isinstance(value, (int, float, np.floating, np.integer)) and (
-            self.lower <= float(value) <= self.upper
-        )
-
-    def encode(self, value: object) -> float:
-        if self.upper == self.lower:
-            return 0.0
-        if self.log:
-            return (math.log(value) - math.log(self.lower)) / (
-                math.log(self.upper) - math.log(self.lower)
-            )
-        return (float(value) - self.lower) / (self.upper - self.lower)
-
-    def decode(self, x: float) -> float:
-        x = float(np.clip(x, 0.0, 1.0))
-        if self.log:
-            return float(
-                math.exp(math.log(self.lower) + x * (math.log(self.upper) - math.log(self.lower)))
-            )
-        return self.lower + x * (self.upper - self.lower)
-
-    def neighbors(self, value: object, rng: np.random.Generator, n: int = 4) -> list[float]:
-        sigma = (self.upper - self.lower) * 0.05
-        out = []
-        for _ in range(n):
-            cand = float(np.clip(float(value) + rng.normal(0, sigma), self.lower, self.upper))
-            out.append(cand)
-        return out
-
-    def size(self) -> float:
-        return float("inf")
-
-
-class Constant(Hyperparameter):
-    """A fixed value (still appears in configurations)."""
-
-    def __init__(self, name: str, value: object) -> None:
-        super().__init__(name, value)
-        self.value = value
-
-    def sample(self, rng: np.random.Generator) -> object:
-        return self.value
-
-    def is_legal(self, value: object) -> bool:
-        return value == self.value
-
-    def encode(self, value: object) -> float:
-        return 0.0
-
-    def decode(self, x: float) -> object:
-        return self.value
-
-    def neighbors(self, value: object, rng: np.random.Generator, n: int = 4) -> list[object]:
-        return []
-
-    def size(self) -> float:
-        return 1.0
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(name={self.name!r})"

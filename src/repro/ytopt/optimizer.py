@@ -9,13 +9,16 @@ paper attributes to LCB over the surrogate's mean and uncertainty.
 
 ``ask()`` never returns a configuration that was already told (duplicate
 evaluations waste the budget on finite tiling spaces); when the whole space has
-been observed it falls back to re-sampling.
+been observed it falls back to re-sampling. Told, in-flight and candidate
+configurations are compared by their :class:`~repro.configspace.IndexView`
+codes; a :class:`~repro.configspace.Configuration` is built only for what
+``ask`` returns.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Collection, Mapping, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -146,11 +149,11 @@ class Optimizer:
         self._X: list[np.ndarray] = []
         self._y: list[float] = []
         self._configs: list[Configuration] = []
-        self._told: set[Configuration] = set()
-        # Registry spaces draw their candidate pool as integer index rows
-        # (see _index_pool); _codes mirrors _configs as their int64 codes.
+        # The candidate pool is drawn as integer index rows (see _index_pool);
+        # _codes mirrors _configs as their int64 codes, _told holds them.
         self._index = space.index_view()
         self._codes: list[int] = []
+        self._told: set[int] = set()
         self._asked: list[Configuration] = []
         self._since_fit = 0
         self._fitted = False
@@ -199,12 +202,12 @@ class Optimizer:
             # are random anyway in this phase — sample unseen directly,
             # excluding earlier picks of this batch.
             picks = []
-            picked: set[Configuration] = set()
+            picked: set[int] = set()
             for _ in range(n):
                 config = self._next_seeded(exclude=picked)
                 if config is None:
                     config = self._sample_unseen(exclude=picked)
-                picked.add(config)
+                picked.add(self._index.code_of(config))
                 picks.append(config)
                 self._asked.append(config)
             return picks
@@ -255,7 +258,7 @@ class Optimizer:
             # instead of the cold path speculation would take here.
             return None
 
-        exclude_keys = frozenset(c.get_array().tobytes() for c in exclude)
+        exclude_codes = [self._index.code_of(c) for c in exclude]
         space_state = self.space._rng.bit_generator.state
         rng_state = self._rng.bit_generator.state
         asked_len = len(self._asked)
@@ -271,24 +274,24 @@ class Optimizer:
                 # Replicate ask()'s initial-design branch, additionally
                 # excluding the in-flight configurations — they will be in
                 # ``_told`` by the time the real ask runs.
-                excl = set(exclude)
+                excl = set(exclude_codes)
                 config = self._next_seeded(exclude=excl)
                 if config is None:
                     config = self._sample_unseen(exclude=excl)
                 picks = [config]
             else:
-                picks = [self._suggest(exclude=exclude)]
+                picks = [self._suggest(exclude=exclude_codes)]
             # Everything confirm_speculation() needs to prove the real ask
             # would replay this proposal exactly (see there for the argument).
             token = {
                 "picks": list(picks),
                 "n_told": self.n_told,
                 "will_tell": will_tell,
-                "exclude_keys": exclude_keys,
+                "exclude_codes": frozenset(exclude_codes),
                 "n_refits": self.n_refits,
                 "degenerate": self._degenerate_history(),
                 "min_y": min(self._y) if self._y else None,
-                "top3": self._top_incumbent_keys(),
+                "top3": self._top_incumbent_codes(),
                 "space_state": self.space._rng.bit_generator.state,
                 "rng_state": self._rng.bit_generator.state,
                 "seed_queue": (
@@ -330,8 +333,8 @@ class Optimizer:
             return None
         if self.n_told != token["n_told"] + token["will_tell"]:
             return None
-        landed = {arr.tobytes() for arr in self._X[token["n_told"] :]}
-        if landed != set(token["exclude_keys"]):
+        landed = set(self._codes[token["n_told"] :])
+        if landed != token["exclude_codes"]:
             return None
         if self.transfer_seed is not None and self.transfer_bias > 0:
             return None
@@ -345,11 +348,9 @@ class Optimizer:
                 return None
             if min(self._y) != token["min_y"]:
                 return None
-            if self._top_incumbent_keys() != token["top3"]:
+            if self._top_incumbent_codes() != token["top3"]:
                 return None
-        if any(
-            c.get_array().tobytes() in landed for c in token["picks"]
-        ):
+        if any(self._index.code_of(c) in landed for c in token["picks"]):
             return None  # the real ask would have deduplicated these away
         self.space._rng.bit_generator.state = token["space_state"]
         self._rng.bit_generator.state = token["rng_state"]
@@ -364,13 +365,12 @@ class Optimizer:
             self.n_refits_skipped += n  # the skipped _maybe_refit calls
         return list(token["picks"])
 
-    def _top_incumbent_keys(self) -> tuple[bytes, ...]:
-        """Encoded keys of the incumbents ``_suggest`` seeds neighbors from,
-        in selection order — part of confirm_speculation's identity check."""
+    def _top_incumbent_codes(self) -> tuple[int, ...]:
+        """Codes of the incumbents ``_suggest`` seeds neighbors from, in
+        selection order — part of confirm_speculation's identity check."""
         if not self._y:
             return ()
-        order = np.argsort(self._y)[:3]
-        return tuple(self._configs[int(i)].get_array().tobytes() for i in order)
+        return tuple(self._codes[int(i)] for i in np.argsort(self._y)[:3])
 
     def _refit_due_within(self, first: int, count: int) -> bool:
         """Would any of the next ``count`` asks refit, the first of which runs
@@ -390,10 +390,8 @@ class Optimizer:
     def _retract_last(self) -> None:
         self._X.pop()
         self._y.pop()
-        config = self._configs.pop()
-        self._told.discard(config)
-        if self._index is not None:
-            self._codes.pop()
+        self._configs.pop()
+        self._told.discard(self._codes.pop())
         self._fitted = False  # surrogate saw lies: force a clean refit
 
     def tell(self, config: "Configuration | Mapping[str, int]", cost: float) -> None:
@@ -406,9 +404,9 @@ class Optimizer:
         self._X.append(arr)
         self._y.append(float(cost))
         self._configs.append(config)
-        self._told.add(config)
-        if self._index is not None:
-            self._codes.append(int(self._index.codes(self._index.row_of(config))))
+        code = self._index.code_of(config)
+        self._codes.append(code)
+        self._told.add(code)
         self._since_fit += 1
 
     def best(self) -> tuple[dict[str, int], float]:
@@ -450,9 +448,7 @@ class Optimizer:
     #: measurement, enumeration costs microseconds.
     _ENUMERATE_LIMIT = 8192
 
-    def _next_seeded(
-        self, exclude: "set[Configuration] | frozenset" = frozenset()
-    ) -> Configuration | None:
+    def _next_seeded(self, exclude: Collection[int] = frozenset()) -> Configuration | None:
         """Pop the next unused transfer-seeded configuration, if any.
 
         The queue is the seeder's ranked initial design (best predicted
@@ -471,38 +467,39 @@ class Optimizer:
             )
         while self._seed_queue:
             config = Configuration(self.space, self._seed_queue.pop(0))
-            if config not in self._told and config not in exclude:
+            code = self._index.code_of(config)
+            if code not in self._told and code not in exclude:
                 return config
         return None
 
-    def _sample_unseen(
-        self, exclude: "set[Configuration] | frozenset" = frozenset()
-    ) -> Configuration:
-        def fresh(c: Configuration) -> bool:
-            return c not in self._told and c not in exclude
+    def _sample_unseen(self, exclude: Collection[int] = frozenset()) -> Configuration:
+        """A random configuration whose code is neither told nor in
+        ``exclude``, drawn as ``sample_configuration()`` would draw it."""
+        ix = self._index
+
+        def fresh(row: np.ndarray) -> bool:
+            code = int(ix.codes(row))
+            return code not in self._told and code not in exclude
 
         for _ in range(64):
-            c = self.space.sample_configuration()
-            if fresh(c):
-                return c
+            row = ix.sample(1)[0]
+            if fresh(row):
+                return ix.configuration(row)
         # 64 straight collisions: the space is either nearly exhausted or
-        # small. Enumerate small finite spaces and pick an unseen config
-        # directly instead of silently proposing a duplicate.
-        size = self.space.size()
-        if np.isfinite(size) and size <= self._ENUMERATE_LIMIT:
-            remaining = [
-                c for c in self.space.enumerate_configurations() if fresh(c)
-            ]
-            if remaining:
-                return remaining[int(self._rng.integers(len(remaining)))]
+        # small. Enumerate small spaces and pick an unseen config directly
+        # instead of silently proposing a duplicate.
+        if len(ix) <= self._ENUMERATE_LIMIT:
+            remaining = ix.unseen(self._told | set(exclude))
+            if len(remaining):
+                return ix.configuration(remaining[int(self._rng.integers(len(remaining)))])
             # Fully exhausted: duplicates are unavoidable; re-sample so long
             # runs on tiny spaces keep making progress instead of crashing.
-            return self.space.sample_configuration()
+            return ix.configuration(ix.sample(1)[0])
         # Huge space: keep drawing — deterministic given the space RNG state.
         for _ in range(4096):
-            c = self.space.sample_configuration()
-            if fresh(c):
-                return c
+            row = ix.sample(1)[0]
+            if fresh(row):
+                return ix.configuration(row)
         raise TuningError(
             "could not sample an unseen configuration after 4160 draws; "
             "the space appears to be exhausted"
@@ -546,20 +543,15 @@ class Optimizer:
                 )
             )
 
-    def _suggest(
-        self, exclude: "Sequence[Configuration]" = ()
-    ) -> Configuration:
+    def _suggest(self, exclude: Sequence[int] = ()) -> Configuration:
         """Score the candidate pool with one surrogate predict and return the
         acquisition's argmin.
 
-        The pool holds no told configuration and no configuration of
-        ``exclude`` — in-flight ones, which speculation expects to be told by
+        The pool holds no told configuration and no code of ``exclude`` —
+        in-flight configurations, which speculation expects to be told by
         the real ask's time — and no configuration twice.
         """
-        if self._index is not None:
-            X, candidate = self._index_pool(exclude)
-        else:
-            X, candidate = self._config_pool(exclude)
+        X, candidate = self._index_pool(exclude)
         if not len(X):
             return self._sample_unseen()
         mean, std = self.surrogate.predict(X)
@@ -572,21 +564,24 @@ class Optimizer:
         return candidate(int(np.argmin(scores)))
 
     def _index_pool(
-        self, exclude: "Sequence[Configuration]"
+        self, exclude: Sequence[int]
     ) -> "tuple[np.ndarray, Callable[[int], Configuration]]":
-        """The candidate pool of a space with an index view: its encoded
-        rows, and a function building the configuration of row ``i``.
+        """The candidate pool: its encoded rows, and a function building the
+        configuration of row ``i``.
 
         The global pool is one ``(n_candidates, d)`` index draw, the RNG
         stream of ``n_candidates`` ``sample_configuration()`` calls. A row
-        is dropped when its code is told, in flight, or an earlier row's:
-        the first occurrence wins and pool order is kept. The neighbor rows
-        of :meth:`_neighbor_picks` follow. Only the configuration the caller
-        asks for is ever built.
+        is dropped when its code is told, in ``exclude``, or an earlier
+        row's: the first occurrence wins and pool order is kept. Then come
+        exploitation candidates, the :meth:`IndexView.neighbors` rows of the
+        three best incumbents in turn: each whose code is not yet in the
+        pool joins it until the pool holds ``n_candidates +
+        n_neighbor_candidates`` rows. Neighbours draw nothing from either
+        RNG. Only the configuration the caller asks for is ever built.
         """
         ix = self._index
         rows = ix.sample(self.n_candidates)
-        taken = self._codes + [int(ix.codes(ix.row_of(c))) for c in exclude]
+        taken = self._codes + list(exclude)
         codes = ix.codes(rows)
         # np.unique's return_index is each code's first row; sorting those
         # rows keeps pool order.
@@ -594,69 +589,20 @@ class Optimizer:
         keep = np.sort(first[~np.isin(codes[first], taken)])
         seen = set(taken)
         seen.update(codes[keep].tolist())
-
-        def neighbors(i: int):
-            for c in self.space.neighbors(self._configs[i], self._rng):
-                row = ix.row_of(c)
-                yield int(ix.codes(row)), row
-
-        picks = self._neighbor_picks(len(keep), seen, neighbors)
+        budget = self.n_candidates + self.n_neighbor_candidates - len(keep)
+        picks: list[np.ndarray] = []
+        for i in np.argsort(self._y)[:3]:
+            neighbors = ix.neighbors(ix.rows(self._codes[int(i)]))
+            for code, row in zip(ix.codes(neighbors).tolist(), neighbors):
+                if code not in seen:
+                    seen.add(code)
+                    picks.append(row)
+                    if len(picks) >= budget:
+                        break
+            if len(picks) >= budget:
+                break
         rows = np.concatenate([rows[keep], *(p[None] for p in picks)])
         return ix.encode(rows), lambda i: ix.configuration(rows[i])
-
-    def _config_pool(
-        self, exclude: "Sequence[Configuration]"
-    ) -> "tuple[np.ndarray, Callable[[int], Configuration]]":
-        """The candidate pool of any other space (conditions, weights,
-        continuous ranges), as :meth:`_index_pool` returns it.
-
-        The global pool is one batch draw, de-duplicated by encoded-row
-        bytes: the encoding is injective per hyperparameter and inactive
-        slots are out of range, so equal rows are equal configurations.
-        """
-        candidates: list[Configuration] = []
-        rows: list[np.ndarray] = []
-        seen = {x.tobytes() for x in self._X}
-        seen.update(c.get_array().tobytes() for c in exclude)
-        batch, X = self.space.sample_configuration_batch(self.n_candidates)
-        for i, c in enumerate(batch):
-            key = X[i].tobytes()
-            if key not in seen:
-                seen.add(key)
-                candidates.append(c)
-                rows.append(X[i])
-
-        def neighbors(i: int):
-            for c in self.space.neighbors(self._configs[i], self._rng):
-                yield c.get_array().tobytes(), c
-
-        candidates += self._neighbor_picks(len(candidates), seen, neighbors)
-        rows += [c.get_array() for c in candidates[len(rows):]]
-        X = np.vstack(rows) if rows else np.empty((0, len(self.space)))
-        return X, candidates.__getitem__
-
-    def _neighbor_picks(self, n_pool: int, seen: set, neighbors) -> list:
-        """Exploitation candidates: neighbors of the three best incumbents.
-
-        ``neighbors(i)`` yields ``(key, candidate)`` pairs for told
-        configuration ``i``. A candidate whose key is not in ``seen`` is
-        picked (and its key added) until the pool of ``n_pool`` global
-        candidates reaches ``n_candidates + n_neighbor_candidates``; each
-        incumbent's neighbors are listed whole, so they draw from the
-        optimizer RNG even when the budget stops the picks part-way.
-        """
-        picks: list = []
-        budget = self.n_candidates + self.n_neighbor_candidates
-        for i in np.argsort(self._y)[:3]:
-            for key, candidate in list(neighbors(int(i))):
-                if key not in seen:
-                    seen.add(key)
-                    picks.append(candidate)
-                    if n_pool + len(picks) >= budget:
-                        break
-            if n_pool + len(picks) >= budget:
-                break
-        return picks
 
     #: Per-observation decay of the transfer prior's weight past the initial
     #: design: after ~15 real measurements the in-session surrogate has seen

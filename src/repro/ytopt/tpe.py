@@ -6,20 +6,23 @@ by LCB, TPE (Bergstra et al., NeurIPS 2011) models *configurations as a
 function of cost*: observations are split at the γ-quantile into a good set
 and a bad set, each hyperparameter gets a smoothed categorical density over
 its candidate values under both sets, and the next proposal maximizes the
-density ratio l(x)/g(x) over candidates drawn from the good density.
+density ratio l(x)/g(x) over candidates drawn from the good density. Told
+configurations and candidates are compared by their
+:class:`~repro.configspace.IndexView` codes; only the pick becomes a
+:class:`~repro.configspace.Configuration`.
 
 :class:`TPEOptimizer` is a drop-in for :class:`repro.ytopt.optimizer.Optimizer`
 — it implements the same ask / ask_batch / tell / best / predict_cost duck
 interface the AMBS loop drives, so it plugs straight into
 :class:`~repro.core.framework.BayesianAutotuner` and the tuning service.
-Finite ordinal/categorical spaces only (exactly the tiling spaces the paper
-tunes); every draw comes from the optimizer's own RNG, so runs are
-deterministic per seed.
+Random picks draw from the space RNG and density-ratio candidates from the
+optimizer's own RNG, both seeded by ``seed``, so runs are deterministic per
+seed.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 
 import numpy as np
 
@@ -57,19 +60,13 @@ class TPEOptimizer:
         if seed is not None:
             self.space.seed(seed)
 
-        self._params: list[tuple[str, list]] = []
-        for hp in space.get_hyperparameters():
-            values = getattr(hp, "_values", None)
-            if values is None:
-                raise TuningError(
-                    f"TPE supports finite ordinal/categorical spaces only; "
-                    f"hyperparameter {hp.name!r} is {type(hp).__name__}"
-                )
-            self._params.append((hp.name, list(values)))
+        self._index = space.index_view()
+        self._cardinalities = [int(hp.size()) for hp in space.get_hyperparameters()]
 
         self._configs: list[Configuration] = []
         self._y: list[float] = []
-        self._told_keys: set[bytes] = set()
+        self._codes: list[int] = []  # mirrors _configs
+        self._told: set[int] = set()
 
     # -- API (the AMBS optimizer duck interface) --------------------------
 
@@ -90,7 +87,7 @@ class TPEOptimizer:
         lie = min(self._y) if self._y else None
         for _ in range(n):
             if lie is None:
-                c = self._sample_unseen(exclude={p for p in picks})
+                c = self._sample_unseen(exclude={self._index.code_of(p) for p in picks})
             else:
                 c = self.ask()
                 self.tell(c, lie)
@@ -105,16 +102,18 @@ class TPEOptimizer:
             config = Configuration(self.space, dict(config))
         if not np.isfinite(cost):
             raise TuningError(f"cost must be finite, got {cost}")
+        code = self._index.code_of(config)
         self._configs.append(config)
         self._y.append(float(cost))
-        self._told_keys.add(config.get_array().tobytes())
+        self._codes.append(code)
+        self._told.add(code)
 
     def _retract_last(self) -> None:
-        config = self._configs.pop()
+        self._configs.pop()
         self._y.pop()
-        key = config.get_array().tobytes()
-        if not any(c.get_array().tobytes() == key for c in self._configs):
-            self._told_keys.discard(key)
+        code = self._codes.pop()
+        if code not in self._codes:
+            self._told.discard(code)
 
     def best(self) -> tuple[dict[str, int], float]:
         if not self._y:
@@ -128,22 +127,22 @@ class TPEOptimizer:
 
     # -- internals --------------------------------------------------------
 
-    def _sample_unseen(self, exclude: "set | frozenset" = frozenset()) -> Configuration:
-        excluded = {c.get_array().tobytes() for c in exclude}
+    def _sample_unseen(self, exclude: Collection[int] = frozenset()) -> Configuration:
+        ix = self._index
 
-        def fresh(c: Configuration) -> bool:
-            key = c.get_array().tobytes()
-            return key not in self._told_keys and key not in excluded
+        def fresh(row: np.ndarray) -> bool:
+            code = int(ix.codes(row))
+            return code not in self._told and code not in exclude
 
         for _ in range(64):
-            c = self.space.sample_configuration()
-            if fresh(c):
-                return c
-        remaining = [c for c in self.space.enumerate_configurations() if fresh(c)]
-        if remaining:
-            return remaining[int(self._rng.integers(len(remaining)))]
+            row = ix.sample(1)[0]
+            if fresh(row):
+                return ix.configuration(row)
+        remaining = ix.unseen(self._told | set(exclude))
+        if len(remaining):
+            return ix.configuration(remaining[int(self._rng.integers(len(remaining)))])
         # Exhausted space: duplicates are unavoidable on long runs.
-        return self.space.sample_configuration()
+        return ix.configuration(ix.sample(1)[0])
 
     def _densities(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-parameter smoothed categorical densities (good, bad)."""
@@ -152,14 +151,11 @@ class TPEOptimizer:
         good_idx = set(int(i) for i in order[:n_good])
         good_p: list[np.ndarray] = []
         bad_p: list[np.ndarray] = []
-        for name, values in self._params:
-            index = {v: i for i, v in enumerate(values)}
-            g = np.full(len(values), self.prior_weight)
-            b = np.full(len(values), self.prior_weight)
-            for i, config in enumerate(self._configs):
-                slot = index.get(config[name])
-                if slot is None:  # inactive / conditional parameter
-                    continue
+        columns = self._index.rows(self._codes).T.tolist()
+        for column, card in zip(columns, self._cardinalities):
+            g = np.full(card, self.prior_weight)
+            b = np.full(card, self.prior_weight)
+            for i, slot in enumerate(column):
                 (g if i in good_idx else b)[slot] += 1.0
             good_p.append(g / g.sum())
             bad_p.append(b / b.sum())
@@ -167,26 +163,25 @@ class TPEOptimizer:
 
     def _suggest(self) -> Configuration:
         good_p, bad_p = self._densities()
-        best_cfg: Configuration | None = None
+        best_code: int | None = None
         best_ratio = -np.inf
-        seen: set[bytes] = set()
+        seen: set[int] = set()
         for _ in range(self.n_candidates):
-            values: dict[str, object] = {}
+            row = []
             log_ratio = 0.0
-            for (name, cands), g, b in zip(self._params, good_p, bad_p):
-                slot = int(self._rng.choice(len(cands), p=g))
-                values[name] = cands[slot]
+            for g, b in zip(good_p, bad_p):
+                slot = int(self._rng.choice(len(g), p=g))
+                row.append(slot)
                 log_ratio += float(np.log(g[slot]) - np.log(b[slot]))
-            config = Configuration(self.space, values)
-            key = config.get_array().tobytes()
-            if key in seen:
+            code = int(self._index.codes(np.array(row)))
+            if code in seen:
                 continue
-            seen.add(key)
-            if key in self._told_keys:
+            seen.add(code)
+            if code in self._told:
                 continue  # duplicate measurements waste finite-space budget
             if log_ratio > best_ratio:
                 best_ratio = log_ratio
-                best_cfg = config
-        if best_cfg is None:
+                best_code = code
+        if best_code is None:
             return self._sample_unseen()
-        return best_cfg
+        return self._index.configuration(self._index.rows(best_code))

@@ -1,6 +1,7 @@
 """Tests for the four AutoTVM tuner strategies, driven by the AMBS loop."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,14 +13,9 @@ from repro.autotvm import (
     XGBTuner,
     PAPER_XGB_TRIAL_CAP,
 )
-from repro.common.errors import TuningError
+from repro.common.errors import SpaceError, TuningError
 from repro.common.timing import VirtualClock
-from repro.configspace import (
-    ConfigurationSpace,
-    EqualsCondition,
-    OrdinalHyperparameter,
-    UniformFloatHyperparameter,
-)
+from repro.configspace import ConfigurationSpace, OrdinalHyperparameter
 from repro.runtime.measure import Evaluator, MeasureResult
 from repro.service import JobSpec, TuningSession
 from repro.ytopt import TuningProblem
@@ -153,31 +149,17 @@ class TestXGBTuner:
             XGBTuner(problem, plan_size=10, candidate_num=5)
 
 
-def _conditioned_space():
-    space = ConfigurationSpace()
-    tile = space.add_hyperparameter(OrdinalHyperparameter("tile", [1, 2, 4]))
-    unroll = space.add_hyperparameter(OrdinalHyperparameter("unroll", [0, 1]))
-    space.add_condition(EqualsCondition(unroll, tile, 4))
-    return space
-
-
-def _float_space():
-    space = ConfigurationSpace()
-    space.add_hyperparameter(OrdinalHyperparameter("tile", [1, 2, 4]))
-    space.add_hyperparameter(UniformFloatHyperparameter("alpha", 0.0, 1.0))
-    return space
-
-
 class TestSpaceRequirement:
-    """The strategies search index-view codes, so a space without an index
-    view (conditions, floats) is rejected up front rather than tuned as if
-    it were a plain grid."""
+    """The strategies search index-view codes. A space without
+    hyperparameters has none: ``TuningProblem`` refuses it, and so does a
+    strategy handed one directly."""
 
-    @pytest.mark.parametrize("space", [_conditioned_space, _float_space])
     @pytest.mark.parametrize("tuner_cls", STRATEGIES)
-    def test_space_without_index_view_rejected(self, tuner_cls, space):
-        problem = TuningProblem(space(), _BowlEvaluator(), name="bowl")
-        with pytest.raises(TuningError, match="without conditions"):
+    def test_space_without_hyperparameters_rejected(self, tuner_cls):
+        with pytest.raises(SpaceError):
+            TuningProblem(ConfigurationSpace(), _BowlEvaluator(), name="bowl")
+        problem = SimpleNamespace(space=ConfigurationSpace(), name="bowl")
+        with pytest.raises(SpaceError, match="no hyperparameters"):
             tuner_cls(problem, seed=0)
 
 

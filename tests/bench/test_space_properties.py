@@ -35,9 +35,9 @@ seed_st = st.integers(min_value=0, max_value=2**31 - 1)
 @given(kernel=kernel_st, size=size_st, seed=seed_st)
 def test_sampling_stays_in_bounds(kernel, size, seed):
     bench = get_benchmark(kernel, size)
-    space = bench.config_space(seed=seed)
-    configs, _ = space.sample_configuration_batch(8)
-    for config in configs:
+    view = bench.config_space(seed=seed).index_view()
+    for row in view.sample(8):
+        config = view.configuration(row)
         for param in bench.params:
             assert config[param] in bench.candidates[param]
 

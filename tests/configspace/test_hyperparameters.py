@@ -1,17 +1,11 @@
-"""Tests for hyperparameter types."""
+"""Tests for the ordinal hyperparameter."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import SpaceError
-from repro.configspace import (
-    CategoricalHyperparameter,
-    Constant,
-    OrdinalHyperparameter,
-    UniformFloatHyperparameter,
-    UniformIntegerHyperparameter,
-)
+from repro.configspace import ConfigurationSpace, OrdinalHyperparameter
 
 
 @pytest.fixture
@@ -19,21 +13,21 @@ def rng():
     return np.random.default_rng(0)
 
 
+def _neighbor_values(hp, value):
+    """The values IndexView.neighbors moves ``hp`` to from ``value``."""
+    space = ConfigurationSpace()
+    space.add_hyperparameter(hp)
+    view = space.index_view()
+    rows = view.neighbors(view.row_of({hp.name: value}))
+    return [view.configuration(row)[hp.name] for row in rows]
+
+
 class TestOrdinal:
     def test_sequence_preserved(self):
         hp = OrdinalHyperparameter("P0", [1, 2, 4, 8])
-        assert hp.sequence == [1, 2, 4, 8]
+        assert [hp.value_at(i) for i in range(4)] == [1, 2, 4, 8]
+        assert [hp.index_of(v) for v in (1, 2, 4, 8)] == [0, 1, 2, 3]
         assert hp.size() == 4
-
-    def test_default_is_first(self):
-        assert OrdinalHyperparameter("P0", [3, 1]).default_value == 3
-
-    def test_explicit_default(self):
-        assert OrdinalHyperparameter("P0", [1, 2], default_value=2).default_value == 2
-
-    def test_bad_default_rejected(self):
-        with pytest.raises(SpaceError):
-            OrdinalHyperparameter("P0", [1, 2], default_value=5)
 
     def test_empty_rejected(self):
         with pytest.raises(SpaceError):
@@ -58,20 +52,16 @@ class TestOrdinal:
         with pytest.raises(SpaceError):
             OrdinalHyperparameter("P0", [1, 2]).encode(7)
 
-    def test_decode_inverts_encode(self):
-        hp = OrdinalHyperparameter("P0", [1, 2, 4, 8])
-        for v in hp.sequence:
-            assert hp.decode(hp.encode(v)) == v
-
-    def test_neighbors_adjacent(self, rng):
+    def test_neighbors_adjacent(self):
         hp = OrdinalHyperparameter("P0", [1, 2, 4, 8, 16])
-        nbs = hp.neighbors(4, rng, n=2)
-        assert set(nbs) <= {2, 8, 1, 16}
-        assert 2 in nbs and 8 in nbs
+        assert _neighbor_values(hp, 4) == [2, 8]
 
-    def test_neighbors_at_boundary(self, rng):
+    def test_neighbors_at_boundary(self):
         hp = OrdinalHyperparameter("P0", [1, 2, 4])
-        assert 2 in hp.neighbors(1, rng, n=2)
+        assert _neighbor_values(hp, 1) == [2, 4]
+        assert _neighbor_values(hp, 4) == [2, 1]
+        assert _neighbor_values(OrdinalHyperparameter("P0", [1, 2]), 1) == [2]
+        assert _neighbor_values(OrdinalHyperparameter("P0", [1]), 1) == []
 
     def test_single_value_encode(self):
         assert OrdinalHyperparameter("P0", [5]).encode(5) == 0.0
@@ -81,111 +71,3 @@ class TestOrdinal:
         hp = OrdinalHyperparameter("P", values)
         for v in values:
             assert 0.0 <= hp.encode(v) <= 1.0
-
-
-class TestCategorical:
-    def test_choices(self):
-        hp = CategoricalHyperparameter("c", ["a", "b", "c"])
-        assert hp.choices == ["a", "b", "c"]
-
-    def test_weighted_sampling_bias(self, rng):
-        hp = CategoricalHyperparameter("c", ["a", "b"], weights=[0.95, 0.05])
-        samples = [hp.sample(rng) for _ in range(300)]
-        assert samples.count("a") > 200
-
-    def test_bad_weights_rejected(self):
-        with pytest.raises(SpaceError):
-            CategoricalHyperparameter("c", ["a", "b"], weights=[1.0])
-
-    def test_neighbors_are_other_choices(self, rng):
-        hp = CategoricalHyperparameter("c", ["a", "b", "c"])
-        nbs = hp.neighbors("a", rng, n=5)
-        assert "a" not in nbs and set(nbs) <= {"b", "c"}
-
-
-class TestUniformInteger:
-    def test_range_validation(self):
-        with pytest.raises(SpaceError):
-            UniformIntegerHyperparameter("n", 10, 5)
-
-    def test_log_requires_positive(self):
-        with pytest.raises(SpaceError):
-            UniformIntegerHyperparameter("n", 0, 5, log=True)
-
-    def test_sample_in_range(self, rng):
-        hp = UniformIntegerHyperparameter("n", 3, 17)
-        for _ in range(50):
-            v = hp.sample(rng)
-            assert 3 <= v <= 17
-
-    def test_log_sample_in_range(self, rng):
-        hp = UniformIntegerHyperparameter("n", 1, 1024, log=True)
-        for _ in range(50):
-            assert 1 <= hp.sample(rng) <= 1024
-
-    def test_encode_decode(self):
-        hp = UniformIntegerHyperparameter("n", 0, 10)
-        assert hp.encode(0) == 0.0 and hp.encode(10) == 1.0
-        assert hp.decode(0.5) == 5
-
-    def test_size(self):
-        assert UniformIntegerHyperparameter("n", 1, 5).size() == 5
-
-    def test_neighbors_in_range(self, rng):
-        hp = UniformIntegerHyperparameter("n", 0, 100)
-        for nb in hp.neighbors(50, rng):
-            assert 0 <= nb <= 100 and nb != 50
-
-
-class TestUniformFloat:
-    def test_sample_in_range(self, rng):
-        hp = UniformFloatHyperparameter("x", -1.0, 1.0)
-        for _ in range(50):
-            assert -1.0 <= hp.sample(rng) <= 1.0
-
-    def test_size_infinite(self):
-        assert UniformFloatHyperparameter("x", 0, 1).size() == float("inf")
-
-    def test_log_encode_decode(self):
-        hp = UniformFloatHyperparameter("x", 1.0, 100.0, log=True)
-        assert hp.decode(hp.encode(10.0)) == pytest.approx(10.0)
-
-
-class TestConstant:
-    def test_always_same(self, rng):
-        hp = Constant("k", 42)
-        assert hp.sample(rng) == 42
-        assert hp.is_legal(42) and not hp.is_legal(41)
-        assert hp.size() == 1.0
-        assert hp.neighbors(42, rng) == []
-
-
-class TestSampleEncoded:
-    """`sample_encoded` == (`sample`, `encode`) on the same RNG stream.
-
-    The batch-sampling hot path relies on both halves: the value/encoding
-    pair must match the two-call form exactly, and the RNG must advance by
-    the same amount so seeded trajectories are unchanged.
-    """
-
-    HPS = [
-        OrdinalHyperparameter("o", [1, 2, 4, 8, 16]),
-        OrdinalHyperparameter("one", [7]),
-        CategoricalHyperparameter("c", ["a", "b", "c"]),
-        CategoricalHyperparameter("w", ["a", "b", "c"], weights=[0.6, 0.3, 0.1]),
-        UniformIntegerHyperparameter("i", 3, 40),
-        UniformFloatHyperparameter("f", 0.5, 2.5),
-        Constant("k", 42),
-    ]
-
-    @pytest.mark.parametrize("hp", HPS, ids=lambda h: h.name)
-    def test_matches_sample_then_encode(self, hp):
-        r1 = np.random.default_rng(123)
-        r2 = np.random.default_rng(123)
-        for _ in range(200):
-            v1, e1 = hp.sample_encoded(r1)
-            v2 = hp.sample(r2)
-            assert v1 == v2
-            assert e1 == hp.encode(v2)
-        # Streams stayed in lockstep: the next raw draw agrees.
-        assert r1.integers(1 << 30) == r2.integers(1 << 30)

@@ -1,25 +1,20 @@
-"""BO on adversarial spaces: tiny, single-point, and conditional spaces.
+"""BO on adversarial spaces: tiny, single-point and empty spaces.
 
-The optimizer must stay correct when the space is smaller than the budget,
-degenerate, or hierarchical (inactive parameters encode as -1).
+The optimizer must stay correct when the space is smaller than the budget or
+degenerate, and refuse a space with nothing to tune.
 """
 
 import pytest
 
-from repro.configspace import (
-    CategoricalHyperparameter,
-    ConfigurationSpace,
-    Constant,
-    EqualsCondition,
-    OrdinalHyperparameter,
-)
+from repro.common.errors import SpaceError
+from repro.configspace import ConfigurationSpace, OrdinalHyperparameter
 from repro.ytopt import Optimizer
 
 
 class TestTinySpaces:
     def test_single_point_space(self):
         cs = ConfigurationSpace(seed=0)
-        cs.add_hyperparameter(Constant("k", 7))
+        cs.add_hyperparameter(OrdinalHyperparameter("k", [7]))
         opt = Optimizer(cs, n_initial_points=2, seed=0)
         for _ in range(4):
             c = opt.ask()
@@ -47,6 +42,10 @@ class TestTinySpaces:
             c = opt.ask()
             opt.tell(c, float(c["a"]))
         assert opt.best()[0] == {"a": 10}
+
+    def test_empty_space_rejected(self):
+        with pytest.raises(SpaceError, match="no hyperparameters"):
+            Optimizer(ConfigurationSpace(seed=0), seed=0)
 
 
 class TestUnseenSampling:
@@ -100,52 +99,3 @@ class TestUnseenSampling:
         opt = Optimizer(self._space(seed=1), n_initial_points=12, seed=1)
         batch = opt.ask_batch(12)
         assert len({(c["a"], c["b"]) for c in batch}) == 12
-
-
-class TestConditionalSpaces:
-    def _space(self, seed=0):
-        cs = ConfigurationSpace(seed=seed)
-        algo = CategoricalHyperparameter("algo", ["tiled", "naive"])
-        tile = OrdinalHyperparameter("tile", [2, 4, 8, 16])
-        cs.add_hyperparameters([algo, tile])
-        cs.add_condition(EqualsCondition(tile, algo, "tiled"))
-        return cs
-
-    @staticmethod
-    def _cost(cfg):
-        if cfg["algo"] == "naive":
-            return 10.0
-        return 1.0 + abs(cfg["tile"] - 8)  # optimum: tiled with tile=8
-
-    def test_bo_navigates_conditional_space(self):
-        cs = self._space(seed=0)
-        opt = Optimizer(cs, n_initial_points=6, seed=0)
-        for _ in range(14):
-            c = opt.ask()
-            opt.tell(c, self._cost(c))
-        best_cfg, best_cost = opt.best()
-        assert best_cfg["algo"] == "tiled"
-        assert best_cost <= 3.0
-
-    def test_inactive_params_encode_cleanly(self):
-        cs = self._space(seed=1)
-        naive = {"algo": "naive"}
-        arr = cs.encode(naive)
-        assert arr[1] == -1.0  # inactive 'tile'
-        opt = Optimizer(cs, n_initial_points=3, seed=1)
-        # Telling configs with and without 'tile' must coexist in one model.
-        opt.tell({"algo": "naive"}, 10.0)
-        opt.tell({"algo": "tiled", "tile": 8}, 1.0)
-        opt.tell({"algo": "tiled", "tile": 2}, 6.0)
-        for _ in range(5):
-            c = opt.ask()
-            opt.tell(c, self._cost(c))
-        assert opt.best()[0]["algo"] == "tiled"
-
-    def test_ask_batch_on_conditional_space(self):
-        cs = self._space(seed=2)
-        opt = Optimizer(cs, n_initial_points=3, seed=2)
-        batch = opt.ask_batch(4)
-        assert len(batch) == 4
-        for c in batch:
-            cs.check_configuration(dict(c))

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.common.errors import TuningError
-from repro.configspace import (
-    ConfigurationSpace,
-    OrdinalHyperparameter,
-    UniformFloatHyperparameter,
-)
+from repro.common.errors import SpaceError, TuningError
+from repro.configspace import ConfigurationSpace, OrdinalHyperparameter
 from repro.ytopt import TPEOptimizer
 
 
@@ -25,11 +21,9 @@ def _cost(config):
 
 
 class TestConstruction:
-    def test_rejects_infinite_spaces(self):
-        cs = ConfigurationSpace()
-        cs.add_hyperparameter(UniformFloatHyperparameter("x", 0.0, 1.0))
-        with pytest.raises(TuningError, match="finite"):
-            TPEOptimizer(cs)
+    def test_rejects_empty_space(self):
+        with pytest.raises(SpaceError, match="no hyperparameters"):
+            TPEOptimizer(ConfigurationSpace())
 
     def test_rejects_bad_hyperparameters(self):
         with pytest.raises(TuningError):
