@@ -10,7 +10,7 @@ paper attributes to LCB over the surrogate's mean and uncertainty.
 ``ask()`` never returns a configuration that was already told (duplicate
 evaluations waste the budget on finite tiling spaces); when the whole space has
 been observed it falls back to re-sampling. Told, in-flight and candidate
-configurations are compared by their :class:`~repro.configspace.IndexView`
+configurations are compared by their :class:`~repro.configspace.space.IndexView`
 codes; a :class:`~repro.configspace.Configuration` is built only for what
 ``ask`` returns.
 """

@@ -8,7 +8,7 @@ and a bad set, each hyperparameter gets a smoothed categorical density over
 its candidate values under both sets, and the next proposal maximizes the
 density ratio l(x)/g(x) over candidates drawn from the good density. Told
 configurations and candidates are compared by their
-:class:`~repro.configspace.IndexView` codes; only the pick becomes a
+:class:`~repro.configspace.space.IndexView` codes; only the pick becomes a
 :class:`~repro.configspace.Configuration`.
 
 :class:`TPEOptimizer` is a drop-in for :class:`repro.ytopt.optimizer.Optimizer`
