@@ -391,7 +391,9 @@ class Optimizer:
         self._X.pop()
         self._y.pop()
         self._configs.pop()
-        self._told.discard(self._codes.pop())
+        code = self._codes.pop()
+        if code not in self._codes:  # a lie may repeat a real observation
+            self._told.discard(code)
         self._fitted = False  # surrogate saw lies: force a clean refit
 
     def tell(self, config: "Configuration | Mapping[str, int]", cost: float) -> None:

@@ -97,3 +97,15 @@ class TestAskBatch:
         for c in batch:
             opt.tell(c, _cost(c))
         assert opt.n_told == 8
+
+    def test_retracted_lie_keeps_a_repeated_observation_told(self):
+        # On an exhausted space every lie repeats a told configuration:
+        # retracting it must not forget the real observation of it.
+        cs = ConfigurationSpace(seed=0)
+        cs.add_hyperparameter(OrdinalHyperparameter("a", [1, 2, 3]))
+        opt = Optimizer(cs, n_initial_points=1, seed=0)
+        for a in (1, 2, 3):
+            opt.tell({"a": a}, float(a))
+        opt.ask_batch(2)
+        assert opt._codes == [0, 1, 2]
+        assert opt._told == {0, 1, 2}
