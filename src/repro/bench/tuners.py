@@ -18,13 +18,11 @@ from typing import TYPE_CHECKING
 
 from repro.bench.protocols import TuneOutcome, TunerContext, TunerSpec
 from repro.bench.registry import register_tuner
-from repro.core.framework import AutotuneConfig, BayesianAutotuner
-from repro.ytopt.problem import TuningProblem
-from repro.ytopt.search import AMBS
-from repro.ytopt.surrogate import GaussianProcessSurrogate
 
 if TYPE_CHECKING:
     from repro.autotvm import Tuner
+    from repro.core.framework import AutotuneConfig, BayesianAutotuner
+    from repro.ytopt.search import AMBS
 
 #: Paper legend order first, then the two new surrogate families.
 BUILTIN_ORDER = (
@@ -37,8 +35,9 @@ BUILTIN_ORDER = (
     "ytopt-tpe",
 )
 
-#: AutoTVM tuner name -> its strategy class in :mod:`repro.autotvm`, which
-#: is imported when a session of that tuner is built.
+#: AutoTVM tuner name -> its strategy class in :mod:`repro.autotvm`. Each
+#: factory imports the search stack it builds when a session of its tuner is
+#: built, so listing the tuners loads none of it.
 _AUTOTVM_CLASSES = {
     "AutoTVM-Random": "RandomTuner",
     "AutoTVM-GridSearch": "GridSearchTuner",
@@ -81,6 +80,8 @@ def autotvm_search(
     (3–4 runs of a 14-second kernel). ``jobs`` > 1 measures each wave that
     many configurations at a time.
     """
+    from repro.ytopt.search import AMBS
+
     return AMBS(
         tuner.problem,
         optimizer=tuner,
@@ -93,6 +94,8 @@ def autotvm_search(
 
 
 def _bo_config(ctx: TunerContext) -> AutotuneConfig:
+    from repro.core.framework import AutotuneConfig
+
     return AutotuneConfig(
         max_evals=ctx.max_evals,
         seed=ctx.seed,
@@ -107,6 +110,8 @@ def _bo_config(ctx: TunerContext) -> AutotuneConfig:
 
 
 def _make_ytopt(ctx: TunerContext) -> BoundSearch:
+    from repro.core.framework import BayesianAutotuner
+
     return BoundSearch(
         BayesianAutotuner(
             ctx.benchmark.config_space(seed=ctx.seed),
@@ -121,6 +126,9 @@ def _make_ytopt(ctx: TunerContext) -> BoundSearch:
 
 
 def _make_ytopt_gp(ctx: TunerContext) -> BoundSearch:
+    from repro.core.framework import BayesianAutotuner
+    from repro.ytopt.surrogate import GaussianProcessSurrogate
+
     return BoundSearch(
         BayesianAutotuner(
             ctx.benchmark.config_space(seed=ctx.seed),
@@ -134,6 +142,7 @@ def _make_ytopt_gp(ctx: TunerContext) -> BoundSearch:
 
 
 def _make_ytopt_tpe(ctx: TunerContext) -> BoundSearch:
+    from repro.core.framework import BayesianAutotuner
     from repro.ytopt.tpe import TPEOptimizer
 
     space = ctx.benchmark.config_space(seed=ctx.seed)
@@ -155,6 +164,7 @@ def _make_ytopt_tpe(ctx: TunerContext) -> BoundSearch:
 def _make_autotvm(name: str):
     def factory(ctx: TunerContext) -> BoundSearch:
         from repro import autotvm
+        from repro.ytopt.problem import TuningProblem
 
         problem = TuningProblem(
             ctx.benchmark.config_space(seed=ctx.seed), ctx.evaluator, name=ctx.benchmark.name

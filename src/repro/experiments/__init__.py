@@ -7,42 +7,17 @@ trajectories, minimum-runtime comparisons); :mod:`repro.experiments.ablations`
 adds the design-choice studies DESIGN.md calls out.
 """
 
-from repro.experiments.runner import (
-    ALL_TUNERS,
-    TunerRun,
-    ExperimentResult,
-    run_tuner,
-    run_experiment,
-)
-from repro.experiments.stats import (
-    MultiSeedStudy,
-    area_under_best_curve,
-    run_multi_seed_study,
-    summarize_studies,
-)
-from repro.experiments.figures import (
-    EXPERIMENT_FIGURES,
-    min_runtime_table,
-    process_summary_table,
-    trajectory_csv,
-    ascii_trajectory,
-    format_tensor_size,
-)
+from repro import _lazy
 
-__all__ = [
-    "ALL_TUNERS",
-    "TunerRun",
-    "ExperimentResult",
-    "run_tuner",
-    "run_experiment",
-    "EXPERIMENT_FIGURES",
-    "min_runtime_table",
-    "process_summary_table",
-    "trajectory_csv",
-    "ascii_trajectory",
-    "format_tensor_size",
-    "MultiSeedStudy",
-    "area_under_best_curve",
-    "run_multi_seed_study",
-    "summarize_studies",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        "runner": ("ALL_TUNERS", "TunerRun", "ExperimentResult", "run_tuner",
+                   "run_experiment"),
+        "figures": ("EXPERIMENT_FIGURES", "min_runtime_table",
+                    "process_summary_table", "trajectory_csv",
+                    "ascii_trajectory", "format_tensor_size"),
+        "stats": ("MultiSeedStudy", "area_under_best_curve",
+                  "run_multi_seed_study", "summarize_studies"),
+    },
+)

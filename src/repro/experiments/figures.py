@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import io
 import math
+from typing import TYPE_CHECKING
 
 from repro.common.tabulate import format_table
-from repro.experiments.runner import ExperimentResult, TunerRun
+
+if TYPE_CHECKING:  # the figure list is read without loading the session stack
+    from repro.experiments.runner import ExperimentResult, TunerRun
 
 #: Map experiment id -> (kernel, size, paper figure numbers).
 EXPERIMENT_FIGURES: dict[str, tuple[str, str, str]] = {

@@ -32,6 +32,7 @@ NOT_ON_SWING_PATH = (
 #: The packages whose names resolve on first access.
 LAZY_PACKAGES = (
     "repro",
+    "repro.experiments",
     "repro.runtime",
     "repro.service",
     "repro.kernels",
@@ -52,10 +53,10 @@ def _run(code: str, *args: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _off_path(modules) -> list[str]:
+def _off_path(modules, packages=NOT_ON_SWING_PATH) -> list[str]:
     return sorted(
         m for m in modules
-        if any(m == p or m.startswith(p + ".") for p in NOT_ON_SWING_PATH)
+        if any(m == p or m.startswith(p + ".") for p in packages)
     )
 
 
@@ -90,6 +91,35 @@ def test_swing_session_loads_no_compiler_and_nothing_inside_run(tmp_path):
 def test_cli_import_stays_off_the_compiler():
     out = _run("import json, sys\nimport repro.cli\nprint(json.dumps(sorted(sys.modules)))")
     assert _off_path(out) == []
+
+
+#: What building the CLI parser never needs: the ``--kernel``, ``--tuner``
+#: and experiment choices are registry names, and every command (the thin
+#: service clients too) builds the parser.
+NOT_FOR_THE_PARSER = NOT_ON_SWING_PATH + (
+    "repro.core",
+    "repro.ytopt",
+    "repro.ml",
+    "repro.service.session",
+    "repro.experiments.runner",
+    "repro.experiments.stats",
+)
+
+
+def test_cli_parser_loads_no_search_stack():
+    out = _run(
+        "import json, sys\n"
+        "from repro.cli import build_parser\n"
+        "from repro.experiments import EXPERIMENT_FIGURES\n"
+        "from repro.bench import benchmark_names, tuner_names\n"
+        "build_parser()\n"
+        "print(json.dumps([sorted(sys.modules), tuner_names(), benchmark_names(),\n"
+        "                  list(EXPERIMENT_FIGURES)]))"
+    )
+    modules, tuners, benchmarks, experiments = out
+    assert _off_path(modules, NOT_FOR_THE_PARSER) == []
+    assert len(tuners) == 7 and len(benchmarks) == 7
+    assert "lu-large" in experiments
 
 
 RESOLVE = """
