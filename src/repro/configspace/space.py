@@ -207,19 +207,21 @@ class IndexView:
     varying fastest (AutoTVM's linear order; the strategies in
     :mod:`repro.autotvm` search these codes). Rows, codes and configurations
     are in one-to-one correspondence, so comparing codes compares
-    configurations; ``len(view)`` counts them. Obtain one from
+    configurations; ``len(view)`` counts them. ``cardinalities`` and
+    ``strides`` are the per-hyperparameter value counts and code weights
+    (int64 arrays; treat as read-only). Obtain one from
     :meth:`ConfigurationSpace.index_view`.
     """
 
     def __init__(self, space: ConfigurationSpace, hps: "list[OrdinalHyperparameter]") -> None:
         self.space = space
         self._hps = hps
-        self._cardinalities = np.array([len(hp._values) for hp in hps], dtype=np.int64)
-        self._strides = np.cumprod(np.concatenate(([1], self._cardinalities[:-1])))
+        self.cardinalities = np.array([len(hp._values) for hp in hps], dtype=np.int64)
+        self.strides = np.cumprod(np.concatenate(([1], self.cardinalities[:-1])))
         self._size = math.prod(len(hp._values) for hp in hps)
         # Encoding divisor: index / (cardinality - 1), and 0 for a
         # single-value hyperparameter (whose only index is 0).
-        self._scale = np.maximum(self._cardinalities - 1, 1)
+        self._scale = np.maximum(self.cardinalities - 1, 1)
 
     def sample(self, n: int) -> np.ndarray:
         """``(n, d)`` int64 index rows from the space RNG.
@@ -231,7 +233,7 @@ class IndexView:
         values and the RNG state after the call are the same (a
         single-value column draws nothing either way).
         """
-        return self.space._rng.integers(self._cardinalities, size=(n, len(self._hps)))
+        return self.space._rng.integers(self.cardinalities, size=(n, len(self._hps)))
 
     def encode(self, rows: np.ndarray) -> np.ndarray:
         """The rows' encodings, equal to :meth:`Configuration.get_array`."""
@@ -242,12 +244,12 @@ class IndexView:
 
     def codes(self, rows: np.ndarray) -> np.ndarray:
         """The rows' int64 codes."""
-        return rows @ self._strides
+        return rows @ self.strides
 
     def rows(self, codes: np.ndarray) -> np.ndarray:
         """The index rows of int64 codes (the inverse of :meth:`codes`)."""
         codes = np.asarray(codes, dtype=np.int64)[..., None]
-        return codes // self._strides % self._cardinalities
+        return codes // self.strides % self.cardinalities
 
     def row_of(self, config: Mapping[str, object]) -> np.ndarray:
         """The index row of a configuration of this space."""
@@ -274,7 +276,7 @@ class IndexView:
         nearest on one side at either end of the list.
         """
         positions = row[:, None] + self._STEPS
-        legal = (positions >= 0) & (positions < self._cardinalities[:, None])
+        legal = (positions >= 0) & (positions < self.cardinalities[:, None])
         column, step = np.nonzero(legal & (np.cumsum(legal, axis=1) <= 2))
         out = np.repeat(row[None], len(column), axis=0)
         out[np.arange(len(column)), column] = positions[column, step]
@@ -284,7 +286,7 @@ class IndexView:
         """The rows whose codes are not in ``taken``, in
         :meth:`ConfigurationSpace.enumerate_configurations` order (first
         hyperparameter slowest)."""
-        rows = np.indices(self._cardinalities).reshape(len(self._hps), -1).T
+        rows = np.indices(self.cardinalities).reshape(len(self._hps), -1).T
         return rows[~np.isin(self.codes(rows), np.fromiter(taken, np.int64))]
 
 

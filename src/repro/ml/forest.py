@@ -18,8 +18,10 @@ from repro.common.rng import ensure_rng, spawn_seed
 from repro.ml.tree import (
     TreeArrays,
     check_tree_params,
+    fit_forest_native,
     grow_trees,
     n_candidate_features,
+    native_grower,
 )
 
 
@@ -55,6 +57,13 @@ class RandomForestRegressor:
             raise ReproError(f"bad training data shapes X={X.shape}, y={y.shape}")
         n, d = X.shape
         k = n_candidate_features(self.max_features, d)
+        lib = native_grower(d, k)
+        if lib is not None:
+            self.nodes_ = fit_forest_native(
+                lib, X, y, self._rng, self.n_estimators, self.bootstrap, k,
+                self.max_depth, self.min_samples_split, self.min_samples_leaf,
+            )
+            return self
         # Per tree: its feature-draw generator, then its bootstrap sample.
         # With every feature a candidate nothing is drawn, so only the
         # generator's seed is taken from the stream.

@@ -70,23 +70,143 @@ typedef struct {
     u64 (*next_raw)(void *);
 } bitgen_t;
 
-/* random_bounded_uint64(gen, 0, rng, 0, 0) for rng < 2**32 - 1: Lemire's
-   method on 32-bit draws, as NumPy's buffered_bounded_lemire_uint32. */
+/* The high word of a * b; *lo gets the low word. */
+static u64 mul128(u64 a, u64 b, u64 *lo)
+{
+    u64 a0 = (u32)a, a1 = a >> 32, b0 = (u32)b, b1 = b >> 32;
+    u64 p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
+    u64 mid = (p00 >> 32) + (u32)p01 + (u32)p10;
+    *lo = (mid << 32) | (u32)p00;
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+}
+
+/* NumPy's random_bounded_uint64(gen, 0, rng, 0, 0), the draw behind every
+   Generator.integers call here, for rng < 2**64 - 1: no draw for rng 0;
+   Lemire's method on 32-bit draws below 2**32 - 1
+   (buffered_bounded_lemire_uint32); one 32-bit draw at 2**32 - 1; Lemire's
+   method on 64-bit draws above (bounded_lemire_uint64). */
 static u64 bounded(bitgen_t *gen, u64 rng)
 {
     if (rng == 0)
         return 0;
-    u32 excl = (u32)rng + 1;
-    u64 m = (u64)gen->next_uint32(gen->state) * excl;
-    u32 leftover = (u32)m;
-    if (leftover < excl) {
-        u32 threshold = (0xFFFFFFFFu - (u32)rng) % excl;
-        while (leftover < threshold) {
-            m = (u64)gen->next_uint32(gen->state) * excl;
-            leftover = (u32)m;
+    if (rng == 0xFFFFFFFFu)
+        return gen->next_uint32(gen->state);
+    if (rng < 0xFFFFFFFFu) {
+        u32 excl = (u32)rng + 1;
+        u64 m = (u64)gen->next_uint32(gen->state) * excl;
+        u32 leftover = (u32)m;
+        if (leftover < excl) {
+            u32 threshold = (0xFFFFFFFFu - (u32)rng) % excl;
+            while (leftover < threshold) {
+                m = (u64)gen->next_uint32(gen->state) * excl;
+                leftover = (u32)m;
+            }
         }
+        return m >> 32;
     }
-    return m >> 32;
+    u64 excl = rng + 1, leftover;
+    u64 m = mul128(gen->next_uint64(gen->state), excl, &leftover);
+    if (leftover < excl) {
+        u64 threshold = (0xFFFFFFFFFFFFFFFFull - rng) % excl;
+        while (leftover < threshold)
+            m = mul128(gen->next_uint64(gen->state), excl, &leftover);
+    }
+    return m;
+}
+
+/* NumPy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG with an XSL-RR
+   output, held as (high, low) words, and the upper half of the last 64-bit
+   output, which next_uint32 returns next when has_uint32 is set. */
+typedef struct {
+    u64 state[2], inc[2];
+    u64 has_uint32, uinteger;
+} pcg64_t;
+
+static void pcg64_step(pcg64_t *p)
+{
+    const u64 mul_hi = 2549297995355413924ull, mul_lo = 4865540595714422341ull;
+    u64 lo, hi = mul128(p->state[1], mul_lo, &lo);
+    hi += p->state[0] * mul_lo + p->state[1] * mul_hi;
+    u64 sum = lo + p->inc[1];
+    p->state[0] = hi + p->inc[0] + (sum < lo);
+    p->state[1] = sum;
+}
+
+static u64 pcg64_next64(void *s)
+{
+    pcg64_t *p = s;
+    pcg64_step(p);
+    u64 x = p->state[0] ^ p->state[1];
+    unsigned rot = (unsigned)(p->state[0] >> 58);
+    return (x >> rot) | (x << ((64 - rot) & 63));
+}
+
+static u32 pcg64_next32(void *s)
+{
+    pcg64_t *p = s;
+    if (p->has_uint32) {
+        p->has_uint32 = 0;
+        return (u32)p->uinteger;
+    }
+    u64 next = pcg64_next64(p);
+    p->has_uint32 = 1;
+    p->uinteger = next >> 32;
+    return (u32)next;
+}
+
+/* SeedSequence's hash of one word, which advances its multiplier. */
+static u32 hashmix(u32 value, u32 *hash)
+{
+    value ^= *hash;
+    *hash *= 0x931e8875u;
+    value *= *hash;
+    return value ^ (value >> 16);
+}
+
+static u32 mix(u32 x, u32 y)
+{
+    u32 r = 0xca01f9ddu * x - 0x4973f715u * y;
+    return r ^ (r >> 16);
+}
+
+/* *p = the PCG64 of np.random.default_rng(seed): SeedSequence(seed) mixes
+   the seed's 32-bit words (one below 2**32) into a 4-word pool
+   (mix_entropy), generate_state(4, uint64) expands the pool, and
+   pcg64_set_seed seeds from the four words, with nothing buffered. */
+void seed_pcg64(u64 seed, pcg64_t *p)
+{
+    u32 entropy[2] = {(u32)seed, (u32)(seed >> 32)}, pool[4];
+    u32 hash = 0x43b0d7e5u;
+    for (int i = 0; i < 4; i++)
+        pool[i] = hashmix(i < 1 + (seed >> 32 != 0) ? entropy[i] : 0, &hash);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash));
+    u64 words[4];
+    hash = 0x8b51f9ddu;
+    for (int i = 0; i < 8; i++) {
+        u32 v = pool[i % 4] ^ hash;
+        hash *= 0x58f38dedu;
+        v *= hash;
+        v ^= v >> 16;
+        if (i % 2)
+            words[i / 2] |= (u64)v << 32;
+        else
+            words[i / 2] = v;
+    }
+    /* pcg_setseq_128_srandom_r(initstate = words[0:2], initseq = words[2:4]) */
+    p->inc[0] = words[2] << 1 | words[3] >> 63;
+    p->inc[1] = words[3] << 1 | 1;
+    p->state[0] = 0;
+    p->state[1] = 0;
+    pcg64_step(p);
+    u64 low = p->state[1] + words[1];
+    p->state[0] += words[0] + (low < words[1]);
+    p->state[1] = low;
+    pcg64_step(p);
+    p->has_uint32 = 0;
+    p->uinteger = 0;
 }
 
 /* Generator.choice(d, k, replace=False) for d <= 10000: Floyd's algorithm,
@@ -374,6 +494,116 @@ i64 grow_forest(const double *X, const double *y, const i64 *rank, i64 ld,
     return size;
 }
 
+/* A tree's own generator in fit_forest: a bitgen_t over a PCG64. */
+typedef struct {
+    bitgen_t gen;
+    pcg64_t pcg;
+} tree_gen;
+
+_Static_assert(sizeof(tree_gen) == 8 * 11, "tree_gen is 11 words");
+
+/* RandomForestRegressor.fit: the draws of its NumPy loop, then grow_forest
+   over n samples per tree. For each tree, from parent (the forest's
+   generator), in order: its seed, as spawn_seed draws it
+   (integers(0, 2**63 - 1)); its rows, as integers(0, n, size=n) draws
+   them, or 0 ... n-1 without bootstrap; and, when k < d, its generator,
+   the PCG64 of default_rng(seed), which grow_forest draws from. rows
+   (n_trees x n), gens (n_trees) and tgens (n_trees) are written; the other
+   arguments are grow_forest's. */
+i64 fit_forest(bitgen_t *parent, i64 bootstrap, tree_gen *tgens,
+               const double *X, const double *y, const i64 *rank, i64 ld,
+               i64 *rows, i64 *gens, i64 n, i64 d, i64 n_trees, i64 k,
+               i64 max_depth, i64 min_split, i64 min_leaf, i64 *inodes,
+               double *fnodes, i64 *roots, i64 *iwork, double *fwork, u8 *bwork)
+{
+    for (i64 t = 0; t < n_trees; t++) {
+        u64 seed = bounded(parent, 0x7FFFFFFFFFFFFFFEull);
+        i64 *trow = rows + t * n;
+        for (i64 s = 0; s < n; s++)
+            trow[s] = bootstrap ? (i64)bounded(parent, (u64)(n - 1)) : s;
+        if (k < d) {
+            tree_gen *g = tgens + t;
+            seed_pcg64(seed, &g->pcg);
+            g->gen.state = &g->pcg;
+            g->gen.next_uint64 = pcg64_next64;
+            g->gen.next_uint32 = pcg64_next32;
+            g->gen.next_double = 0;
+            g->gen.next_raw = pcg64_next64;
+            gens[t] = (i64)&g->gen;
+        }
+    }
+    return grow_forest(X, y, rank, ld, rows, gens, n, d, n_trees, n, k,
+                       max_depth, min_split, min_leaf, inodes, fnodes, roots,
+                       iwork, fwork, bwork);
+}
+
+/* Add code to the open-addressing set table[0 : mask + 1] (-1 marks an
+   empty slot); 1 if it was not there yet. */
+static i64 insert(i64 *table, i64 mask, i64 code)
+{
+    u64 h = (u64)code * 0x9E3779B97F4A7C15ull;
+    for (i64 i = (i64)(h >> 32) & mask;; i = (i + 1) & mask) {
+        if (table[i] == code)
+            return 0;
+        if (table[i] < 0) {
+            table[i] = code;
+            return 1;
+        }
+    }
+}
+
+/* Optimizer._index_pool's rows into out, as many as returned. Draws n_cand
+   rows of d value indexes from gen element by element, as
+   Generator.integers(card, size=(n_cand, d)) does (none for a one-value
+   column), and keeps each row whose code (its dot product with stride) is
+   neither in taken[0:n_taken] nor an earlier row's. Then come the new
+   codes among the IndexView.neighbors rows of the incumbents' codes
+   inc[0:n_inc] in turn (per column, the first two in-range positions of
+   -1, +1, -2, +2), until the pool holds limit rows (checked after each
+   neighbour joins and after each incumbent's last). out holds n_cand + 2 * d * n_inc rows; the table has a
+   power-of-two mask + 1 slots, at least twice the codes it can receive,
+   all -1 on entry. */
+i64 draw_pool(bitgen_t *gen, const i64 *card, const i64 *stride, i64 d,
+              i64 n_cand, const i64 *taken, i64 n_taken, const i64 *inc,
+              i64 n_inc, i64 limit, i64 *out, i64 *table, i64 mask)
+{
+    static const i64 steps[4] = {-1, 1, -2, 2};
+    i64 size = 0;
+    for (i64 i = 0; i < n_taken; i++)
+        insert(table, mask, taken[i]);
+    for (i64 r = 0; r < n_cand; r++) {
+        i64 *row = out + size * d, code = 0;
+        for (i64 j = 0; j < d; j++) {
+            row[j] = (i64)bounded(gen, (u64)(card[j] - 1));
+            code += row[j] * stride[j];
+        }
+        size += insert(table, mask, code);
+    }
+    for (i64 b = 0; b < n_inc; b++) {
+        for (i64 j = 0; j < d; j++) {
+            i64 at = inc[b] / stride[j] % card[j], found = 0;
+            for (i64 s = 0; s < 4 && found < 2; s++) {
+                i64 pos = at + steps[s];
+                if (pos < 0 || pos >= card[j])
+                    continue;
+                found++;
+                i64 code = inc[b] + (pos - at) * stride[j];
+                if (!insert(table, mask, code))
+                    continue;
+                i64 *row = out + size * d;
+                for (i64 c = 0; c < d; c++)
+                    row[c] = inc[b] / stride[c] % card[c];
+                row[j] = pos;
+                if (++size >= limit)
+                    return size;
+            }
+        }
+        if (size >= limit)
+            break;
+    }
+    return size;
+}
+
 /* out[t * n_rows + r] = value of the leaf row r of X (n_rows x d) reaches
    in tree t (rooted at roots[t]). */
 void walk_forest(const double *X, i64 n_rows, i64 d, const i64 *feature,
@@ -395,18 +625,32 @@ void walk_forest(const double *X, i64 n_rows, i64 d, const i64 *feature,
 
 
 class _Library:
-    """The loaded library with its two entry points' signatures set."""
+    """The loaded library with its entry points' signatures set."""
 
     def __init__(self, path: str) -> None:
         lib = ctypes.CDLL(path)
         self.path = path
         ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+        work = [ptr, ptr, ptr, ptr, ptr, ptr]  # node arrays and work space
         self.grow_forest = lib.grow_forest
         self.grow_forest.restype = i64
         self.grow_forest.argtypes = [
             ptr, ptr, ptr, i64, ptr, ptr, i64, i64, i64, i64, i64, i64, i64, i64,
-            ptr, ptr, ptr, ptr, ptr, ptr,
+            *work,
         ]
+        self.fit_forest = lib.fit_forest
+        self.fit_forest.restype = i64
+        self.fit_forest.argtypes = [
+            ptr, i64, ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, i64, i64, i64, i64,
+            i64, i64, *work,
+        ]
+        self.draw_pool = lib.draw_pool
+        self.draw_pool.restype = i64
+        self.draw_pool.argtypes = [ptr, ptr, ptr, i64, i64, ptr, i64, ptr, i64,
+                                   i64, ptr, ptr, i64]
+        self.seed_pcg64 = lib.seed_pcg64
+        self.seed_pcg64.restype = None
+        self.seed_pcg64.argtypes = [ctypes.c_uint64, ptr]
         self.walk_forest = lib.walk_forest
         self.walk_forest.restype = None
         self.walk_forest.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr,
@@ -474,6 +718,43 @@ def _addr(a: np.ndarray) -> int:
     return a.__array_interface__["data"][0]
 
 
+#: int64 words of fit_forest's per-tree generator (a bitgen_t and a PCG64).
+_TREE_GEN_WORDS = 11
+
+
+class _Forest:
+    """The node arrays and work space of one ``grow_forest`` call: ``T``
+    trees of ``m`` samples drawn from ``n`` samples of ``d`` features.
+
+    One int64 block holds the node ints, the roots, the tree generator
+    pointers, ``extra`` words for the caller and the work space; one float64
+    block the node floats and work: few allocations and address reads.
+    """
+
+    def __init__(self, n: int, d: int, T: int, m: int, extra: int = 0) -> None:
+        per_tree = 2 * m - 1
+        cap = T * per_tree
+        head = 2 * (d + 1) * m + m + 4 * per_tree + d * m  # offset of head in iwork
+        iwork = 5 * cap + 2 * T + extra
+        self.ints = np.zeros(iwork + head + n + d + 2 * _SUM_TASKS, dtype=np.int64)
+        self.ints[iwork + head:iwork + head + n] = -1
+        self.floats = np.empty(2 * cap + 4 * m + _SUM_TASKS)
+        self.bwork = np.zeros(m + d, dtype=np.uint8)
+        self.inodes = self.ints[:5 * cap].reshape(5, cap)
+        self.fnodes = self.floats[:2 * cap].reshape(2, cap)
+        self.roots = self.ints[5 * cap:5 * cap + T]
+        at_i, at_f = _addr(self.ints), _addr(self.floats)
+        self.gens = self.ints[5 * cap + T:5 * cap + 2 * T]
+        self.at_gens = at_i + 8 * (5 * cap + T)
+        self.at_extra = at_i + 8 * (5 * cap + 2 * T)
+        # inodes, fnodes, roots, iwork, fwork, bwork
+        self.work = (at_i, at_f, at_i + 8 * 5 * cap, at_i + 8 * iwork,
+                     at_f + 8 * 2 * cap, _addr(self.bwork))
+
+    def result(self, size: int):
+        return self.inodes, self.fnodes, self.roots, size
+
+
 def grow(lib: _Library, X: np.ndarray, y: np.ndarray, rank: np.ndarray,
          rows: np.ndarray, rngs, k: int, max_depth: int | None,
          min_samples_split: int, min_samples_leaf: int):
@@ -486,33 +767,19 @@ def grow(lib: _Library, X: np.ndarray, y: np.ndarray, rank: np.ndarray,
     """
     n, d = X.shape
     T, m = rows.shape
-    per_tree = 2 * m - 1
-    cap = T * per_tree
-    # One int64 block (node ints, roots, generator pointers, work) and one
-    # float64 block (node floats, work): few allocations and address reads.
-    head = 2 * (d + 1) * m + m + 4 * per_tree + d * m  # offset of head in iwork
-    iwork = 5 * cap + 2 * T
-    ints = np.zeros(iwork + head + n + d + 2 * _SUM_TASKS, dtype=np.int64)
-    ints[iwork + head:iwork + head + n] = -1
-    floats = np.empty(2 * cap + 4 * m + _SUM_TASKS)
-    bwork = np.zeros(m + d, dtype=np.uint8)
-    inodes = ints[:5 * cap].reshape(5, cap)
-    roots, gens = ints[5 * cap:iwork].reshape(2, T)
-    fnodes = floats[:2 * cap].reshape(2, cap)
-    at_i, at_f = _addr(ints), _addr(floats)
+    forest = _Forest(n, d, T, m)
     args = (
         _addr(X), _addr(y), _addr(rank), rank.shape[1], _addr(rows),
-        at_i + 8 * (5 * cap + T), n, d, T, m, k,
-        -1 if max_depth is None else max_depth, min_samples_split,
-        min_samples_leaf, at_i, at_f, at_i + 8 * 5 * cap, at_i + 8 * iwork,
-        at_f + 8 * 2 * cap, _addr(bwork),
+        forest.at_gens, n, d, T, m, k, -1 if max_depth is None else max_depth,
+        min_samples_split, min_samples_leaf, *forest.work,
     )
     if k >= d:
-        return inodes, fnodes, roots, lib.grow_forest(*args)
+        return forest.result(lib.grow_forest(*args))
     # Each tree draws from its own generator's next_uint32, in place, so
     # the generators end in the state Generator.choice would leave them in.
     bit_generators = [rng.bit_generator for rng in rngs]
-    gens[:] = [_capsule_pointer(bg.capsule, b"BitGenerator") for bg in bit_generators]
+    forest.gens[:] = [_capsule_pointer(bg.capsule, b"BitGenerator")
+                      for bg in bit_generators]
     locks = list({id(bg.lock): bg.lock for bg in bit_generators}.values())
     for lock in locks:
         lock.acquire()
@@ -521,7 +788,67 @@ def grow(lib: _Library, X: np.ndarray, y: np.ndarray, rank: np.ndarray,
     finally:
         for lock in reversed(locks):
             lock.release()
-    return inodes, fnodes, roots, size
+    return forest.result(size)
+
+
+def fit(lib: _Library, X: np.ndarray, y: np.ndarray, rank: np.ndarray,
+        rng: np.random.Generator, n_trees: int, bootstrap: bool, k: int,
+        max_depth: int | None, min_samples_split: int, min_samples_leaf: int):
+    """Run ``fit_forest``: :meth:`RandomForestRegressor.fit
+    <repro.ml.forest.RandomForestRegressor.fit>`'s draws from ``rng`` and
+    its trees, in one call that holds ``rng``'s lock. Returns what
+    :func:`grow` returns; the arguments are :func:`grow`'s.
+    """
+    n, d = X.shape
+    forest = _Forest(n, d, n_trees, n, extra=n_trees * (n + _TREE_GEN_WORDS))
+    bg = rng.bit_generator
+    with bg.lock:
+        size = lib.fit_forest(
+            _capsule_pointer(bg.capsule, b"BitGenerator"), bootstrap,
+            forest.at_extra + 8 * n_trees * n, _addr(X), _addr(y), _addr(rank),
+            rank.shape[1], forest.at_extra, forest.at_gens, n, d, n_trees, k,
+            -1 if max_depth is None else max_depth, min_samples_split,
+            min_samples_leaf, *forest.work,
+        )
+    return forest.result(size)
+
+
+def draw_pool(lib: _Library, rng: np.random.Generator, cardinalities: np.ndarray,
+              strides: np.ndarray, n_candidates: int, taken: np.ndarray,
+              incumbents: np.ndarray, limit: int) -> np.ndarray:
+    """Run ``draw_pool`` (see the C comment) under ``rng``'s lock; returns
+    the pool's int64 index rows. ``cardinalities``, ``strides``, ``taken``
+    and ``incumbents`` (codes) are contiguous int64.
+    """
+    d = cardinalities.size
+    rows = n_candidates + 2 * d * incumbents.size
+    slots = 1 << (2 * (taken.size + rows) - 1).bit_length()
+    work = np.empty(rows * d + slots, dtype=np.int64)
+    work[rows * d:] = -1
+    at = _addr(work)
+    bg = rng.bit_generator
+    with bg.lock:
+        size = lib.draw_pool(
+            _capsule_pointer(bg.capsule, b"BitGenerator"), _addr(cardinalities),
+            _addr(strides), d, n_candidates, _addr(taken), taken.size,
+            _addr(incumbents), incumbents.size, limit, at, at + 8 * rows * d,
+            slots - 1,
+        )
+    return work[:size * d].reshape(size, d)
+
+
+def pcg64_state(lib: _Library, seed: int) -> dict:
+    """``np.random.PCG64(seed).state`` as ``seed_pcg64`` sets it, for
+    ``0 <= seed < 2**64``."""
+    words = np.zeros(6, dtype=np.uint64)
+    lib.seed_pcg64(seed, _addr(words))
+    state_hi, state_lo, inc_hi, inc_lo, has_uint32, uinteger = map(int, words)
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+        "has_uint32": has_uint32,
+        "uinteger": uinteger,
+    }
 
 
 def walk(lib: _Library, X: np.ndarray, trees) -> np.ndarray:

@@ -188,12 +188,39 @@ def grow_trees(
     from ``rngs[t]``. Uses the compiled grower when it loads, else the
     NumPy one; both give the same trees.
     """
-    lib = native.library()
-    if lib is not None and (k >= X.shape[1] or X.shape[1] <= native.MAX_DRAW_FEATURES):
+    lib = native_grower(X.shape[1], k)
+    if lib is not None:
         return _grow_native(lib, X, y, rows, rngs, k, max_depth,
                             min_samples_split, min_samples_leaf)
     return _Grower(X, y, rows, rngs, k, max_depth, min_samples_split,
                    min_samples_leaf).grow()
+
+
+def native_grower(d: int, k: int):
+    """The compiled library, when it loads and can draw ``k`` of ``d``
+    features per node; else None."""
+    lib = native.library()
+    if lib is not None and (k >= d or d <= native.MAX_DRAW_FEATURES):
+        return lib
+    return None
+
+
+def fit_forest_native(
+    lib, X: np.ndarray, y: np.ndarray, rng: np.random.Generator, n_trees: int,
+    bootstrap: bool, k: int, max_depth: int | None, min_samples_split: int,
+    min_samples_leaf: int,
+) -> TreeArrays:
+    """:meth:`RandomForestRegressor.fit <repro.ml.forest.RandomForestRegressor.fit>`
+    in one compiled call: each tree's seed, bootstrap rows and feature
+    generator drawn from ``rng`` as the NumPy loop there draws them, then
+    the trees ``grow_trees`` would grow from them. ``lib`` is
+    :func:`native_grower`'s."""
+    check_tree_params(max_depth, min_samples_split, min_samples_leaf)
+    X = np.ascontiguousarray(X, dtype=float)
+    return _tree_arrays(native.fit(
+        lib, X, np.ascontiguousarray(y, dtype=float), _ranks(X), rng, n_trees,
+        bootstrap, k, max_depth, min_samples_split, min_samples_leaf,
+    ), X.shape[1])
 
 
 def _ranks(X: np.ndarray) -> np.ndarray:
@@ -217,11 +244,16 @@ def _grow_native(lib, X, y, rows, rngs, k, max_depth, min_samples_split,
     if rows.size and (rows.min() < 0 or rows.max() >= X.shape[0]):
         raise ReproError(f"rows must index the {X.shape[0]} training samples")
     X = np.ascontiguousarray(X, dtype=float)
-    inodes, fnodes, roots, size = native.grow(
+    return _tree_arrays(native.grow(
         lib, X, np.ascontiguousarray(y, dtype=float), _ranks(X),
         np.ascontiguousarray(rows, dtype=np.int64), rngs, k, max_depth,
         min_samples_split, min_samples_leaf,
-    )
+    ), X.shape[1])
+
+
+def _tree_arrays(grown, d: int) -> TreeArrays:
+    """The trees of a compiled grower call's ``(inodes, fnodes, roots, size)``."""
+    inodes, fnodes, roots, size = grown
     if size < 0:
         raise ReproError(
             "degenerate split: a threshold left one side empty, so the tree "
@@ -231,7 +263,7 @@ def _grow_native(lib, X, y, rows, rngs, k, max_depth, min_samples_split,
     threshold, value = fnodes[:, :size].copy()
     return TreeArrays(feature=feature, threshold=threshold, left=left,
                       right=right, value=value, n_samples=n_samples,
-                      depth=depth, roots=roots.copy(), n_features=X.shape[1])
+                      depth=depth, roots=roots.copy(), n_features=d)
 
 
 class _Grower:

@@ -26,6 +26,7 @@ import numpy as np
 from repro.common.errors import TuningError
 from repro.common.rng import ensure_rng
 from repro.configspace import Configuration, ConfigurationSpace
+from repro.ml import native
 from repro.telemetry.context import get_telemetry
 from repro.telemetry.events import SurrogateFitted
 from repro.ytopt.acquisition import AcquisitionFunction, LowerConfidenceBound
@@ -580,7 +581,26 @@ class Optimizer:
         pool joins it until the pool holds ``n_candidates +
         n_neighbor_candidates`` rows. Neighbours draw nothing from either
         RNG. Only the configuration the caller asks for is ever built.
+
+        The compiled library (:mod:`repro.ml.native`) draws and filters the
+        rows in one call; :meth:`_numpy_pool_rows` is the same pool in
+        NumPy, for hosts without it.
         """
+        ix = self._index
+        lib = native.library()
+        if lib is None:
+            rows = self._numpy_pool_rows(exclude)
+        else:
+            taken = np.array(self._codes + list(exclude), dtype=np.int64)
+            rows = native.draw_pool(
+                lib, self.space._rng, ix.cardinalities, ix.strides,
+                self.n_candidates, taken, taken[np.argsort(self._y)[:3]],
+                self.n_candidates + self.n_neighbor_candidates,
+            )
+        return ix.encode(rows), lambda i: ix.configuration(rows[i])
+
+    def _numpy_pool_rows(self, exclude: Sequence[int]) -> np.ndarray:
+        """The index rows of :meth:`_index_pool`, drawn and filtered in NumPy."""
         ix = self._index
         rows = ix.sample(self.n_candidates)
         taken = self._codes + list(exclude)
@@ -603,8 +623,7 @@ class Optimizer:
                         break
             if len(picks) >= budget:
                 break
-        rows = np.concatenate([rows[keep], *(p[None] for p in picks)])
-        return ix.encode(rows), lambda i: ix.configuration(rows[i])
+        return np.concatenate([rows[keep], *(p[None] for p in picks)])
 
     #: Per-observation decay of the transfer prior's weight past the initial
     #: design: after ~15 real measurements the in-session surrogate has seen

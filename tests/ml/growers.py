@@ -1,4 +1,6 @@
-"""Test helper: run a block on one tree grower, compiled or NumPy."""
+"""Test helper: run a block on the compiled library or on the NumPy code
+it stands in for (the tree grower and walk, the forest fit's draws, the
+optimizer's candidate pool)."""
 
 from __future__ import annotations
 
@@ -22,8 +24,8 @@ def have_toolchain() -> bool:
 @contextlib.contextmanager
 def use_grower(grower: str):
     """``"native"``: the compiled library, which must load wherever a C
-    toolchain exists (skips where none does). ``"numpy"``: the NumPy grower
-    and tree walk, as on a host without a toolchain."""
+    toolchain exists (skips where none does). ``"numpy"``: the NumPy code,
+    as on a host without a toolchain."""
     if grower == "numpy":
         with mock.patch.object(native, "library", lambda: None):
             yield

@@ -125,23 +125,30 @@ class ReferenceTree:
         return out
 
 
-def reference_forest(X, y, rng, n_estimators, bootstrap=True, **tree_params):
-    """Fit ``n_estimators`` reference trees the way the forest draws them.
+def reference_draws(rng, n_estimators, n, bootstrap=True):
+    """The forest's per-tree draws from ``rng``: ``(rows, rngs)``.
 
-    Per tree the forest generator ``rng`` yields the tree's own generator,
-    then (with ``bootstrap``) its sample indices.
+    Per tree the forest generator yields the tree's own generator, then
+    (with ``bootstrap``) its ``n`` sample indices; without bootstrap a tree
+    trains on every sample in order.
     """
+    rngs, rows = [], []
+    for _ in range(n_estimators):
+        rngs.append(spawn_rng(rng))
+        rows.append(rng.integers(0, n, size=n) if bootstrap else np.arange(n))
+    return np.stack(rows), rngs
+
+
+def reference_forest(X, y, rng, n_estimators, bootstrap=True, **tree_params):
+    """Fit ``n_estimators`` reference trees the way the forest draws them
+    (:func:`reference_draws`)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
-    n = X.shape[0]
+    rows, rngs = reference_draws(rng, n_estimators, X.shape[0], bootstrap)
     trees = []
-    for _ in range(n_estimators):
-        tree = ReferenceTree(seed=spawn_rng(rng), **tree_params)
-        if bootstrap:
-            idx = rng.integers(0, n, size=n)
-            tree.fit(X[idx], y[idx])
-        else:
-            tree.fit(X, y)
+    for idx, tree_rng in zip(rows, rngs):
+        tree = ReferenceTree(seed=tree_rng, **tree_params)
+        tree.fit(X[idx], y[idx])
         trees.append(tree)
     return trees
 

@@ -18,10 +18,13 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ReproError
-from repro.ml import DecisionTreeRegressor, RandomForestRegressor, native, tree
+from repro.configspace import ConfigurationSpace, OrdinalHyperparameter
+from repro.ml import DecisionTreeRegressor, RandomForestRegressor, forest, native, tree
 from repro.service import JobSpec, TuningSession
 from repro.telemetry import RecordingSink, RunStore
 from repro.tir.codegen_c import find_toolchain, native_disabled
+from repro.ytopt import Optimizer
+from repro.ytopt.surrogate import RandomForestSurrogate
 from tests.ml.growers import have_toolchain, use_grower
 
 pytestmark = pytest.mark.skipif(not have_toolchain(), reason="no C toolchain")
@@ -48,6 +51,21 @@ class TestNativeGrowerIsUsed:
             for max_features in (None, "sqrt"):  # level order and per-node draws
                 RandomForestRegressor(max_features=max_features, seed=0).fit(X, y)
             DecisionTreeRegressor(max_depth=3, seed=0).fit(X, y).predict(probes)
+
+    def test_fit_and_pool_never_reach_their_numpy_code(self):
+        space = ConfigurationSpace(seed=0)
+        for name in ("a", "b", "c", "d"):  # 4 features: 2 drawn per node
+            space.add_hyperparameter(OrdinalHyperparameter(name, list(range(8))))
+        opt = Optimizer(space, seed=0, n_initial_points=3,
+                        surrogate=RandomForestSurrogate(max_features="sqrt", seed=0))
+        with mock.patch.object(forest, "grow_trees",
+                               side_effect=AssertionError("NumPy draw loop")), \
+             mock.patch.object(Optimizer, "_numpy_pool_rows",
+                               side_effect=AssertionError("NumPy pool")):
+            for _ in range(8):
+                config = opt.ask()
+                opt.tell(config, 1.0 + config["a"] + config["b"] ** 2)
+        assert opt.n_refits == 5
 
     def test_predict_bits_match_the_numpy_walk(self):
         X, y, probes = _data(seed=1)

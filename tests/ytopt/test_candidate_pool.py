@@ -2,9 +2,10 @@
 
 The pool is drawn as an integer index matrix, de-duplicated by int64 codes
 and extended with the incumbents' ``IndexView.neighbors`` rows
-(``Optimizer._index_pool``). It must give the pool of ``reference_pool.py``
-— the same candidates in the same order — and leave both RNGs where it
-leaves them, over random spaces, told sets and in-flight sets.
+(``Optimizer._index_pool``), in one compiled call or in NumPy. On either
+path it must give the pool of ``reference_pool.py`` — the same candidates
+in the same order — and leave both RNGs where it leaves them, over random
+spaces, told sets and in-flight sets.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.configspace import ConfigurationSpace, OrdinalHyperparameter
 from repro.ytopt import Optimizer
 from repro.ytopt.surrogate import DummySurrogate
+from tests.ml.growers import use_grower
 from tests.ytopt.reference_pool import reference_pool
 
 
@@ -90,29 +92,67 @@ def _assert_pool_matches(opt, build, exclude, X_ref, ref, ref_states):
     assert states == ref_states
 
 
-class TestPoolMatchesReference:
-    @settings(max_examples=150, deadline=None)
-    @given(case=pool_cases())
-    def test_index_pool_matches_reference(self, case):
-        opt, in_flight = case
-        X_ref, ref, ref_states = _pool_and_rng_states(
-            opt, lambda e: _reference(opt, e), in_flight
-        )
-        _assert_pool_matches(
-            opt, lambda e: _index_pool(opt, e), in_flight, X_ref, ref, ref_states
-        )
+def _exhausted():
+    """An optimizer told every configuration of a 6-config space."""
+    space = _space([3, 2], ["numeric", "string"], seed=5)
+    opt = Optimizer(space, surrogate=DummySurrogate(), seed=5, n_initial_points=1)
+    for i, config in enumerate(space.enumerate_configurations()):
+        opt.tell(config, 1.0 + i)
+    return opt
 
-    def test_exhausted_space_falls_back_to_sample_unseen(self):
-        def exhausted():
-            space = _space([3, 2], ["numeric", "string"], seed=5)
-            opt = Optimizer(space, surrogate=DummySurrogate(), seed=5, n_initial_points=1)
-            for i, config in enumerate(space.enumerate_configurations()):
-                opt.tell(config, 1.0 + i)
-            return opt
 
-        ref, opt = exhausted(), exhausted()
-        assert reference_pool(ref) == []
-        expected = ref._sample_unseen()
-        assert opt._suggest() == expected
-        assert opt.space._rng.bit_generator.state == ref.space._rng.bit_generator.state
-        assert opt._rng.bit_generator.state == ref._rng.bit_generator.state
+def _pool_battery(path: str) -> type:
+    """The pool cases on one path; each path gets its own class, and so its
+    own test functions, which Hypothesis requires."""
+
+    class Battery:
+        @settings(max_examples=150, deadline=None)
+        @given(case=pool_cases())
+        def test_index_pool_matches_reference(self, case):
+            opt, in_flight = case
+            X_ref, ref, ref_states = _pool_and_rng_states(
+                opt, lambda e: _reference(opt, e), in_flight
+            )
+            with use_grower(path):
+                _assert_pool_matches(
+                    opt, lambda e: _index_pool(opt, e), in_flight, X_ref, ref,
+                    ref_states,
+                )
+
+        def test_neighbor_budget_runs_out(self):
+            # Three incumbents offer six new neighbours; the pool takes them
+            # only until it holds n_candidates + n_neighbor_candidates rows.
+            space = _space([20], ["numeric"], seed=3)
+            every = space.enumerate_configurations()
+            opt = Optimizer(space, surrogate=DummySurrogate(), seed=3,
+                            n_initial_points=1, n_candidates=2,
+                            n_neighbor_candidates=2)
+            for cost, i in enumerate((5, 10, 15)):
+                opt.tell(every[i], 1.0 + cost)
+            X_ref, ref, ref_states = _pool_and_rng_states(
+                opt, lambda e: _reference(opt, e), []
+            )
+            assert len(ref) == 4
+            with use_grower(path):
+                _assert_pool_matches(
+                    opt, lambda e: _index_pool(opt, e), [], X_ref, ref, ref_states
+                )
+
+        def test_exhausted_space_falls_back_to_sample_unseen(self):
+            ref, opt = _exhausted(), _exhausted()
+            assert reference_pool(ref) == []
+            expected = ref._sample_unseen()
+            with use_grower(path):
+                assert opt._suggest() == expected
+            assert opt.space._rng.bit_generator.state == ref.space._rng.bit_generator.state
+            assert opt._rng.bit_generator.state == ref._rng.bit_generator.state
+
+    return Battery
+
+
+class TestPoolMatchesReference(_pool_battery("native")):
+    """The compiled pool; skipped only on a host without a C toolchain."""
+
+
+class TestNumpyPoolMatchesReference(_pool_battery("numpy")):
+    """The NumPy pool, the only one on hosts without a working toolchain."""
