@@ -138,6 +138,26 @@ def _pool_battery(path: str) -> type:
                     opt, lambda e: _index_pool(opt, e), [], X_ref, ref, ref_states
                 )
 
+        def test_full_pool_stops_after_the_first_incumbent(self):
+            # The global draw fills the pool and the best incumbent (4) has
+            # no new neighbour: the pool is checked after its neighbours and
+            # stops, though the next incumbent's neighbour 2 is new.
+            space = _space([20], ["numeric"], seed=3)
+            every = space.enumerate_configurations()
+            opt = Optimizer(space, surrogate=DummySurrogate(), seed=3,
+                            n_initial_points=1, n_candidates=1,
+                            n_neighbor_candidates=0)
+            for i, cost in ((4, 1.0), (3, 5.0), (5, 6.0)):
+                opt.tell(every[i], cost)
+            X_ref, ref, ref_states = _pool_and_rng_states(
+                opt, lambda e: _reference(opt, e), []
+            )
+            assert len(ref) == 1 and ref[0] not in every[2:6]
+            with use_grower(path):
+                _assert_pool_matches(
+                    opt, lambda e: _index_pool(opt, e), [], X_ref, ref, ref_states
+                )
+
         def test_exhausted_space_falls_back_to_sample_unseen(self):
             ref, opt = _exhausted(), _exhausted()
             assert reference_pool(ref) == []
