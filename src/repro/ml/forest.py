@@ -5,8 +5,12 @@ needs both a mean prediction and an uncertainty estimate. Here uncertainty is th
 standard deviation of per-tree predictions (the standard RF-as-surrogate recipe
 used by SMAC and scikit-optimize).
 
+Each tree draws its seed, then its bootstrap rows from the forest's generator;
+a tree that draws candidate features gets its own generator from that seed.
 All trees are grown together by :func:`repro.ml.tree.grow_trees` and stored as
-one set of flat node arrays.
+one set of flat node arrays. Where the compiled library loads, one call makes
+the draws and grows the trees (:func:`repro.ml.tree.fit_forest_native`), bit
+for bit as :meth:`RandomForestRegressor.fit`'s NumPy loop does.
 """
 
 from __future__ import annotations
@@ -64,9 +68,9 @@ class RandomForestRegressor:
                 self.max_depth, self.min_samples_split, self.min_samples_leaf,
             )
             return self
-        # Per tree: its feature-draw generator, then its bootstrap sample.
-        # With every feature a candidate nothing is drawn, so only the
-        # generator's seed is taken from the stream.
+        # The NumPy fallback. Per tree: its feature-draw generator, then its
+        # bootstrap sample. With every feature a candidate nothing is drawn,
+        # so only the generator's seed is taken from the stream.
         rngs, rows = [], []
         for _ in range(self.n_estimators):
             seed = spawn_seed(self._rng)

@@ -1,15 +1,33 @@
-"""Compiled tree growing and walking behind :mod:`repro.ml.tree`.
+"""Compiled tree growing and walking, forest fitting and candidate pools.
 
-One small C library with two entry points: ``grow_forest`` grows every tree
-of a :func:`repro.ml.tree.grow_trees` call, one tree after another in
-preorder, and ``walk_forest`` looks up each (tree, row) pair's leaf for
-:meth:`repro.ml.tree.TreeArrays.predict`. Both give the same bits as the
-NumPy code they stand in for (the contract is spelled out in
-``repro.ml.tree``'s docstring).
+One small C library behind :mod:`repro.ml.tree`, :mod:`repro.ml.forest` and
+:class:`repro.ytopt.Optimizer`. Each entry point gives the same bits, and
+leaves every generator it draws from in the same state, as the NumPy code it
+stands in for, which stays as the fallback:
 
-The library is looked up on the first fit or predict of the process, with
-the toolchain probe and compile step the native kernel tier uses
-(:func:`repro.common.toolchain.find_toolchain`,
+* ``grow_forest`` grows every tree of a :func:`repro.ml.tree.grow_trees`
+  call, one after another in preorder (the contract is spelled out in
+  ``repro.ml.tree``'s docstring). With ``k < d`` candidate features a node
+  draws them from its tree's generator, a replay of
+  ``Generator.choice(d, k, replace=False)``;
+* ``fit_forest`` is :meth:`RandomForestRegressor.fit
+  <repro.ml.forest.RandomForestRegressor.fit>`: per tree it draws the seed
+  (``spawn_seed``: ``integers(0, 2**63 - 1)``, Lemire's method on 64-bit
+  draws) and the bootstrap rows (``integers(0, n, size=n)``, Lemire's method
+  on 32-bit draws) from the forest generator, seeds the tree's PCG64 as
+  ``np.random.default_rng(seed)`` does when features are drawn
+  (``seed_pcg64``: SeedSequence's entropy mixing, ``generate_state`` and
+  ``pcg64_set_seed``), then runs ``grow_forest``;
+* ``draw_pool`` is ``Optimizer._index_pool``'s rows: the
+  ``Generator.integers(cardinalities, size=(n, d))`` index draw, element by
+  element, the rows whose codes are new, then the incumbents'
+  ``IndexView.neighbors`` rows;
+* ``walk_forest`` looks up each (tree, row) pair's leaf for
+  :meth:`repro.ml.tree.TreeArrays.predict`.
+
+The library is looked up on the first fit, predict or candidate pool of
+the process, with the toolchain probe and compile step the native kernel
+tier uses (:func:`repro.common.toolchain.find_toolchain`,
 :func:`~repro.common.toolchain.compile_source`), so ``REPRO_CC`` applies to
 it too; the kernel compiler itself (:mod:`repro.tir`) is not loaded. It
 derives from this module's source as the module's bytecode does, and is
@@ -30,10 +48,11 @@ either way, only slower.
 
 The C calls no libc function, keeps no global state, and uses no
 recursion: NumPy allocates every buffer, growth runs on an explicit stack,
-and any number of threads may call it at once. Feature subsets are drawn
-inside the call from each tree's own bit generator (a replay of
-``Generator.choice(d, k, replace=False)``), so the caller holds the
-generators' locks for its duration.
+and any number of threads may call it at once. A call draws through the
+``next_uint64``/``next_uint32`` of the NumPy bit generators it is given, in
+place, so any bit generator works and its buffered half-word is honoured;
+the caller holds their locks for the call's duration. The generators
+``fit_forest`` seeds for its trees live in the call's buffers.
 """
 
 from __future__ import annotations
@@ -673,7 +692,7 @@ def _flags() -> tuple[str, ...]:
 
 
 def library() -> "_Library | None":
-    """The compiled grower for the current ``REPRO_CC``, built on first use;
+    """The compiled library for the current ``REPRO_CC``, built on first use;
     None when it cannot be built or loaded with that toolchain."""
     setting = os.environ.get("REPRO_CC", "")
     lib = _by_setting.get(setting, False)

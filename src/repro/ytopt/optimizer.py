@@ -12,7 +12,9 @@ evaluations waste the budget on finite tiling spaces); when the whole space has
 been observed it falls back to re-sampling. Told, in-flight and candidate
 configurations are compared by their :class:`~repro.configspace.space.IndexView`
 codes; a :class:`~repro.configspace.Configuration` is built only for what
-``ask`` returns.
+``ask`` returns. The compiled library (:mod:`repro.ml.native`) draws and
+filters the candidate pool in one call and fits the forest in another, bit
+for bit as the NumPy code that remains for hosts without a C toolchain.
 """
 
 from __future__ import annotations

@@ -34,3 +34,15 @@ def use_grower(grower: str):
         pytest.skip("no C toolchain: the compiled grower cannot be built")
     assert native.library() is not None, "the grower library failed to build"
     yield
+
+
+def generator_state(rng) -> dict:
+    """The state of ``rng``'s bit generator with its arrays as lists, so two
+    states compare with ``==`` whatever the algorithm."""
+
+    def plain(value):
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        return value.tolist() if hasattr(value, "tolist") else value
+
+    return plain(rng.bit_generator.state)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ml import RandomForestRegressor, native
 from repro.ml.tree import grow_trees, n_candidate_features
-from tests.ml.growers import have_toolchain, use_grower
+from tests.ml.growers import generator_state, have_toolchain, use_grower
 from tests.ml.reference_tree import reference_draws
 
 #: Seeds at SeedSequence's one-to-two-word boundary and the ends of
@@ -78,7 +78,7 @@ def _fit_battery(path: str) -> type:
             for name in NODE_ARRAYS:
                 np.testing.assert_array_equal(_words(getattr(got, name)),
                                               _words(getattr(want, name)), name)
-            assert rng.bit_generator.state == want_rng.bit_generator.state
+            assert generator_state(rng) == generator_state(want_rng)
 
         @settings(max_examples=80, deadline=None)
         @given(
@@ -102,6 +102,24 @@ def _fit_battery(path: str) -> type:
                 X, y, seed, half_word, n_estimators=n_estimators,
                 max_features=max_features, bootstrap=bootstrap, min_samples_leaf=msl,
             )
+
+        @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64])
+        def test_any_bit_generator(self, bit_generator):
+            # The draws go through the generator's own next_uint64 and
+            # next_uint32, whatever its algorithm.
+            data = np.random.default_rng(4)
+            X, y = data.random((40, 5)), data.standard_normal(40)
+            rng = np.random.Generator(bit_generator(4))
+            want_rng = np.random.Generator(bit_generator(4))
+            with use_grower(path):
+                got = RandomForestRegressor(n_estimators=5, max_features=2,
+                                            seed=rng).fit(X, y).nodes_
+                rows, rngs = reference_draws(want_rng, 5, 40)
+                want = grow_trees(X, y, rows, rngs, 2)
+            for name in NODE_ARRAYS:
+                np.testing.assert_array_equal(_words(getattr(got, name)),
+                                              _words(getattr(want, name)), name)
+            assert generator_state(rng) == generator_state(want_rng)
 
         @pytest.mark.parametrize("half_word", [False, True])
         def test_session_shapes(self, half_word):

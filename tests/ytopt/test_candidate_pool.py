@@ -9,12 +9,13 @@ spaces, told sets and in-flight sets.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.configspace import ConfigurationSpace, OrdinalHyperparameter
 from repro.ytopt import Optimizer
 from repro.ytopt.surrogate import DummySurrogate
-from tests.ml.growers import use_grower
+from tests.ml.growers import generator_state, use_grower
 from tests.ytopt.reference_pool import reference_pool
 
 
@@ -66,7 +67,7 @@ def _pool_and_rng_states(opt, build, exclude):
     them, and return what it built plus the states it left."""
     before = (opt.space._rng.bit_generator.state, opt._rng.bit_generator.state)
     X, candidates = build(exclude)
-    after = (opt.space._rng.bit_generator.state, opt._rng.bit_generator.state)
+    after = (generator_state(opt.space._rng), generator_state(opt._rng))
     opt.space._rng.bit_generator.state, opt._rng.bit_generator.state = before
     if not isinstance(candidates, list):
         candidates = [candidates(i) for i in range(len(X))]
@@ -156,6 +157,24 @@ def _pool_battery(path: str) -> type:
             with use_grower(path):
                 _assert_pool_matches(
                     opt, lambda e: _index_pool(opt, e), [], X_ref, ref, ref_states
+                )
+
+        @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64])
+        def test_any_bit_generator(self, bit_generator):
+            space = _space([5, 1, 7], ["numeric", "string", "numeric"], seed=0)
+            opt = Optimizer(space, surrogate=DummySurrogate(), n_initial_points=1,
+                            n_candidates=40)
+            space._rng = np.random.Generator(bit_generator(11))
+            every = space.enumerate_configurations()
+            for i in (3, 8, 20):
+                opt.tell(every[i], float(i))
+            X_ref, ref, ref_states = _pool_and_rng_states(
+                opt, lambda e: _reference(opt, e), every[:2]
+            )
+            with use_grower(path):
+                _assert_pool_matches(
+                    opt, lambda e: _index_pool(opt, e), every[:2], X_ref, ref,
+                    ref_states,
                 )
 
         def test_exhausted_space_falls_back_to_sample_unseen(self):
