@@ -535,7 +535,7 @@ class Optimizer:
         tel = get_telemetry()
         t0 = time.perf_counter()
         with tel.span("fit"):
-            self.surrogate.fit(np.vstack(self._X), np.asarray(self._y))
+            self.surrogate.fit(np.array(self._X), np.asarray(self._y))
         self._fitted = True
         self._since_fit = 0
         self._fitted_at = len(self._y)
