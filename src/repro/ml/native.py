@@ -578,10 +578,10 @@ static i64 insert(i64 *table, i64 mask, i64 code)
    neither in taken[0:n_taken] nor an earlier row's. Then come the new
    codes among the IndexView.neighbors rows of the incumbents' codes
    inc[0:n_inc] in turn (per column, the first two in-range positions of
-   -1, +1, -2, +2), until the pool holds limit rows (checked after each
-   neighbour joins and after each incumbent's last). out holds n_cand + 2 * d * n_inc rows; the table has a
-   power-of-two mask + 1 slots, at least twice the codes it can receive,
-   all -1 on entry. */
+   -1, +1, -2, +2), until the pool holds limit rows, checked after each
+   neighbour joins and after each incumbent's last. out holds
+   n_cand + 2 * d * n_inc rows; the table has a power-of-two mask + 1
+   slots, at least twice the codes it can receive, all -1 on entry. */
 i64 draw_pool(bitgen_t *gen, const i64 *card, const i64 *stride, i64 d,
               i64 n_cand, const i64 *taken, i64 n_taken, const i64 *inc,
               i64 n_inc, i64 limit, i64 *out, i64 *table, i64 mask)
