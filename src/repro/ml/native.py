@@ -816,7 +816,8 @@ def fit(lib: _Library, X: np.ndarray, y: np.ndarray, rank: np.ndarray,
     """Run ``fit_forest``: :meth:`RandomForestRegressor.fit
     <repro.ml.forest.RandomForestRegressor.fit>`'s draws from ``rng`` and
     its trees, in one call that holds ``rng``'s lock. Returns what
-    :func:`grow` returns; the arguments are :func:`grow`'s.
+    :func:`grow` returns; ``X``, ``y``, ``rank`` and the tree parameters
+    are as there.
     """
     n, d = X.shape
     forest = _Forest(n, d, n_trees, n, extra=n_trees * (n + _TREE_GEN_WORDS))
