@@ -9,6 +9,9 @@ exactly — with and without the multi-fidelity options (``probe_repeats``,
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.common.timing import VirtualClock
@@ -16,6 +19,7 @@ from repro.core import AutotuneConfig, BayesianAutotuner
 from repro.experiments import run_tuner
 from repro.experiments.runner import ALL_TUNERS
 from repro.kernels import get_benchmark
+from repro.service import JobSpec, TuningSession
 from repro.swing import SwingEvaluator, SwingPerformanceModel
 from repro.telemetry import (
     RecordingSink,
@@ -59,6 +63,23 @@ class TestFidelityOptionsDeterministic:
         _assert_identical(
             _run(tuner, "lu", "large", **kw), _run(tuner, "lu", "large", **kw)
         )
+
+    @pytest.mark.parametrize(
+        "tuner,digest",
+        [
+            ("ytopt", "403bf75bd44e719b13d1211b4f4e120edbcefd0ca0e72abe4374bb0d5b5778b4"),
+            ("AutoTVM-GA", "f0eedf545704f3a43150e90b2106d9d14b54e563f5a5f87f6f1b60c5fc8d889f"),
+        ],
+    )
+    def test_probed_waves_pinned(self, tuner, digest):
+        """Probe/promote under jobs=4: each wave of the session's batch is
+        charged its slowest probe+promote total on the virtual clock."""
+        run = TuningSession(
+            JobSpec(kernel="lu", size="large", tuner=tuner, seed=0, jobs=4,
+                    repeats=3, probe_repeats=2, max_evals=24)
+        ).run()
+        payload = json.dumps(run.to_payload(), sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
     def test_prune_reproduced(self):
         kw = dict(prune=True, max_evals=25)
