@@ -114,9 +114,15 @@ class JobSpec:
             raise JobRejected(f"jobs must be >= 1, got {self.jobs}")
         if self.repeats < 1:
             raise JobRejected(f"repeats must be >= 1, got {self.repeats}")
+        if self.timeout is not None and self.timeout <= 0:
+            raise JobRejected(f"timeout must be positive, got {self.timeout}")
         if self.probe_repeats is not None and self.probe_repeats < 1:
             raise JobRejected(
                 f"probe_repeats must be >= 1, got {self.probe_repeats}"
+            )
+        if self.probe_repeats is not None and self.promote_margin < 0:
+            raise JobRejected(
+                f"promote_margin must be >= 0, got {self.promote_margin}"
             )
         if self.transfer_bias < 0:
             raise JobRejected(
@@ -137,7 +143,13 @@ class JobSpec:
             raise JobRejected(
                 f"refit_every must be >= 0, got {self.refit_every}"
             )
-        error = self.loop_knob_error(bench_registry.get_tuner(self.tuner).family)
+        family = bench_registry.get_tuner(self.tuner).family
+        if family == "bo" and self.prune_threshold < 1.0:
+            raise JobRejected(
+                "prune_threshold must be >= 1.0 (a multiple of the incumbent), "
+                f"got {self.prune_threshold}"
+            )
+        error = self.loop_knob_error(family)
         if error is not None:
             raise JobRejected(error)
 

@@ -256,6 +256,15 @@ class TestQuotasAndRejection:
                 server.submit(dict(kernel="nope", size="large"))
             with pytest.raises(JobRejected):
                 server.submit(dict(kernel="lu", size="large", bogus=1))
+            # Values a session refuses at construction are refused here.
+            for bad in (
+                dict(timeout=0.0),
+                dict(timeout=-1.0),
+                dict(prune_threshold=0.5),
+                dict(probe_repeats=1, promote_margin=-1.0),
+            ):
+                with pytest.raises(JobRejected):
+                    server.submit(dict(kernel="lu", size="large", **bad))
 
         run_with_server(body, root=tmp_path)
 

@@ -115,6 +115,16 @@ class TestLoopKnobAdmission:
         with pytest.raises(TuningError, match=f"{name} only apply to BO-family"):
             TuningSession(bad)
 
+    def test_admission_accepts_what_a_session_runs(self):
+        """prune_threshold only binds the BO loop, and promote_margin only a
+        probed run: outside them neither value stops a session."""
+        for ok in (
+            spec(tuner="AutoTVM-GA", prune_threshold=0.5, max_evals=2),
+            spec(promote_margin=-1.0, max_evals=2),
+        ):
+            ok.validate()
+            assert TuningSession(ok).run().n_evals == 2
+
     def test_bo_tuners_accept_loop_knobs(self):
         for tuner in ("ytopt", "ytopt-gp", "ytopt-tpe"):
             spec(tuner=tuner, pipeline=True, compile_jobs=2, refit_every=1).validate()
