@@ -15,13 +15,12 @@ __getattr__, __dir__, __all__ = _lazy.attach(
         "target": ("Target",),
         "module": ("Module", "build", "build_from_primfunc"),
         "measure": ("MeasureResult", "LocalEvaluator", "Evaluator", "evaluate_batch"),
-        "build_cache": ("BuildCache", "schedule_key"),
+        "build_cache": ("BuildCache",),
         "fidelity": (
             "AdaptiveRepeatPolicy",
             "FidelityDecision",
             "MultiFidelityEvaluator",
             "probe_statistics",
         ),
-        "parallel": ("ParallelEvaluator",),
     },
 )

@@ -20,8 +20,7 @@ Two pieces:
 * :class:`MultiFidelityEvaluator` — an :class:`~repro.runtime.measure.Evaluator`
   wrapper that applies the policy to any evaluator exposing a mutable
   ``repeat`` attribute (:class:`~repro.runtime.measure.LocalEvaluator`,
-  :class:`~repro.swing.SwingEvaluator`,
-  :class:`~repro.runtime.parallel.ParallelEvaluator`). Promoted candidates are
+  :class:`~repro.swing.SwingEvaluator`). Promoted candidates are
   topped up with the *remaining* ``full - probe`` repeats and the cost samples
   are concatenated, so a promotion never re-pays the probe repeats. Losers
   keep their probe estimate and are flagged ``fidelity="probe"`` in the
@@ -41,7 +40,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.common.errors import ReproError
-from repro.runtime.measure import Evaluator, MeasureResult, _simulated_wave_batch
+from repro.runtime.measure import Evaluator, MeasureResult
 from repro.telemetry.context import get_telemetry
 from repro.telemetry.events import TrialPromoted, TrialPruned
 
@@ -167,13 +166,10 @@ class MultiFidelityEvaluator(Evaluator):
     transparently forwarded, including assignment, so the wrapper drops into
     every place an evaluator goes — :class:`~repro.ytopt.search.AMBS`,
     :func:`~repro.runtime.measure.evaluate_batch` — without those layers
-    knowing about fidelity. When the full budget does not exceed the probe
-    budget, evaluation degenerates to a single full-fidelity measurement.
-
-    ``jobs`` is the simulated wave width used when a constant-liar batch is
-    measured under a virtual clock: each wave of ``jobs`` configurations
-    charges the clock by the slowest member's probe+promote total, mirroring
-    :func:`~repro.runtime.measure.evaluate_batch`'s fleet accounting.
+    knowing about fidelity. Under a virtual clock a batch's wave is thus
+    charged its slowest member's probe+promote total. When the full budget
+    does not exceed the probe budget, evaluation degenerates to a single
+    full-fidelity measurement.
     """
 
     #: Attribute writes forwarded to the wrapped evaluator (measurement
@@ -187,18 +183,14 @@ class MultiFidelityEvaluator(Evaluator):
         self,
         base: Evaluator,
         policy: AdaptiveRepeatPolicy | None = None,
-        jobs: int = 1,
     ) -> None:
         if not hasattr(base, "repeat"):
             raise ReproError(
                 "MultiFidelityEvaluator requires an evaluator with a mutable "
                 f"'repeat' attribute, got {type(base).__name__}"
             )
-        if jobs < 1:
-            raise ReproError(f"jobs must be >= 1, got {jobs}")
         object.__setattr__(self, "_base", base)
         self.policy = policy if policy is not None else AdaptiveRepeatPolicy()
-        self.jobs = jobs
         self.n_probed = 0
         self.n_promoted = 0
         self.n_early_stopped = 0
@@ -247,24 +239,6 @@ class MultiFidelityEvaluator(Evaluator):
         if not decision.promote:
             return self._terminate(probe_result, decision=decision)
         return self._promote(params, probe_result, full - probe)
-
-    def evaluate_batch(self, batch: Sequence[Mapping[str, int]]) -> list[MeasureResult]:
-        """Batch measurement with per-wave fidelity accounting.
-
-        * A base with a native batch engine (:class:`ParallelEvaluator`)
-          measures the probe wave and the promotion wave each through its
-          worker pool — survivors of a wave promote together.
-        * A simulated base (one carrying a virtual ``clock``) is charged the
-          max probe+promote duration of each wave of ``jobs`` configurations.
-        * Anything else falls back to sequential evaluation.
-        """
-        native = getattr(self._base, "evaluate_batch", None)
-        if callable(native):
-            return self._native_batch(batch, native)
-        clock = getattr(self._base, "clock", None)
-        if clock is None or self.jobs == 1 or len(batch) <= 1:
-            return [self.evaluate(params) for params in batch]
-        return _simulated_wave_batch(self, batch, self.jobs, clock)
 
     # -- internals ---------------------------------------------------------
 
@@ -318,47 +292,6 @@ class MultiFidelityEvaluator(Evaluator):
     ) -> MeasureResult:
         rest = self._measure(params, extra_repeats)
         return self._merge(probe_result, rest)
-
-    def _native_batch(self, batch: Sequence[Mapping[str, int]], native) -> list[MeasureResult]:
-        full = int(self._base.repeat)
-        probe = self.policy.probe_repeats
-        if full <= probe:
-            results = native(batch)
-            for r in results:
-                self.n_full_direct += 1
-                self._note_trusted(r)
-            return results
-        base = self._base
-        saved = base.repeat
-        base.repeat = probe
-        try:
-            probe_results = native(batch)
-        finally:
-            base.repeat = saved
-        self.n_probed += len(probe_results)
-
-        promote_idx: list[int] = []
-        decisions: dict[int, FidelityDecision] = {}
-        out: list[MeasureResult | None] = [None] * len(probe_results)
-        for i, pr in enumerate(probe_results):
-            if not pr.ok:
-                out[i] = self._terminate(pr, failed=True)
-                continue
-            decision = self.policy.decide(pr.costs, self._incumbent_value())
-            if decision.promote:
-                promote_idx.append(i)
-                decisions[i] = decision
-            else:
-                out[i] = self._terminate(pr, decision=decision)
-        if promote_idx:
-            base.repeat = full - probe
-            try:
-                rests = native([batch[i] for i in promote_idx])
-            finally:
-                base.repeat = saved
-            for i, rest in zip(promote_idx, rests):
-                out[i] = self._merge(probe_results[i], rest)
-        return out  # type: ignore[return-value] - every slot is filled
 
     def _merge(self, probe_result: MeasureResult, rest: MeasureResult) -> MeasureResult:
         if "charged_compile" in probe_result.extra:

@@ -11,8 +11,8 @@ kernel definition; an :class:`Evaluator` turns a parameter configuration into a
 
 Both charge time to a clock object, so "autotuning process time" (the paper's
 x-axis) is produced identically for real and simulated measurement.
-:func:`evaluate_batch` measures a batch through either, and through
-:class:`repro.runtime.parallel.ParallelEvaluator`'s worker pool.
+:func:`evaluate_batch` measures a batch through either: max-of-wave on a
+virtual clock, otherwise one :meth:`Evaluator.evaluate` at a time.
 """
 
 from __future__ import annotations
@@ -281,23 +281,16 @@ def evaluate_batch(
 ) -> list[MeasureResult]:
     """Measure a batch of configurations through any evaluator.
 
-    * An evaluator with a native ``evaluate_batch``
-      (:class:`~repro.runtime.parallel.ParallelEvaluator`)
-      measures with its own worker pool — real wall-clock is naturally the
-      makespan of the batch.
     * A simulated evaluator (one carrying a ``clock``; e.g.
       :class:`repro.swing.SwingEvaluator`) is emulated: configurations are
       priced individually on a scratch clock, then the shared virtual clock
       advances by the **maximum** duration of each wave of ``jobs`` configs —
       not the sum — which is what a ``jobs``-wide measurement fleet would
       charge to the paper's process-time axis.
-    * Anything else falls back to sequential evaluation.
+    * Anything else is evaluated one configuration at a time.
     """
     if jobs < 1:
         raise ReproError(f"evaluate_batch requires jobs >= 1, got {jobs}")
-    native = getattr(evaluator, "evaluate_batch", None)
-    if callable(native):
-        return native(batch)
     clock = getattr(evaluator, "clock", None)
     if jobs == 1 or clock is None or len(batch) <= 1:
         return [evaluator.evaluate(params) for params in batch]

@@ -162,10 +162,8 @@ def build_from_primfunc(
 ) -> Module:
     """Wrap an already-lowered PrimFunc in a runnable :class:`Module`.
 
-    Skips the lower/simplify pipeline — this is the rehydration path of the
-    measurement engine's build cache, where the lowered function was produced
-    by an earlier build of the same schedule content (possibly in another
-    worker process; PrimFuncs pickle, compiled entry points do not).
+    Skips the lower/simplify pipeline: the function is built exactly as
+    lowered, on the requested tier with the usual per-function fallback.
     """
     tgt = Target(target) if not isinstance(target, Target) else target
     if tgt.is_simulated:

@@ -192,9 +192,8 @@ class GuardedEvaluator(Evaluator):
     Attribute access and writes are forwarded to the wrapped evaluator (the
     same proxy idiom as :class:`~repro.runtime.fidelity.MultiFidelityEvaluator`),
     so measurement-semantics knobs like ``number``/``repeat``/``clock`` behave
-    as if the guard were not there. The one exception is ``evaluate_batch``,
-    which the guard never exposes: :func:`repro.runtime.measure.evaluate_batch`
-    then measures a batch one guarded ``evaluate`` at a time (max-of-wave
+    as if the guard were not there. :func:`repro.runtime.measure.evaluate_batch`
+    measures a batch one guarded ``evaluate`` at a time (max-of-wave
     accounting on the virtual clock), so the session checks once per
     evaluation, however wide the wave.
     """
@@ -202,7 +201,7 @@ class GuardedEvaluator(Evaluator):
     #: Attribute writes forwarded to the wrapped evaluator.
     _FORWARD = frozenset(
         {"number", "repeat", "compile_parallelism", "clock", "seed", "timeout",
-         "validate", "cache_builds", "jobs"}
+         "validate", "cache_builds"}
     )
 
     def __init__(self, inner: Evaluator, session: "TuningSession") -> None:
@@ -211,7 +210,7 @@ class GuardedEvaluator(Evaluator):
 
     def __getattr__(self, name: str):
         inner = self.__dict__.get("_inner")
-        if inner is None or name == "evaluate_batch":
+        if inner is None:
             raise AttributeError(name)
         return getattr(inner, name)
 
@@ -317,7 +316,6 @@ class TuningSession:
                     probe_repeats=spec.probe_repeats,
                     promote_margin=spec.promote_margin,
                 ),
-                jobs=spec.jobs,
             )
         self.evaluator: Evaluator = GuardedEvaluator(inner, self)
 

@@ -5,13 +5,13 @@ stack, applied to autotuning):
 
 * **events + bus** (:mod:`~repro.telemetry.events`, :mod:`~repro.telemetry.bus`)
   — typed events (``RunStarted``, ``TrialMeasured``, ``CacheHit``,
-  ``WorkerCrashed``, ``SurrogateFitted``, ``RunFinished``, …) fanned out to
+  ``SurrogateFitted``, ``RunFinished``, …) fanned out to
   pluggable sinks; a failing sink is quarantined, never fatal;
 * **spans** (:mod:`~repro.telemetry.spans`) — nested compile/measure/fit/
   acquisition tracing charging both wall time and the simulation's
   :class:`~repro.common.timing.VirtualClock`;
 * **metrics** (:mod:`~repro.telemetry.metrics`) — counters and histograms
-  (evaluations/s, failure rate, cache hit ratio, pool rebuilds) aggregated
+  (evaluations/s, failure rate, cache hit ratio, surrogate fits) aggregated
   from the event stream;
 * **sinks** (:mod:`~repro.telemetry.sinks`, :mod:`~repro.telemetry.store`) —
   JSONL trace writer, live console progress, and a SQLite run store keyed by
@@ -42,7 +42,6 @@ from repro.telemetry.events import (
     Event,
     NativeDisabled,
     PipelineStats,
-    PoolRebuilt,
     RunFinished,
     RunStarted,
     SpanClosed,
@@ -50,7 +49,6 @@ from repro.telemetry.events import (
     TrialMeasured,
     TrialPromoted,
     TrialPruned,
-    WorkerCrashed,
     make_run_id,
 )
 from repro.telemetry.meta import git_sha, run_metadata
@@ -91,8 +89,6 @@ __all__ = [
     "BackendSelected",
     "CacheHit",
     "CacheMiss",
-    "WorkerCrashed",
-    "PoolRebuilt",
     "NativeDisabled",
     "PipelineStats",
     "SurrogateFitted",

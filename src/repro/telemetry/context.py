@@ -1,6 +1,6 @@
 """The active telemetry context: one object the whole stack reports to.
 
-Instrumented code (search loops, measurers, the build cache, the worker pool)
+Instrumented code (search loops, measurers, the build cache, the build ladder)
 never threads a telemetry parameter through its layers. Instead it asks for
 the process-wide active context::
 

@@ -8,8 +8,8 @@ stamps each one with an emission wall-clock ``ts`` and fans it out to sinks.
 The lifecycle of one tuner run::
 
     RunStarted
-      (SurrogateFitted | CacheHit | CacheMiss | WorkerCrashed | PoolRebuilt
-       | SpanClosed | TrialPruned | TrialPromoted | TrialMeasured)*
+      (SurrogateFitted | CacheHit | CacheMiss | SpanClosed | TrialPruned
+       | TrialPromoted | TrialMeasured)*
     RunFinished
 
 ``RunStarted``/``RunFinished`` bracket a run and carry the identity key the
@@ -143,26 +143,6 @@ class CacheMiss(Event):
     kind = "cache_miss"
 
     key: str
-
-
-@dataclass
-class WorkerCrashed(Event):
-    """A measurement worker died or hung (``reason``: "crash" or "timeout")."""
-
-    kind = "worker_crashed"
-
-    error: str
-    config: dict[str, int] | None = None
-    reason: str = "crash"
-
-
-@dataclass
-class PoolRebuilt(Event):
-    """The parallel-measurement worker pool was killed and will be rebuilt."""
-
-    kind = "pool_rebuilt"
-
-    reason: str = ""
 
 
 @dataclass

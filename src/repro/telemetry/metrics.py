@@ -1,8 +1,8 @@
 """Counters and histograms aggregated from the telemetry event stream.
 
 The registry answers the operational questions a long autotuning campaign
-raises — evaluations per second, failure rate, cache hit ratio, worker-pool
-rebuilds — without storing the full event stream. A
+raises — evaluations per second, failure rate, cache hit ratio, pruned and
+promoted trials — without storing the full event stream. A
 :class:`MetricsSink` subscribes to the event bus and folds each event into the
 registry, so instrumented code emits events once and every consumer (trace,
 store, metrics, console) derives its own view.
@@ -19,13 +19,11 @@ from repro.telemetry.events import (
     CacheHit,
     CacheMiss,
     Event,
-    PoolRebuilt,
     SpanClosed,
     SurrogateFitted,
     TrialMeasured,
     TrialPromoted,
     TrialPruned,
-    WorkerCrashed,
 )
 
 
@@ -182,12 +180,6 @@ class MetricsSink(Sink):
             reg.counter("cache_hits").inc()
         elif isinstance(event, CacheMiss):
             reg.counter("cache_misses").inc()
-        elif isinstance(event, WorkerCrashed):
-            reg.counter(
-                "worker_timeouts" if event.reason == "timeout" else "worker_crashes"
-            ).inc()
-        elif isinstance(event, PoolRebuilt):
-            reg.counter("pool_rebuilds").inc()
         elif isinstance(event, SurrogateFitted):
             reg.counter("surrogate_fits").inc()
             reg.histogram("surrogate_fit_time").observe(event.wall_time)
@@ -211,9 +203,6 @@ def format_metrics_summary(registry: MetricsRegistry) -> str:
         ("trials_pruned_surrogate", "surrogate-pruned"),
         ("trials_pruned_fidelity", "probe-terminated"),
         ("trials_promoted", "promoted"),
-        ("worker_crashes", "crashes"),
-        ("worker_timeouts", "timeouts"),
-        ("pool_rebuilds", "pool rebuilds"),
         ("surrogate_fits", "surrogate fits"),
     ):
         if snap.get(key, 0.0):

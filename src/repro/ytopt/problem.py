@@ -39,10 +39,9 @@ class TuningProblem:
     ) -> list[MeasureResult]:
         """Evaluate a batch of configurations, ``jobs`` at a time.
 
-        Dispatches through :func:`repro.runtime.measure.evaluate_batch`: a
-        :class:`~repro.runtime.parallel.ParallelEvaluator` measures with its
-        worker pool; simulated evaluators charge the virtual clock by the
-        max of each wave (a ``jobs``-wide fleet), not the sum.
+        Dispatches through :func:`repro.runtime.measure.evaluate_batch`:
+        simulated evaluators charge the virtual clock by the max of each wave
+        (a ``jobs``-wide fleet), not the sum; real ones measure one at a time.
         """
         return evaluate_batch(self.evaluator, batch, jobs=jobs)
 

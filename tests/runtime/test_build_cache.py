@@ -1,98 +1,19 @@
-"""BuildCache unit + property tests: content-keyed hashing must be stable
-under dict-ordering permutations, and the LRU/counters must behave."""
+"""BuildCache unit + property tests: the LRU bound and the hit/miss
+counters."""
 
 from __future__ import annotations
-
-import functools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ReproError
-from repro.runtime.build_cache import BuildCache, builder_fingerprint, schedule_key
-
-from tests.runtime.parallel_targets import good_builder, slow_builder
-
-config_dicts = st.dictionaries(
-    keys=st.text(
-        alphabet="PQRSTxyz0123456789_", min_size=1, max_size=8
-    ),
-    values=st.integers(min_value=0, max_value=2**31 - 1),
-    min_size=1,
-    max_size=8,
-)
-
-
-class TestScheduleKeyProperties:
-    @settings(max_examples=100, deadline=None)
-    @given(config=config_dicts, order_seed=st.randoms(use_true_random=False))
-    def test_key_stable_under_dict_ordering(self, config, order_seed):
-        items = list(config.items())
-        order_seed.shuffle(items)
-        permuted = dict(items)
-        assert permuted == config  # same mapping...
-        assert schedule_key(config, builder=good_builder) == schedule_key(
-            permuted, builder=good_builder
-        )  # ...same key, whatever the insertion order
-
-    @settings(max_examples=100, deadline=None)
-    @given(config=config_dicts)
-    def test_key_is_deterministic_hex(self, config):
-        k1 = schedule_key(config, builder=good_builder, target="llvm")
-        k2 = schedule_key(config, builder=good_builder, target="llvm")
-        assert k1 == k2
-        assert len(k1) == 64 and all(c in "0123456789abcdef" for c in k1)
-
-    @settings(max_examples=60, deadline=None)
-    @given(config=config_dicts, delta=st.integers(min_value=1, max_value=100))
-    def test_key_changes_with_config(self, config, delta):
-        name = next(iter(config))
-        changed = dict(config)
-        changed[name] = changed[name] + delta
-        assert schedule_key(config) != schedule_key(changed)
-
-    def test_key_distinguishes_builder_and_target(self):
-        cfg = {"P0": 2}
-        assert schedule_key(cfg, builder=good_builder) != schedule_key(
-            cfg, builder=slow_builder
-        )
-        assert schedule_key(cfg, builder=good_builder, target="llvm") != schedule_key(
-            cfg, builder=good_builder, target="interp"
-        )
-
-    def test_key_accepts_numpy_style_ints(self):
-        import numpy as np
-
-        assert schedule_key({"P0": np.int64(2)}) == schedule_key({"P0": 2})
-
-
-class TestBuilderFingerprint:
-    def test_module_function(self):
-        fp = builder_fingerprint(good_builder)
-        assert "parallel_targets" in fp and "good_builder" in fp
-
-    def test_partial_includes_bound_args(self):
-        p32 = functools.partial(good_builder, 32)
-        p64 = functools.partial(good_builder, 64)
-        assert builder_fingerprint(p32) != builder_fingerprint(p64)
-        assert builder_fingerprint(p32) == builder_fingerprint(
-            functools.partial(good_builder, 32)
-        )
-
-    def test_fingerprint_has_no_memory_address(self):
-        class CallableBuilder:
-            def __call__(self, params):
-                return good_builder(params)
-
-        fp1 = builder_fingerprint(CallableBuilder())
-        fp2 = builder_fingerprint(CallableBuilder())
-        assert fp1 == fp2  # identity is the class, not the instance
+from repro.runtime.build_cache import BuildCache
 
 
 class TestBuildCache:
     def test_miss_then_hit(self):
         cache = BuildCache()
-        key = schedule_key({"P0": 2})
+        key = "k"
         assert cache.get(key) is None
         cache.put(key, "artifact")
         assert cache.get(key) == "artifact"

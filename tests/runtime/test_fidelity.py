@@ -21,7 +21,7 @@ from repro.runtime.fidelity import (
     MultiFidelityEvaluator,
     probe_statistics,
 )
-from repro.runtime.measure import FAILED_COST, Evaluator, MeasureResult
+from repro.runtime.measure import FAILED_COST, Evaluator, MeasureResult, evaluate_batch
 from repro.telemetry import (
     RecordingSink,
     Telemetry,
@@ -197,11 +197,6 @@ class TestMultiFidelityEvaluator:
         with pytest.raises(ReproError, match="repeat"):
             MultiFidelityEvaluator(NoRepeat())
 
-    def test_rejects_bad_jobs(self):
-        base = ScriptedEvaluator({1: [1.0] * 8})
-        with pytest.raises(ReproError, match="jobs"):
-            MultiFidelityEvaluator(base, jobs=0)
-
     def test_full_budget_at_or_below_probe_is_a_direct_measurement(self):
         base = ScriptedEvaluator({1: [1.0, 1.0]}, repeat=2)
         mfe = MultiFidelityEvaluator(base, AdaptiveRepeatPolicy(probe_repeats=2))
@@ -315,6 +310,6 @@ class TestMultiFidelityEvaluator:
         mfe = MultiFidelityEvaluator(
             base, AdaptiveRepeatPolicy(probe_repeats=2, promote_margin=0.15)
         )
-        results = mfe.evaluate_batch([{"P0": 1}, {"P0": 2}, {"P0": 3}])
+        results = evaluate_batch(mfe, [{"P0": 1}, {"P0": 2}, {"P0": 3}], jobs=3)
         assert [r.fidelity for r in results] == ["promoted", "probe", "promoted"]
         assert [len(r.costs) for r in results] == [4, 2, 4]

@@ -5,11 +5,25 @@ import pytest
 
 from repro.common.errors import ReproError
 from repro.kernels.extra import gemm_tuned
-from repro.runtime.measure import FAILED_COST, PREBUILT_LIMIT, LocalEvaluator, MeasureResult
+from repro.runtime.measure import (
+    FAILED_COST,
+    PREBUILT_LIMIT,
+    LocalEvaluator,
+    MeasureResult,
+    evaluate_batch,
+)
 
 
 def _builder(params):
     return gemm_tuned(8, 8, 8, params)
+
+
+def _plain_exception_builder(params):
+    raise ValueError(f"kernel bug for {dict(params)}")
+
+
+def _crashing_validator(buffers):
+    raise RuntimeError("validator exploded")
 
 
 class TestMeasureResult:
@@ -150,3 +164,44 @@ class TestPrecompile:
         assert len(calls) == PREBUILT_LIMIT + 1
         ev.evaluate({"i": 0})  # the oldest was dropped
         assert len(calls) == PREBUILT_LIMIT + 2
+
+
+class TestLocalEvaluatorRegression:
+    """LocalEvaluator must survive plain Exceptions, not only ReproError:
+    a kernel or validator bug is a failed trial, never a dead search."""
+
+    def test_plain_exception_in_builder_is_failed_result(self):
+        ev = LocalEvaluator(_plain_exception_builder)
+        res = ev.evaluate({"P0": 2})
+        assert not res.ok
+        assert res.mean_cost == FAILED_COST
+        assert "ValueError" in res.error
+
+    def test_plain_exception_in_validator_is_failed_result(self):
+        ev = LocalEvaluator(_builder, validate=_crashing_validator)
+        res = ev.evaluate({"P0": 2, "P1": 2})
+        assert not res.ok
+        assert "RuntimeError" in res.error
+
+    def test_search_survives_exception_heavy_space(self):
+        """A whole AMBS run over a builder that always raises completes."""
+        from repro.common.errors import TuningError
+        from repro.configspace import ConfigurationSpace, OrdinalHyperparameter
+        from repro.ytopt.problem import TuningProblem
+        from repro.ytopt.search import AMBS
+
+        space = ConfigurationSpace(name="s", seed=0)
+        space.add_hyperparameters([OrdinalHyperparameter("P0", [1, 2, 3, 4])])
+        problem = TuningProblem(space, LocalEvaluator(_plain_exception_builder))
+        search = AMBS(problem, max_evals=4, seed=0)
+        with pytest.raises(TuningError):
+            # every eval failed -> no best; but the search loop itself survived
+            search.run()
+        assert len(search.database) == 4
+        assert all(not r.ok for r in search.database)
+
+
+class TestEvaluateBatch:
+    def test_jobs_validation(self):
+        with pytest.raises(ReproError):
+            evaluate_batch(LocalEvaluator(_builder), [{"P0": 2, "P1": 2}], jobs=0)

@@ -9,12 +9,10 @@ from repro.telemetry import (
     CacheMiss,
     MetricsRegistry,
     MetricsSink,
-    PoolRebuilt,
     SpanClosed,
     SurrogateFitted,
     Telemetry,
     TrialMeasured,
-    WorkerCrashed,
 )
 from repro.telemetry.metrics import Histogram, format_metrics_summary
 
@@ -94,19 +92,6 @@ class TestSinkFolding:
             [CacheHit(key="a"), CacheHit(key="a"), CacheHit(key="b"), CacheMiss(key="c")]
         )
         assert reg.snapshot()["cache_hit_ratio"] == pytest.approx(0.75)
-
-    def test_worker_and_pool_events(self):
-        reg = self._registry_after(
-            [
-                WorkerCrashed(error="segv", reason="crash"),
-                WorkerCrashed(error="slow", reason="timeout"),
-                PoolRebuilt(reason="crash"),
-            ]
-        )
-        snap = reg.snapshot()
-        assert snap["worker_crashes"] == 1.0
-        assert snap["worker_timeouts"] == 1.0
-        assert snap["pool_rebuilds"] == 1.0
 
     def test_surrogate_and_span_histograms(self):
         reg = self._registry_after(

@@ -1,8 +1,8 @@
 """Import-graph gate: a Swing-priced session loads only what it runs.
 
 Package ``__init__``s resolve their names on first use (``repro._lazy``),
-and the compiler, the asyncio server, the process-pool evaluator, the
-multi-fidelity wrapper, the build pool and AutoTVM load where they are used.
+and the compiler, the asyncio server, the multi-fidelity wrapper, the build
+pool and AutoTVM load where they are used.
 Each check runs in a fresh interpreter, so nothing imported by this test
 process can hide an eager edge.
 """
@@ -20,7 +20,6 @@ NOT_ON_SWING_PATH = (
     "repro.tir",
     "repro.te",
     "repro.runtime.module",
-    "repro.runtime.parallel",
     "repro.runtime.fidelity",
     "repro.service.server",
     "repro.autotvm",
