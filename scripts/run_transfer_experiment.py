@@ -90,7 +90,7 @@ def evaluate(
                 "ytopt-cold": dict(),
                 "ytopt-warm": dict(warm_start_db=str(corpus_db)),
                 "ytopt-transfer": dict(
-                    transfer_db=str(corpus_db), transfer_bias=transfer_bias
+                    transfer_from=str(corpus_db), transfer_bias=transfer_bias
                 ),
             }
             for label, extra in variants.items():

@@ -2,8 +2,9 @@
 
 Public surface:
 
-* :class:`~repro.bench.protocols.Benchmark` (the benchmark protocol) and
-  :class:`~repro.bench.protocols.TunerSpec` (a tuner family and its factory);
+* :class:`~repro.bench.protocols.TunerSpec` (a tuner family and its
+  factory) and :class:`~repro.bench.protocols.TunerContext` (what the
+  factory binds);
 * :func:`register_benchmark` / :func:`register_tuner` — plugin registration;
 * :func:`get_benchmark` / :func:`get_tuner` / :func:`benchmark_names` /
   :func:`tuner_names` / :func:`benchmark_pairs` — discovery (used by
@@ -17,12 +18,7 @@ jacobi-2d), and seven tuner families (ytopt RF, four AutoTVM tuners, GP+LCB,
 TPE).
 """
 
-from repro.bench.protocols import (
-    Benchmark,
-    TuneOutcome,
-    TunerContext,
-    TunerSpec,
-)
+from repro.bench.protocols import TunerContext, TunerSpec
 from repro.bench.registry import (
     BenchmarkEntry,
     benchmark_entries,
@@ -38,8 +34,6 @@ from repro.bench.registry import (
 )
 
 __all__ = [
-    "Benchmark",
-    "TuneOutcome",
     "TunerContext",
     "TunerSpec",
     "BenchmarkEntry",

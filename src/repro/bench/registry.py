@@ -1,9 +1,9 @@
 """The pluggable benchmark × tuner registry.
 
 Two flat registries keyed by name: benchmarks (one entry per kernel, each
-listing its problem sizes and a ``size -> Benchmark`` factory) and tuners
-(one :class:`~repro.bench.protocols.TunerSpec` per search family). Built-in
-entries — the paper's three kernels auto-adapted from
+listing its problem sizes and a ``size -> KernelBenchmark`` factory) and
+tuners (one :class:`~repro.bench.protocols.TunerSpec` per search family).
+Built-in entries — the paper's three kernels auto-adapted from
 :mod:`repro.kernels.registry`, the PolyBench plugins from
 :mod:`repro.bench.polybench`, and the seven tuner families from
 :mod:`repro.bench.tuners` — are registered lazily on first lookup, so
@@ -19,22 +19,27 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.common.errors import RegistryError
-from repro.bench.protocols import Benchmark, TunerSpec
+from repro.bench.protocols import TunerSpec
+
+if TYPE_CHECKING:
+    from repro.kernels.registry import KernelBenchmark
 
 
 @dataclass(frozen=True)
 class BenchmarkEntry:
-    """One registered kernel: its sizes and a ``size -> Benchmark`` factory."""
+    """One registered kernel: its sizes and a ``size -> KernelBenchmark``
+    factory."""
 
     kernel: str
     sizes: tuple[str, ...]
-    factory: Callable[[str], Benchmark]
+    factory: Callable[[str], KernelBenchmark]
     description: str = ""
     tags: tuple[str, ...] = ()
 
-    def build(self, size_name: str) -> Benchmark:
+    def build(self, size_name: str) -> KernelBenchmark:
         if size_name not in self.sizes:
             raise RegistryError(
                 f"problem size for benchmark {self.kernel!r}",
@@ -83,7 +88,7 @@ def benchmark_entry(kernel: str) -> BenchmarkEntry:
         raise RegistryError("benchmark", kernel, sorted(_BENCHMARKS)) from None
 
 
-def get_benchmark(kernel: str, size_name: str) -> Benchmark:
+def get_benchmark(kernel: str, size_name: str) -> KernelBenchmark:
     """Build the registered benchmark for (kernel, size)."""
     return benchmark_entry(kernel).build(size_name)
 

@@ -1,10 +1,10 @@
 """Built-in tuner adapters: the paper's five plus the GP and TPE families.
 
 Each :class:`~repro.bench.protocols.TunerSpec` factory binds a search
-strategy to a :class:`~repro.bench.protocols.TunerContext` and returns a
-:class:`BoundSearch` whose single ``run()`` yields a neutral
-:class:`~repro.bench.protocols.TuneOutcome`. Every family runs through the
-one :class:`~repro.ytopt.AMBS` loop: the BO families through
+strategy to a :class:`~repro.bench.protocols.TunerContext` and returns the
+search, whose single ``run()`` yields a
+:class:`~repro.ytopt.search.SearchResult`. Every family runs through the one
+:class:`~repro.ytopt.AMBS` loop: the BO families through
 :class:`~repro.core.framework.BayesianAutotuner`, the four AutoTVM strategies
 as ask/tell optimizers (:func:`autotvm_search`). Construction mirrors what
 :class:`repro.service.session.TuningSession` has always done argument-for-
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.bench.protocols import TuneOutcome, TunerContext, TunerSpec
+from repro.bench.protocols import TunerContext, TunerSpec
 from repro.bench.registry import register_tuner
 
 if TYPE_CHECKING:
@@ -44,25 +44,6 @@ _AUTOTVM_CLASSES = {
     "AutoTVM-GA": "GATuner",
     "AutoTVM-XGB": "XGBTuner",
 }
-
-
-class BoundSearch:
-    """A tuner bound to one benchmark: one AMBS search, BO or AutoTVM."""
-
-    def __init__(self, search: "BayesianAutotuner | AMBS") -> None:
-        self.search = search
-        self.optimizer = search.optimizer
-
-    def run(self) -> TuneOutcome:
-        result = self.search.run()
-        return TuneOutcome(
-            best_config=result.best_config,
-            best_runtime=result.best_runtime,
-            n_evals=result.n_evals,
-            total_time=result.total_elapsed,
-            trajectory=result.database.trajectory(),
-            overhead=result.overhead,
-        )
 
 
 def autotvm_search(
@@ -96,84 +77,80 @@ def autotvm_search(
 def _bo_config(ctx: TunerContext) -> AutotuneConfig:
     from repro.core.framework import AutotuneConfig
 
+    spec = ctx.spec
     return AutotuneConfig(
-        max_evals=ctx.max_evals,
-        seed=ctx.seed,
-        batch_size=ctx.jobs,
-        jobs=ctx.jobs,
-        prune=ctx.prune,
-        prune_threshold=ctx.prune_threshold,
-        pipeline=ctx.pipeline,
-        compile_jobs=ctx.compile_jobs,
-        refit_every=ctx.refit_every,
+        max_evals=spec.max_evals,
+        seed=spec.seed,
+        batch_size=spec.jobs,
+        jobs=spec.jobs,
+        prune=spec.prune,
+        prune_threshold=spec.prune_threshold,
+        pipeline=spec.pipeline,
+        compile_jobs=spec.compile_jobs,
+        refit_every=spec.refit_every,
     )
 
 
-def _make_ytopt(ctx: TunerContext) -> BoundSearch:
+def _make_ytopt(ctx: TunerContext) -> BayesianAutotuner:
     from repro.core.framework import BayesianAutotuner
 
-    return BoundSearch(
-        BayesianAutotuner(
-            ctx.benchmark.config_space(seed=ctx.seed),
-            ctx.evaluator,
-            config=_bo_config(ctx),
-            name=ctx.benchmark.name,
-            warm_start=ctx.warm_start,
-            transfer_seed=ctx.transfer_seed,
-            transfer_bias=ctx.transfer_bias,
-        )
+    return BayesianAutotuner(
+        ctx.benchmark.config_space(seed=ctx.spec.seed),
+        ctx.evaluator,
+        config=_bo_config(ctx),
+        name=ctx.benchmark.name,
+        warm_start=ctx.warm_start,
+        transfer_seed=ctx.transfer_seed,
+        transfer_bias=ctx.spec.transfer_bias,
     )
 
 
-def _make_ytopt_gp(ctx: TunerContext) -> BoundSearch:
+def _make_ytopt_gp(ctx: TunerContext) -> BayesianAutotuner:
     from repro.core.framework import BayesianAutotuner
     from repro.ytopt.surrogate import GaussianProcessSurrogate
 
-    return BoundSearch(
-        BayesianAutotuner(
-            ctx.benchmark.config_space(seed=ctx.seed),
-            ctx.evaluator,
-            config=_bo_config(ctx),
-            surrogate=GaussianProcessSurrogate(seed=ctx.seed),
-            name=ctx.benchmark.name,
-            warm_start=ctx.warm_start,
-        )
+    return BayesianAutotuner(
+        ctx.benchmark.config_space(seed=ctx.spec.seed),
+        ctx.evaluator,
+        config=_bo_config(ctx),
+        surrogate=GaussianProcessSurrogate(seed=ctx.spec.seed),
+        name=ctx.benchmark.name,
+        warm_start=ctx.warm_start,
     )
 
 
-def _make_ytopt_tpe(ctx: TunerContext) -> BoundSearch:
+def _make_ytopt_tpe(ctx: TunerContext) -> BayesianAutotuner:
     from repro.core.framework import BayesianAutotuner
     from repro.ytopt.tpe import TPEOptimizer
 
-    space = ctx.benchmark.config_space(seed=ctx.seed)
+    space = ctx.benchmark.config_space(seed=ctx.spec.seed)
     cfg = _bo_config(ctx)
-    return BoundSearch(
-        BayesianAutotuner(
-            space,
-            ctx.evaluator,
-            config=cfg,
-            name=ctx.benchmark.name,
-            warm_start=ctx.warm_start,
-            optimizer=TPEOptimizer(
-                space, n_initial_points=cfg.n_initial_points, seed=ctx.seed
-            ),
-        )
+    return BayesianAutotuner(
+        space,
+        ctx.evaluator,
+        config=cfg,
+        name=ctx.benchmark.name,
+        warm_start=ctx.warm_start,
+        optimizer=TPEOptimizer(
+            space, n_initial_points=cfg.n_initial_points, seed=ctx.spec.seed
+        ),
     )
 
 
 def _make_autotvm(name: str):
-    def factory(ctx: TunerContext) -> BoundSearch:
+    def factory(ctx: TunerContext) -> AMBS:
         from repro import autotvm
         from repro.ytopt.problem import TuningProblem
 
+        spec = ctx.spec
         problem = TuningProblem(
-            ctx.benchmark.config_space(seed=ctx.seed), ctx.evaluator, name=ctx.benchmark.name
+            ctx.benchmark.config_space(seed=spec.seed), ctx.evaluator, name=ctx.benchmark.name
         )
-        tuner = getattr(autotvm, _AUTOTVM_CLASSES[name])(problem, seed=ctx.seed)
-        max_evals = ctx.max_evals
+        tuner = getattr(autotvm, _AUTOTVM_CLASSES[name])(problem, seed=spec.seed)
+        max_evals = spec.max_evals
         if name == "AutoTVM-XGB" and ctx.xgb_trial_cap is not None:
             max_evals = min(max_evals, ctx.xgb_trial_cap)
-        return BoundSearch(autotvm_search(tuner, max_evals, jobs=ctx.jobs, name=name))
+        return autotvm_search(tuner, max_evals, jobs=spec.jobs, name=name)
 
     return factory
 

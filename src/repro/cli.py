@@ -141,41 +141,39 @@ def _telemetry_from_args(
     return Telemetry(sinks=sinks)
 
 
-def _run_payload(run) -> dict:
-    """A JSON-safe summary of one TunerRun (the shared CLI/service contract)."""
-    return run.to_payload()
+def _spec_fields(args: argparse.Namespace) -> dict:
+    """The :class:`~repro.service.jobs.JobSpec` fields a command's parsed
+    flags set: every knob flag's ``dest`` is its field name, and
+    ``--compile-jobs`` implies ``--pipeline``."""
+    from dataclasses import fields
+
+    from repro.service.jobs import JobSpec
+
+    spec = {
+        f.name: getattr(args, f.name) for f in fields(JobSpec) if hasattr(args, f.name)
+    }
+    if "pipeline" in spec:
+        spec["pipeline"] = args.pipeline or args.compile_jobs is not None
+    return spec
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    from repro.experiments import format_tensor_size, run_tuner
+    from repro.bench.protocols import PAPER_XGB_TRIAL_CAP
+    from repro.experiments import format_tensor_size
+    from repro.service.jobs import JobSpec
+    from repro.service.session import TuningSession
 
-    benchmark = get_benchmark(args.kernel, args.size)
     console = _console_from_args(args)
     telemetry = _telemetry_from_args(args, console)
     with telemetry_session(telemetry) as tel:
-        run = run_tuner(
-            benchmark,
-            args.tuner,
-            max_evals=args.max_evals,
-            seed=args.seed,
-            xgb_trial_cap=None if args.no_xgb_cap else 56,
-            jobs=args.jobs,
-            timeout=args.timeout,
-            repeats=args.repeats,
-            probe_repeats=args.probe_repeats,
-            promote_margin=args.promote_margin,
-            prune=args.prune,
-            prune_threshold=args.prune_threshold,
-            warm_start_db=args.warm_start_db,
-            transfer_db=args.transfer_db,
-            transfer_bias=args.transfer_bias,
-            label=args.label,
-            pipeline=_resolve_pipeline(args),
-            compile_jobs=args.compile_jobs,
-            refit_every=args.refit_every,
+        session = TuningSession(
+            JobSpec(**_spec_fields(args)),
+            xgb_trial_cap=None if args.no_xgb_cap else PAPER_XGB_TRIAL_CAP,
         )
+        run = session.run()
         console.info(
-            f"{run.tuner} on {benchmark.name}: best {run.best_runtime:.4g}s at "
+            f"{run.tuner} on {session.benchmark.name}: best "
+            f"{run.best_runtime:.4g}s at "
             f"{format_tensor_size(args.kernel, run.best_config)} "
             f"({run.n_evals} evals, {run.total_time:,.0f}s process time)"
         )
@@ -189,7 +187,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             console.progress(f"run stored in {args.db}")
         if tel.enabled:
             console.progress(format_metrics_summary(tel.metrics))
-        console.result_json(_run_payload(run))
+        console.result_json(run.to_payload())
     return 0
 
 
@@ -230,23 +228,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     console = _console_from_args(args)
     telemetry = _telemetry_from_args(args, console)
     with telemetry_session(telemetry) as tel:
-        result = run_experiment(
-            kernel,
-            size,
-            tuners=tuners,
-            max_evals=args.evals,
-            seed=args.seed,
-            jobs=args.jobs,
-            timeout=args.timeout,
-            repeats=args.repeats,
-            probe_repeats=args.probe_repeats,
-            promote_margin=args.promote_margin,
-            prune=args.prune,
-            prune_threshold=args.prune_threshold,
-            warm_start_db=args.warm_start_db,
-            transfer_db=args.transfer_db,
-            transfer_bias=args.transfer_bias,
-        )
+        result = run_experiment(kernel, size, tuners=tuners, **_spec_fields(args))
         console.info(f"{figures} — {kernel}/{size}")
         console.info(process_summary_table(result))
         console.info("")
@@ -264,7 +246,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 "kernel": kernel,
                 "size": size,
                 "figures": figures,
-                "runs": {name: _run_payload(r) for name, r in result.runs.items()},
+                "runs": {name: r.to_payload() for name, r in result.runs.items()},
             }
         )
     return 0
@@ -435,27 +417,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     """Submit one job; exits non-zero if the server rejects it."""
     from repro.service import JobRejected
 
-    spec = {
-        "kernel": args.kernel,
-        "size": args.size,
-        "tuner": args.tuner,
-        "max_evals": args.max_evals,
-        "seed": args.seed,
-        "jobs": args.jobs,
-        "timeout": args.timeout,
-        "repeats": args.repeats,
-        "probe_repeats": args.probe_repeats,
-        "promote_margin": args.promote_margin,
-        "prune": args.prune,
-        "prune_threshold": args.prune_threshold,
-        "warm_start_db": args.warm_start_db,
-        "transfer_from": args.transfer_db,
-        "transfer_bias": args.transfer_bias,
-        "label": args.label,
-        "pipeline": _resolve_pipeline(args),
-        "compile_jobs": args.compile_jobs,
-        "refit_every": args.refit_every,
-    }
+    spec = _spec_fields(args)
     client = _service_client(args)
     try:
         if args.wait:
@@ -555,7 +517,8 @@ def _add_fidelity_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_transfer_args(parser: argparse.ArgumentParser, with_label: bool) -> None:
     group = parser.add_argument_group("transfer learning")
-    group.add_argument("--transfer-db", default=None, metavar="PATH",
+    group.add_argument("--transfer-db", dest="transfer_from", default=None,
+                       metavar="PATH",
                        help="ytopt: seed the initial design from a "
                        "meta-surrogate fit on this run store's *other* tasks "
                        "(the target kernel/size is excluded from the fit)")
@@ -585,11 +548,6 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
                        "observation (byte-identical to the serial loop), "
                        "0 = geometric schedule (dense early, sparse late); "
                        "default: the loop's own policy")
-
-
-def _resolve_pipeline(args: argparse.Namespace) -> bool:
-    """--compile-jobs implies pipelining."""
-    return args.pipeline or args.compile_jobs is not None
 
 
 def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
@@ -658,7 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--tuners", default=None, metavar="T1,T2,...",
                        help="comma-separated tuner subset (default: the paper's "
                        "five; any registered tuner accepted)")
-    p_exp.add_argument("--evals", type=int, default=100)
+    p_exp.add_argument("--evals", dest="max_evals", metavar="EVALS", type=int,
+                       default=100)
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--csv", help="write all trajectories here")
     p_exp.add_argument("--jobs", type=int, default=1, metavar="N",

@@ -51,31 +51,9 @@ class BuildCache:
             tel.emit(CacheHit(key=key) if artifact is not None else CacheMiss(key=key))
         return artifact
 
-    def peek(self, key: str) -> Any | None:
-        """Like :meth:`get` but without touching the counters or LRU order."""
-        with self._lock:
-            return self._entries.get(key)
-
     def put(self, key: str, artifact: Any) -> None:
         with self._lock:
             self._entries[key] = artifact
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> dict[str, float]:
-        with self._lock:
-            return {
-                "cache_hits": float(self.hits),
-                "cache_misses": float(self.misses),
-                "cache_entries": float(len(self._entries)),
-            }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()

@@ -41,11 +41,14 @@ class JobState:
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One tuning-session request (mirrors ``repro tune``'s knobs).
+    """One tuning-session request: the one list of the session knobs.
 
-    ``fault`` is a test-only fault-injection directive (see
-    :class:`repro.service.session.FaultInjector`); servers reject it unless
-    explicitly configured with ``allow_fault_injection=True``.
+    ``repro tune``, ``repro submit`` and ``repro experiment`` parse each knob
+    flag into the field of the same name, and
+    :class:`~repro.service.session.TuningSession` hands the spec itself to
+    the tuner factory. ``fault`` is a test-only fault-injection directive
+    (see :class:`repro.service.session.FaultInjector`); servers reject it
+    unless explicitly configured with ``allow_fault_injection=True``.
     """
 
     kernel: str
@@ -53,13 +56,28 @@ class JobSpec:
     tuner: str = "ytopt"
     max_evals: int = 100
     seed: int = 0
+    #: > 1 measures in parallel waves: ytopt proposes constant-liar batches
+    #: of ``jobs`` configurations, AutoTVM runs each 8-config batch on a
+    #: ``jobs``-wide fleet; the virtual clock advances by the max of each
+    #: wave, not the sum.
     jobs: int = 1
+    #: Per-trial kernel budget in seconds; a timed-out configuration is
+    #: recorded as failed and charged the budget.
     timeout: float | None = None
+    #: The full per-config repeat budget. ``probe_repeats`` (when smaller)
+    #: turns on multi-fidelity measurement: probe first, and promote to the
+    #: full budget only when the candidate is competitive within
+    #: ``promote_margin`` of the incumbent.
     repeats: int = 1
     probe_repeats: int | None = None
     promote_margin: float = 0.15
+    #: BO surrogate-guided pruning: skip compiling a candidate whose lower
+    #: confidence bound cannot beat ``prune_threshold`` x the incumbent.
     prune: bool = False
     prune_threshold: float = 1.25
+    #: A run store (file or shard root) whose matching prior trials (same
+    #: kernel, size and space hash) pre-train the BO search; they count
+    #: toward the budget.
     warm_start_db: str | None = None
     #: Transfer learning: a run store (file or shard root) whose corpus fits
     #: the meta-surrogate that seeds this session (ytopt only). The session's
@@ -76,7 +94,9 @@ class JobSpec:
     #: surrogate ask, a ``compile_jobs``-wide compile-ahead build pool, and
     #: measurement. ``refit_every`` selects the surrogate refit policy
     #: (None = loop default — geometric under the pipeline; 1 = every
-    #: observation, the byte-identical escape hatch; 0 = geometric). These
+    #: observation, the byte-identical escape hatch; 0 = geometric). Under
+    #: Swing pricing the build pool changes no trajectory (only the refit
+    #: policy does); it pays off on real native-tier measurement. These
     #: knobs drive the BO loop, so AutoTVM tuners reject them.
     pipeline: bool = False
     compile_jobs: int | None = None

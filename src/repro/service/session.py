@@ -350,28 +350,19 @@ class TuningSession:
 
         # -- the session's own search stack --------------------------------
         # Built by the registered tuner family's factory (repro.bench):
-        # .autotuner is the bound search (a BayesianAutotuner, or the AMBS
-        # loop over an AutoTVM strategy), .optimizer what it asks and tells.
-        self._bound = tuner_spec.factory(
+        # .autotuner is the search (a BayesianAutotuner, or the AMBS loop
+        # over an AutoTVM strategy), .optimizer what it asks and tells.
+        self.autotuner = tuner_spec.factory(
             TunerContext(
                 benchmark=self.benchmark,
                 evaluator=self.evaluator,
-                seed=spec.seed,
-                max_evals=spec.max_evals,
-                jobs=spec.jobs,
-                prune=spec.prune,
-                prune_threshold=spec.prune_threshold,
+                spec=spec,
                 warm_start=self.warm_start,
                 transfer_seed=self.transfer_seed,
-                transfer_bias=spec.transfer_bias,
                 xgb_trial_cap=xgb_trial_cap,
-                pipeline=spec.pipeline,
-                compile_jobs=spec.compile_jobs,
-                refit_every=spec.refit_every,
             )
         )
-        self.autotuner = self._bound.search
-        self.optimizer = self._bound.optimizer
+        self.optimizer = self.autotuner.optimizer
 
         # -- the session's own telemetry / store handles --------------------
         self.store: RunStore | None = None
@@ -500,15 +491,15 @@ class TuningSession:
         return run
 
     def _run_inner(self) -> TunerRun:
-        outcome = self._bound.run()
+        result = self.autotuner.run()
         return TunerRun(
             tuner=self.display_tuner,
             kernel=self.benchmark.kernel,
             size_name=self.benchmark.size_name,
-            best_config=outcome.best_config,
-            best_runtime=outcome.best_runtime,
-            n_evals=outcome.n_evals,
-            total_time=outcome.total_time,
-            trajectory=outcome.trajectory,
-            overhead=outcome.overhead,
+            best_config=result.best_config,
+            best_runtime=result.best_runtime,
+            n_evals=result.n_evals,
+            total_time=result.total_elapsed,
+            trajectory=result.database.trajectory(),
+            overhead=result.overhead,
         )

@@ -136,4 +136,7 @@ class TestTelemetryIntegration:
         tel = Telemetry()
         tel.emit(_trial())
         line = format_metrics_summary(tel.metrics)
-        assert "cache" not in line and "crash" not in line
+        assert "cache" not in line
+        for label in ("surrogate-pruned", "probe-terminated", "promoted",
+                      "surrogate fits"):
+            assert label not in line

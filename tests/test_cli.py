@@ -277,6 +277,61 @@ class TestParser:
             main([])
 
 
+class TestSpecFields:
+    """Each knob flag parses into the JobSpec field of the same name."""
+
+    TARGET = ["--kernel", "3mm", "--size", "mini", "--tuner", "ytopt-gp"]
+    #: Every knob flag repro experiment shares with tune, at a non-default value.
+    SHARED = ["--seed", "3", "--jobs", "2", "--timeout", "0.5",
+              "--repeats", "4", "--probe-repeats", "2", "--promote-margin", "0.3",
+              "--prune", "--prune-threshold", "1.5",
+              "--warm-start-db", "warm.sqlite", "--transfer-db", "corpus.sqlite",
+              "--transfer-bias", "0.25"]
+    LOOP = ["--pipeline", "--compile-jobs", "2", "--refit-every", "1",
+            "--label", "abc"]
+
+    @staticmethod
+    def _fields(argv):
+        from repro.cli import _spec_fields, build_parser
+
+        return _spec_fields(build_parser().parse_args(argv))
+
+    def test_every_command_gives_the_same_spec(self):
+        from dataclasses import fields
+
+        from repro.service.jobs import JobSpec
+
+        tune = self._fields(
+            ["tune", *self.TARGET, "--max-evals", "7", *self.SHARED, *self.LOOP]
+        )
+        submit = self._fields(
+            ["submit", "--root", "r", *self.TARGET, "--max-evals", "7",
+             *self.SHARED, *self.LOOP]
+        )
+        experiment = self._fields(
+            ["experiment", "3mm-mini", "--evals", "7", *self.SHARED]
+        )
+        assert submit == tune
+        # Every field but the test-only fault directive has a tune flag,
+        # and each flag above moved its field off the default.
+        knobs = [f for f in fields(JobSpec) if f.name != "fault"]
+        assert list(tune) == [f.name for f in knobs]
+        assert all(tune[f.name] != f.default for f in knobs)
+        JobSpec(**tune)
+        assert experiment == {k: tune[k] for k in experiment}
+        assert set(tune) - set(experiment) == {
+            "kernel", "size", "tuner", "label", "pipeline", "compile_jobs",
+            "refit_every",
+        }
+
+    @pytest.mark.parametrize("command", ["tune", "submit"])
+    def test_compile_jobs_implies_pipeline(self, command):
+        target = ["--kernel", "lu", "--size", "large"]
+        assert self._fields([command, *target])["pipeline"] is False
+        spec = self._fields([command, *target, "--compile-jobs", "2"])
+        assert spec["pipeline"] is True and spec["compile_jobs"] == 2
+
+
 class TestTransfer:
     def _corpus(self, db, capsys):
         for kernel in ("lu", "cholesky"):
