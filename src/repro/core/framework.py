@@ -57,10 +57,11 @@ class AutotuneConfig:
     prune: bool = False
     prune_threshold: float = 1.25
     prune_overhead: float = 0.02
-    #: Pipelined execution (see :mod:`repro.ytopt.search`): overlap the
-    #: surrogate ask, a ``compile_jobs``-wide native build pool with
-    #: compile-ahead speculation, and measurement. ``refit_every`` picks the
-    #: surrogate refit policy (see :func:`repro.ytopt.optimizer.refit_policy`).
+    #: ``pipeline`` selects the geometric refit schedule, and ``refit_every``
+    #: the refit policy (see :func:`repro.ytopt.optimizer.refit_policy`).
+    #: ``compile_jobs`` is the width of the build pool that native-tier
+    #: builds under a real clock run in, compile-ahead included (None: cores,
+    #: capped at 8; 1 builds nothing ahead; see :mod:`repro.ytopt.search`).
     pipeline: bool = False
     compile_jobs: int | None = None
     refit_every: int | None = None

@@ -3,7 +3,10 @@
 Native-tier builds shell out to the C compiler (``subprocess.run`` releases
 the GIL), so a thread pool genuinely parallelizes them; the evaluator holds
 each built module until the later measurement of that configuration takes
-it (:meth:`repro.runtime.measure.LocalEvaluator.precompile`). Workers run with telemetry pinned off — the event bus and its sinks
+it (:meth:`repro.runtime.measure.LocalEvaluator.precompile`). Each
+configuration is built at most once per pool: a speculative build the next
+ask missed stays on record, and a later ask that picks it waits on that
+build. Workers run with telemetry pinned off — the event bus and its sinks
 are not thread-safe — and the pool aggregates its own counters instead:
 occupancy high-water mark, busy-seconds, speculation hits/misses, and the
 seconds the tuning loop spent blocked on an unfinished build.
@@ -51,8 +54,8 @@ class BuildPool:
     """Fan kernel builds out to ``jobs`` threads, deduplicated by config key.
 
     ``precompiler`` is the evaluator's ``precompile`` method (or None, which
-    disables the pool — every method degenerates to a no-op). The executor is created lazily on first submit and torn down
-    by :meth:`close`.
+    disables the pool — every method degenerates to a no-op). The executor
+    is created lazily on first submit and torn down by :meth:`close`.
     """
 
     def __init__(self, precompiler, jobs: int) -> None:
@@ -62,6 +65,10 @@ class BuildPool:
         self._precompiler = precompiler
         self._executor: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
+        #: Every build submitted, by config key: the at-most-once record.
+        self._builds: dict[bytes, Future] = {}
+        #: The builds the loop still waits on (missed speculations and
+        #: discarded configs leave this, not ``_builds``).
         self._futures: dict[bytes, Future] = {}
         self._active = 0
         self.submitted = 0
@@ -114,17 +121,20 @@ class BuildPool:
     def submit(self, config: Any, speculative: bool = False) -> bool:
         """Queue one ahead-of-time build; returns True if newly queued.
 
-        In-flight and already-queued keys are deduplicated — a speculative
-        build that turns out to be wave k+1's real candidate is simply waited
-        on (the spec-hit fast path)."""
+        A configuration submitted before is not built again: its build is
+        what :meth:`wait` blocks on — a speculative build that turns out to
+        be wave k+1's real candidate (the spec-hit fast path), or one an
+        earlier speculation missed."""
         if not self.enabled:
             return False
         key = config_key(config)
         with self._lock:
-            if key in self._futures:
+            future = self._builds.get(key)
+            if future is not None:
+                self._futures[key] = future
                 return False
             future = self._ensure_executor().submit(self._build, _params(config))
-            self._futures[key] = future
+            self._builds[key] = self._futures[key] = future
             self.submitted += 1
             if speculative:
                 self.speculative += 1
@@ -159,8 +169,8 @@ class BuildPool:
     def score_speculation(self, speculated: Iterable[Any], actual: Iterable[Any]) -> None:
         """Compare a speculative wave against the real ask that followed.
 
-        Hits stay queued (the real wave waits on them); misses are discarded
-        without ever reaching a ``tell``."""
+        Hits stay queued (the real wave waits on them); misses never reach a
+        ``tell``, and their builds wait for a later ask to pick them."""
         actual_keys = {config_key(c) for c in actual}
         for config in speculated:
             key = config_key(config)
@@ -179,6 +189,7 @@ class BuildPool:
     def close(self) -> None:
         executor = self._executor
         self._executor = None
+        self._builds.clear()
         self._futures.clear()
         if executor is not None:
             executor.shutdown(wait=True, cancel_futures=True)

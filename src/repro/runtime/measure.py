@@ -165,9 +165,10 @@ class LocalEvaluator(Evaluator):
         # The compiler (repro.runtime.module and repro.tir) loads with the
         # first LocalEvaluator, not with this module: Swing-priced runs
         # never build a kernel.
-        from repro.runtime.module import build
+        from repro.runtime.module import build, emit_backend_selected
 
         self._build = build
+        self._emit_backend_selected = emit_backend_selected
         #: Configurations :meth:`precompile` built that :meth:`evaluate` has
         #: not taken yet: config key -> (module, argument tensors).
         self._prebuilt: dict[tuple, tuple] = {}
@@ -176,16 +177,38 @@ class LocalEvaluator(Evaluator):
     def elapsed(self) -> float:
         return time.perf_counter() - self._start
 
+    @property
+    def builds_native(self) -> bool:
+        """True when builds start on the native C tier, a C compiler is
+        found, and the tier is on.
+
+        Those builds spend their time in the C compiler, a subprocess that
+        releases the GIL, so a build pool runs them in parallel; the other
+        tiers build in Python and would only contend for the GIL.
+        """
+        from repro.runtime.module import starting_tier
+        from repro.tir.codegen_c import find_toolchain, native_disabled
+
+        try:
+            if starting_tier(self.target, self.backend) != "native":
+                return False
+            # Cached per process. Without a compiler the first build turns
+            # the tier off, on the loop thread, with its warning and event.
+            find_toolchain()
+        except ReproError:
+            return False
+        return native_disabled() is None
+
     def precompile(self, params: Mapping[str, int]) -> bool:
         """Build the kernel for ``params`` without running it (compile-ahead).
 
         The built module and its argument tensors are held until
         :meth:`evaluate` of the same configuration takes them, so a trial
-        the pipelined loop built ahead is built once (and its
+        the tuning loop built ahead is built once (and its
         ``compile_time`` is only what ``evaluate`` spent taking it). At most
         :data:`PREBUILT_LIMIT` built-but-unmeasured configurations are held
         (a speculation miss is never evaluated); the oldest is dropped
-        first. Safe to call from the pipelined loop's build-pool threads:
+        first. Safe to call from the tuning loop's build-pool threads:
         the held entries and the native tier's caches are lock-protected
         and ``.so`` publication is atomic. Returns True when the build
         succeeded; a failing build holds nothing and returns False —
@@ -219,7 +242,12 @@ class LocalEvaluator(Evaluator):
             with tel.span("compile"):
                 with self._prebuilt_lock:
                     built = self._prebuilt.pop(_config_key(cfg), None)
-                mod, args = built if built is not None else self._build_kernel(cfg)
+                if built is None:
+                    mod, args = self._build_kernel(cfg)
+                else:
+                    # Built where telemetry was off: its tier event lands here.
+                    mod, args = built
+                    self._emit_backend_selected(mod)
         except Exception as exc:  # noqa: BLE001 — any builder/compile failure
             # must become a failed MeasureResult, not kill the whole search;
             # kernels and user builders raise plain Exceptions, not just

@@ -48,18 +48,34 @@ def default_backend() -> str:
     return backend
 
 
+def starting_tier(target: "str | Target", backend: str | None = None) -> str:
+    """The tier the build ladder starts from for ``target`` and the
+    ``backend`` pin (None: :func:`default_backend`)."""
+    tgt = Target(target) if not isinstance(target, Target) else target
+    requested = backend if backend is not None else default_backend()
+    if requested not in BACKEND_TIERS:
+        raise ReproError(f"backend {requested!r} is not one of {BACKEND_TIERS}")
+    return "interp" if tgt.kind == "interp" else requested
+
+
 class Module:
     """A compiled function plus its lowered PrimFunc.
 
     Call it with NDArrays or NumPy arrays (mutated in place for outputs), or use
-    :meth:`time_evaluator` for TVM-style repeated timing.
+    :meth:`time_evaluator` for TVM-style repeated timing. ``requested`` and
+    ``reason`` record how the build ladder reached ``backend`` (the fields of
+    its :class:`~repro.telemetry.BackendSelected` event).
     """
 
-    def __init__(self, func: PrimFunc, entry, target: Target, backend: str) -> None:
+    def __init__(
+        self, func: PrimFunc, entry, target: Target, backend: str, requested: str, reason: str
+    ) -> None:
         self.func = func
         self._entry = entry
         self.target = target
         self.backend = backend  # "native", "tensor", "codegen", or "interp"
+        self.requested = requested
+        self.reason = reason
 
     @property
     def name(self) -> str:
@@ -171,11 +187,7 @@ def build_from_primfunc(
             "target 'swing' is measurement-simulated only; build with 'llvm' or "
             "evaluate through repro.swing.SwingEvaluator"
         )
-    requested = backend if backend is not None else default_backend()
-    if requested not in BACKEND_TIERS:
-        raise ReproError(f"backend {requested!r} is not one of {BACKEND_TIERS}")
-    if tgt.kind == "interp":
-        requested = "interp"
+    requested = starting_tier(tgt, backend)
     ladder = BACKEND_TIERS[BACKEND_TIERS.index(requested):]
     entry = None
     selected = "interp"
@@ -194,22 +206,26 @@ def build_from_primfunc(
             break
         except CodegenUnsupported as exc:
             reason = str(exc)
-    _emit_backend_selected(func.name, requested, selected, reason)
-    return Module(func, entry, tgt, backend=selected)
+    if selected == requested:
+        reason = ""
+    mod = Module(func, entry, tgt, selected, requested, reason)
+    emit_backend_selected(mod)
+    return mod
 
 
-def _emit_backend_selected(
-    name: str, requested: str, selected: str, reason: str
-) -> None:
+def emit_backend_selected(mod: Module) -> None:
+    """Put ``mod``'s :class:`~repro.telemetry.BackendSelected` event on the
+    current telemetry bus: at build time, and again by whoever runs a module
+    that was built where telemetry was off (a build-pool thread)."""
     from repro.telemetry import BackendSelected, get_telemetry
 
     tel = get_telemetry()
     if tel.enabled:
         tel.emit(
             BackendSelected(
-                func=name,
-                requested=requested,
-                selected=selected,
-                reason=reason if selected != requested else "",
+                func=mod.name,
+                requested=mod.requested,
+                selected=mod.backend,
+                reason=mod.reason,
             )
         )

@@ -90,14 +90,14 @@ class JobSpec:
     #: variants of one tuner land side-by-side in a single run store without
     #: colliding on the (kernel, size, tuner, seed) identity key.
     label: str | None = None
-    #: Pipelined execution (see :mod:`repro.ytopt.search`): overlap the
-    #: surrogate ask, a ``compile_jobs``-wide compile-ahead build pool, and
-    #: measurement. ``refit_every`` selects the surrogate refit policy
-    #: (None = loop default — geometric under the pipeline; 1 = every
-    #: observation, the byte-identical escape hatch; 0 = geometric). Under
-    #: Swing pricing the build pool changes no trajectory (only the refit
-    #: policy does); it pays off on real native-tier measurement. These
-    #: knobs drive the BO loop, so AutoTVM tuners reject them.
+    #: ``pipeline`` selects the geometric refit schedule, and nothing else
+    #: (see :mod:`repro.ytopt.search`). ``refit_every`` selects the
+    #: surrogate refit policy (None = loop default — geometric under
+    #: ``pipeline``; 1 = every observation, the byte-identical escape hatch;
+    #: 0 = geometric). ``compile_jobs`` is the width of the build pool
+    #: native-tier builds run in; sessions are Swing-priced, so it changes
+    #: nothing they do. These knobs drive the BO loop, so AutoTVM tuners
+    #: reject them.
     pipeline: bool = False
     compile_jobs: int | None = None
     refit_every: int | None = None
@@ -192,6 +192,14 @@ class JobSpec:
             )
         return None
 
+    def recorded_knobs(self) -> dict[str, Any]:
+        """The :data:`RECORDED_FIELDS` of this spec, as a stored run's
+        metadata holds them."""
+        return {
+            name: getattr(self, name) if gate is None or getattr(self, gate) else None
+            for name, gate in RECORDED_FIELDS.items()
+        }
+
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
 
@@ -205,6 +213,39 @@ class JobSpec:
         if "kernel" not in payload or "size" not in payload:
             raise JobRejected("a job needs at least 'kernel' and 'size'")
         return cls(**payload)
+
+
+#: The :class:`JobSpec` fields a session records under their own names in
+#: its run's stored metadata. Each maps to the field that gates it (the value
+#: is recorded only while the gate is set, else None) or to None when it is
+#: always recorded.
+RECORDED_FIELDS: dict[str, str | None] = {
+    "max_evals": None,
+    "jobs": None,
+    "timeout": None,
+    "repeats": None,
+    "probe_repeats": None,
+    "promote_margin": "probe_repeats",
+    "prune": None,
+    "prune_threshold": "prune",
+    "label": None,
+    "transfer_bias": "transfer_from",
+    "pipeline": None,
+    "compile_jobs": "pipeline",
+    "refit_every": None,
+}
+
+#: The :class:`JobSpec` fields the run metadata does not record under their
+#: own names, and where their values go instead.
+UNRECORDED_FIELDS: dict[str, str] = {
+    "kernel": "the run's kernel column",
+    "size": "the run's size_name column",
+    "tuner": "the run's tuner column (the label, when given)",
+    "seed": "the run's seed column and run_metadata's own seed key",
+    "warm_start_db": "warm_start: the number of prior trials loaded",
+    "transfer_from": "transfer: the transfer seed's summary",
+    "fault": "not recorded: test-only fault injection",
+}
 
 
 @dataclass

@@ -438,39 +438,19 @@ class TuningSession:
                     metadata=run_metadata(
                         seed=spec.seed,
                         extra={
-                            "max_evals": spec.max_evals,
-                            "jobs": spec.jobs,
-                            "timeout": spec.timeout,
+                            **spec.recorded_knobs(),
                             "xgb_trial_cap": self.xgb_trial_cap
                             if spec.tuner == "AutoTVM-XGB"
                             else None,
                             "space_hash": space_hash(
                                 self.benchmark.config_space(seed=spec.seed)
                             ),
-                            "repeats": spec.repeats,
-                            "probe_repeats": spec.probe_repeats,
-                            "promote_margin": spec.promote_margin
-                            if spec.probe_repeats
-                            else None,
-                            "prune": spec.prune,
-                            "prune_threshold": spec.prune_threshold
-                            if spec.prune
-                            else None,
                             "warm_start": len(self.warm_start)
                             if self.warm_start is not None
                             else None,
-                            "label": spec.label,
                             "transfer": self.transfer_seed.summary()
                             if self.transfer_seed is not None
                             else None,
-                            "transfer_bias": spec.transfer_bias
-                            if self.transfer_seed is not None
-                            else None,
-                            "pipeline": spec.pipeline,
-                            "compile_jobs": spec.compile_jobs
-                            if spec.pipeline
-                            else None,
-                            "refit_every": spec.refit_every,
                         },
                     ),
                 )

@@ -232,29 +232,40 @@ class Optimizer:
     ) -> list[Configuration] | None:
         """Side-effect-free preview of the ask that follows ``will_tell`` tells.
 
-        The pipelined AMBS loop calls this while wave *k* is still measuring to
-        pre-compile wave *k+1*'s candidates. Returns the configuration(s) the
-        real ``ask()``/``ask_batch()`` is expected to propose once the
-        ``will_tell`` in-flight observations (``exclude``) land, or None when
-        the proposal provably depends on those pending values — a surrogate
-        refit is due, the initial/model phase boundary is being crossed, or
-        the surrogate is unfitted/degenerate. Every RNG stream, the asked
-        log, and the transfer-seed queue are snapshotted and restored, so a
-        speculation never perturbs the real trajectory; in particular the
-        surrogate is **never** fit here (``_maybe_refit`` raises if reached),
-        which is what keeps ``refit_every=1`` runs byte-identical with
-        pipelining on.
+        The AMBS loop calls this while wave *k* is still building and
+        measuring to compile wave *k+1*'s candidates ahead. Returns the
+        configuration(s) the real ``ask()``/``ask_batch()`` is expected to
+        propose once the ``will_tell`` in-flight observations (``exclude``)
+        land, or None when there is nothing to preview: the initial/model
+        phase boundary is being crossed, the surrogate is unfitted or
+        degenerate, or a refit is due within a wave wider than one.
+
+        When a refit is due before a single ask, the preview is the pick of
+        the *current* fitted model: nothing is fit, and no confirm token is
+        left, so :meth:`confirm_speculation` never adopts it and the real ask
+        (with its refit) always runs. Such a preview hits when the refit does
+        not change the pick; a miss has compiled a configuration the search
+        often picks a few asks later.
+
+        Every RNG stream, the asked log, and the transfer-seed queue are
+        snapshotted and restored, so a speculation never perturbs the real
+        trajectory; in particular the surrogate is **never** fit here
+        (``_maybe_refit`` raises if reached), which is what keeps every
+        trajectory identical with compile-ahead on.
         """
         if n < 1:
             raise TuningError(f"speculation width must be >= 1, got {n}")
         n_after = self.n_told + will_tell
         if (self.n_told < self.n_initial_points) != (n_after < self.n_initial_points):
             return None  # the real ask crosses the random -> model boundary
+        preview = False
         if n_after >= self.n_initial_points:
             if not self._fitted or self._degenerate_history():
                 return None
             if self._refit_due_within(will_tell, n):
-                return None
+                if n > 1:
+                    return None
+                preview = True
         elif n > 1 and not self._y and will_tell > 0:
             # ask_batch branches on "any observation yet": by real-ask time
             # the in-flight wave has landed and the constant-liar path runs
@@ -285,22 +296,24 @@ class Optimizer:
             else:
                 picks = [self._suggest(exclude=exclude_codes)]
             # Everything confirm_speculation() needs to prove the real ask
-            # would replay this proposal exactly (see there for the argument).
-            token = {
-                "picks": list(picks),
-                "n_told": self.n_told,
-                "will_tell": will_tell,
-                "exclude_codes": frozenset(exclude_codes),
-                "n_refits": self.n_refits,
-                "degenerate": self._degenerate_history(),
-                "min_y": min(self._y) if self._y else None,
-                "top3": self._top_incumbent_codes(),
-                "space_state": self.space._rng.bit_generator.state,
-                "rng_state": self._rng.bit_generator.state,
-                "seed_queue": (
-                    None if self._seed_queue is None else list(self._seed_queue)
-                ),
-            }
+            # would replay this proposal exactly (see there for the argument);
+            # a preview of a stale model leaves nothing to confirm.
+            if not preview:
+                token = {
+                    "picks": list(picks),
+                    "n_told": self.n_told,
+                    "will_tell": will_tell,
+                    "exclude_codes": frozenset(exclude_codes),
+                    "n_refits": self.n_refits,
+                    "degenerate": self._degenerate_history(),
+                    "min_y": min(self._y) if self._y else None,
+                    "top3": self._top_incumbent_codes(),
+                    "space_state": self.space._rng.bit_generator.state,
+                    "rng_state": self._rng.bit_generator.state,
+                    "seed_queue": (
+                        None if self._seed_queue is None else list(self._seed_queue)
+                    ),
+                }
         except TuningError:
             picks = None
         finally:

@@ -7,10 +7,11 @@ code mold / schedule builder instantiates it (Step 2), the kernel is compiled
 database and back in the optimizer (Step 5) — until ``max_evals`` or the
 wall-clock budget is exhausted.
 
-``AMBS.run`` is the one loop for both execution modes. Serial (the default)
-runs the steps back to back. Pipelined (``pipeline=True``) adds two
-overlaps and keeps everything else — spans, clock charges, prune/tell/event
-order — step for step:
+``AMBS.run`` is the one loop. It runs the steps back to back, and when the
+evaluator's builds run off the GIL — native-tier builds under a real clock
+(``precompile``, no ``clock``, ``builds_native``) with at least two
+``compile_jobs`` — it adds two overlaps and keeps everything else — spans,
+clock charges, ask/prune/tell/event order — step for step:
 
 1. **Parallel wave builds.** Every configuration headed for measurement is
    submitted to a :class:`~repro.pipeline.BuildPool` before the loop blocks
@@ -19,14 +20,21 @@ order — step for step:
 2. **Compile-ahead speculation.** While wave *k* builds and measures, the
    optimizer's side-effect-free :meth:`~repro.ytopt.Optimizer.speculate`
    previews wave *k+1* on a side thread and its builds start in the
-   background. When the landed wave provably cannot have changed the
-   proposal, :meth:`~repro.ytopt.Optimizer.confirm_speculation` adopts the
-   preview as the real ask. A spec-miss is discarded without a ``tell``.
+   background; with a refit due, the preview is the current model's pick.
+   When the landed wave provably cannot have changed the proposal,
+   :meth:`~repro.ytopt.Optimizer.confirm_speculation` adopts the preview as
+   the real ask; otherwise the real ask runs. A spec-miss is never told,
+   and its build waits for a later ask to pick it: no configuration is
+   built twice.
 
-Observations commit on the loop's thread in ask order in both modes, so at
-``refit_every=1`` a pipelined run's store is byte-identical to the serial
-run's. Pipelined runs also emit ``pipeline_wait`` spans for the build stalls
-and one :class:`~repro.telemetry.PipelineStats` event at the end.
+``pipeline=True`` selects the geometric refit schedule (see
+:func:`~repro.ytopt.optimizer.refit_policy`) and nothing else. Observations
+commit on the loop's thread in ask order, so with or without the overlaps a
+run commits the same trials. A run with a build pool — every
+``pipeline=True`` run, and one that builds ahead — also reports the pool's
+counters in its overhead breakdown and one
+:class:`~repro.telemetry.PipelineStats` event at the end; one that builds
+ahead emits ``pipeline_wait`` spans for the build stalls.
 
 The loop drives any ask/tell optimizer: ytopt's :class:`~repro.ytopt.Optimizer`
 and TPE, and AutoTVM's four strategies (:class:`repro.autotvm.Tuner`). An
@@ -62,12 +70,13 @@ class SearchResult:
     ``overhead`` breaks the run's wall time into stages (the
     ``overhead_breakdown`` report column): ``search_seconds`` — ask/refit/
     acquisition (and prune decisions); ``compile_seconds`` — per-trial build
-    cost on the critical path (plus, pipelined, the seconds stalled on the
-    build pool); ``measure_seconds`` — kernel execution. Under a virtual
-    clock all four columns are its seconds and the three stages add up to
+    cost on the critical path (plus the seconds stalled on the build pool);
+    ``measure_seconds`` — kernel execution. Under a virtual clock all four
+    columns are its seconds and the three stages add up to
     ``wall_seconds``; under a real clock they are ``perf_counter`` seconds.
-    Pipelined runs add the build-pool counters (speculation hit rate,
-    busy/wait seconds, occupancy).
+    Runs with a build pool add its counters (speculation hit rate, busy/wait
+    seconds, occupancy). ``mode`` is ``"pipelined"`` under ``pipeline=True``,
+    else ``"serial"``.
     """
 
     best_config: dict[str, int]
@@ -134,11 +143,11 @@ class AMBS:
         #: directly instead.
         transfer_seed=None,
         transfer_bias: float = 0.0,
-        #: Pipelined execution (see the module docstring): overlap the
-        #: surrogate ask, a ``compile_jobs``-wide build pool with
-        #: compile-ahead speculation, and measurement. ``compile_jobs=None``
-        #: picks :func:`~repro.pipeline.default_compile_jobs`; it is unused
-        #: by the serial loop.
+        #: ``pipeline`` selects the geometric refit schedule for the default
+        #: optimizer (see the module docstring). ``compile_jobs`` is the
+        #: build pool's width when the evaluator's builds run off the GIL
+        #: (None: :func:`~repro.pipeline.default_compile_jobs`); below 2 the
+        #: loop builds nothing ahead.
         pipeline: bool = False,
         compile_jobs: int | None = None,
         #: Surrogate refit policy for the *default* optimizer (see
@@ -358,8 +367,9 @@ class AMBS:
         )
 
     def _speculate(self, pool: BuildPool, width: int, wave: tuple) -> list | None:
-        """Compile-ahead: preview the next ``width``-wide wave while ``wave``
-        builds and measures, and start its builds in ``pool``."""
+        """Compile-ahead, on the side thread: preview the next
+        ``width``-wide wave while ``wave`` builds and measures, and start its
+        builds in ``pool``."""
         # The side thread must not reach the process-global telemetry bus
         # (its sinks are not thread-safe).
         with scoped_telemetry(NULL_TELEMETRY):
@@ -401,6 +411,31 @@ class AMBS:
             "refits_skipped": float(refits_skipped),
         }
 
+    def _build_pool(self, evaluator, clock) -> BuildPool | None:
+        """The run's build pool, or None.
+
+        The pool builds when the evaluator's builds run off the GIL:
+        native-tier builds (``precompile`` and ``builds_native``) under a
+        real clock, with at least two ``compile_jobs`` (with one, a missed
+        preview would queue ahead of the real build). Tensor-tier builds are
+        Python and hold the GIL, and simulated time cannot overlap. A
+        ``pipeline=True`` run that cannot build ahead keeps a disabled pool
+        for its counters.
+        """
+        native = (
+            clock is None
+            and callable(getattr(evaluator, "precompile", None))
+            and bool(getattr(evaluator, "builds_native", False))
+        )
+        if not (native or self.pipeline):
+            return None
+        from repro.pipeline.build_pool import BuildPool, default_compile_jobs
+
+        jobs = self.compile_jobs or default_compile_jobs()
+        if native and jobs > 1:
+            return BuildPool(evaluator.precompile, jobs)
+        return BuildPool(None, jobs) if self.pipeline else None
+
     def run(self) -> SearchResult:
         """Execute the search; returns the best configuration found."""
         self._search_wall = 0.0
@@ -409,29 +444,16 @@ class AMBS:
         tel = get_telemetry()
         evaluator = self.problem.evaluator
         clock = getattr(evaluator, "clock", None)
-        pool = spec_pool = None
-        can_speculate = False
-        if self.pipeline:
-            from repro.pipeline.build_pool import BuildPool, default_compile_jobs
-
-            precompiler = getattr(evaluator, "precompile", None)
-            pool = BuildPool(
-                precompiler if callable(precompiler) else None,
-                self.compile_jobs or default_compile_jobs(),
-            )
-            # Optimizers without a speculation protocol (e.g. TPE) still
-            # pipeline their wave builds; they just never compile ahead.
-            can_speculate = pool.enabled and callable(
-                getattr(self.optimizer, "speculate", None)
-            )
-            # Under a real clock the speculative ask runs on a side thread so
-            # it (and the builds it seeds) overlaps the wave's build-wait and
-            # measurement; under a virtual clock it runs inline — simulated
-            # time cannot overlap.
-            if can_speculate and clock is None:
-                spec_pool = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="repro-spec"
-                )
+        pool = self._build_pool(evaluator, clock)
+        spec_pool = None
+        # The speculative ask runs on a side thread so it (and the builds it
+        # seeds) overlaps the wave's build-wait and measurement. Optimizers
+        # without a speculation protocol (e.g. TPE) still build their waves
+        # in the pool; they just never compile ahead.
+        if pool is not None and pool.enabled and callable(
+            getattr(self.optimizer, "speculate", None)
+        ):
+            spec_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-spec")
         speculated = None
         remaining = max(0, self.max_evals - self._preloaded)
         t_start = self._stamp(clock)
@@ -471,12 +493,10 @@ class AMBS:
                         pool.submit(config)
                     pool.discard(c for c, r in zip(configs, results) if r is not None)
                     next_n = min(self.batch_size, remaining - len(configs))
-                    if can_speculate and next_n > 0:
-                        wave = tuple(configs)
-                        if spec_pool is not None:
-                            spec_job = spec_pool.submit(self._speculate, pool, next_n, wave)
-                        else:
-                            speculated = self._speculate(pool, next_n, wave)
+                    if spec_pool is not None and next_n > 0:
+                        spec_job = spec_pool.submit(
+                            self._speculate, pool, next_n, tuple(configs)
+                        )
                     if to_measure and pool.enabled:
                         with tel.span("pipeline_wait"):
                             pool.wait(to_measure)

@@ -83,6 +83,22 @@ class TestBuildPool:
             pool.wait([actual])
         assert pool.hit_rate == 0.0
 
+    def test_missed_speculation_is_not_rebuilt(self):
+        """A later ask that picks a missed speculation waits on its build
+        instead of building it again: each config is built at most once."""
+        pre = RecordingPrecompiler(delay=0.05)
+        with BuildPool(pre, jobs=2) as pool:
+            missed, actual = {"P0": 2}, {"P0": 16}
+            pool.submit(missed, speculative=True)
+            pool.submit(actual)
+            pool.score_speculation([missed], [actual])
+            pool.wait([actual])
+            assert not pool.submit(missed)  # picked a few asks later
+            pool.wait([missed])
+            assert pre.count(missed) == 1
+            assert config_key(missed) not in pool._futures  # waited, claimed
+        assert pool.submitted == 2
+
     def test_failed_builds_counted_not_raised(self):
         pre = RecordingPrecompiler(ok=False)
         with BuildPool(pre, jobs=1) as pool:

@@ -9,6 +9,8 @@ and so the serial path can be checked to touch none of it.
 import threading
 import time
 
+import pytest
+
 from repro.configspace import ConfigurationSpace, OrdinalHyperparameter
 from repro.telemetry import RecordingSink, Telemetry, telemetry_session
 from repro.ytopt.optimizer import Optimizer, RefitSchedule
@@ -25,7 +27,10 @@ def _space(seed):
 
 class FakeNativeEvaluator:
     """Real-clock evaluator: deterministic cost, recording precompile, and
-    the names of the threads alive whenever ``evaluate`` runs."""
+    the names of the threads alive whenever ``evaluate`` runs. It declares
+    native-tier builds, as a ``LocalEvaluator(backend="native")`` does."""
+
+    builds_native = True
 
     def __init__(self):
         self._start = time.perf_counter()
@@ -129,18 +134,63 @@ class TestPipelinedEngine:
         )
 
 
+class TestBuildAheadCommitsTheSameRows:
+    """Previews (a refit is due before every serial ask) and the at-most-once
+    build record change no committed row."""
+
+    @pytest.mark.parametrize("pipeline", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_two_jobs_commit_what_one_job_commits(self, seed, pipeline):
+        one, one_ev = _run(60, pipeline=pipeline, compile_jobs=1, seed=seed)
+        two, two_ev = _run(60, pipeline=pipeline, compile_jobs=2, seed=seed)
+        assert one_ev.precompiled == []
+        assert two_ev.precompiled
+        assert len(two_ev.precompiled) == len(set(two_ev.precompiled))
+        assert [(r.config, r.runtime) for r in two.database.records()] == [
+            (r.config, r.runtime) for r in one.database.records()
+        ]
+
+
+class TestTensorTierBuildsNothingAhead:
+    def test_default_loop_starts_no_loop_threads(self):
+        """Tensor-tier builds hold the GIL: no pool, no speculation thread,
+        whatever ``compile_jobs`` says."""
+        from repro.kernels.extra import gemm_tuned
+        from repro.runtime.measure import LocalEvaluator
+
+        seen = set()
+
+        class Recording(LocalEvaluator):
+            def evaluate(self, params):
+                seen.update(t.name for t in threading.enumerate())
+                return super().evaluate(params)
+
+        space = ConfigurationSpace(seed=0)
+        for name in ("P0", "P1"):
+            space.add_hyperparameter(OrdinalHyperparameter(name, (1, 2, 4, 8)))
+        evaluator = Recording(lambda p: gemm_tuned(8, 8, 8, p), backend="tensor")
+        problem = TuningProblem(space, evaluator, name="gemm")
+        result = AMBS(problem, max_evals=14, seed=0, compile_jobs=2).run()
+        assert result.n_evals == 14
+        assert seen and _loop_threads(seen) == set()
+        assert "compile_jobs" not in result.overhead
+
+
 class TestSerialStaysSerial:
-    def _traced(self, **kw):
+    """The serial loop (``pipeline=False``) builds ahead only with two or
+    more compile jobs, and then commits exactly what it commits with one."""
+
+    def _traced(self, compile_jobs=2, **kw):
         sink = RecordingSink()
         tel = Telemetry(sinks=[sink])
         with telemetry_session(tel):
-            result, evaluator = _run(24, compile_jobs=2, **kw)
+            result, evaluator = _run(24, compile_jobs=compile_jobs, **kw)
         tel.close()
         spans = {e.name for e in sink.events if e.kind == "span_closed"}
         return result, evaluator, sink.kinds(), spans
 
     def test_serial_loop_builds_nothing_ahead(self):
-        result, evaluator, kinds, spans = self._traced()
+        result, evaluator, kinds, spans = self._traced(compile_jobs=1)
         assert evaluator.precompiled == []
         assert _loop_threads(evaluator.threads_seen) == set()
         assert "pipeline_stats" not in kinds
@@ -151,6 +201,24 @@ class TestSerialStaysSerial:
             "mode", "search_seconds", "compile_seconds", "measure_seconds",
             "wall_seconds",
         }
+
+    def test_serial_loop_builds_ahead_with_two_jobs(self):
+        """The same serial loop at two compile jobs: build pool, previews on
+        the side thread, the same committed rows, each config built once."""
+        one, _, _, _ = self._traced(compile_jobs=1)
+        result, evaluator, kinds, spans = self._traced(compile_jobs=2)
+        assert evaluator.precompiled
+        assert len(evaluator.precompiled) == len(set(evaluator.precompiled))
+        assert {n.split("_")[0] for n in _loop_threads(evaluator.threads_seen)} == {
+            "repro-build", "repro-spec",
+        }
+        assert "pipeline_stats" in kinds
+        assert "pipeline_wait" in spans
+        assert result.overhead["mode"] == "serial"
+        assert result.overhead["compile_jobs"] == 2.0
+        assert [(r.config, r.runtime) for r in result.database.records()] == [
+            (r.config, r.runtime) for r in one.database.records()
+        ]
 
     def test_pipelined_twin_does_build_ahead(self):
         """The same probes see the pipeline when it is on, so the serial
@@ -163,4 +231,3 @@ class TestSerialStaysSerial:
         assert "pipeline_stats" in kinds
         assert "pipeline_wait" in spans
         assert result.overhead["mode"] == "pipelined"
-

@@ -60,12 +60,50 @@ class TestSpeculateSnapshot:
         assert pure_asked == spec_asked
 
     def test_speculate_abstains_when_refit_always_due(self):
-        """refit_every=1 (no schedule): every wave refits, so there is never
-        a safe speculation — the byte-identity escape hatch."""
+        """refit_every=1 (no schedule): every ask refits, so width 1 previews
+        the pick of the model fitted now — fitting nothing, restoring every
+        stream, and leaving nothing to confirm — and width > 1 abstains."""
         opt = Optimizer(_space(0), n_initial_points=4, refit_interval=1, seed=0)
         _drive(opt, 6)  # well into the model phase
         config = opt.ask()
-        assert opt.speculate(1, will_tell=1, exclude=(config,)) is None
+        assert opt._refit_due_within(1, 1)
+        forest = opt.surrogate._model._rng
+        before = (
+            opt.space._rng.bit_generator.state,
+            opt._rng.bit_generator.state,
+            forest.bit_generator.state,
+            list(opt._asked),
+            opt._seed_queue,
+            opt.n_refits,
+            opt._fitted,
+            opt._since_fit,
+        )
+        picks = opt.speculate(1, will_tell=1, exclude=(config,))
+        after = (
+            opt.space._rng.bit_generator.state,
+            opt._rng.bit_generator.state,
+            forest.bit_generator.state,
+            list(opt._asked),
+            opt._seed_queue,
+            opt.n_refits,
+            opt._fitted,
+            opt._since_fit,
+        )
+        assert after == before
+        # The current model's pick: what _suggest returns from the same
+        # streams, the in-flight configuration excluded.
+        current = opt._suggest(exclude=[opt._index.code_of(config)])
+        opt.space._rng.bit_generator.state = before[0]
+        assert picks is not None
+        assert [c.get_dictionary() for c in picks] == [current.get_dictionary()]
+        opt.tell(config, _cost(config))
+        assert opt.confirm_speculation(1) is None
+        # The real ask runs, and refits.
+        opt.ask()
+        assert opt.n_refits == before[5] + 1
+        # Wider waves never preview a stale model.
+        config = opt.ask()
+        assert opt.speculate(2, will_tell=1, exclude=(config,)) is None
 
     def test_speculate_abstains_on_phase_boundary(self):
         opt = _make(n_initial=6)

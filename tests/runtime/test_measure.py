@@ -155,6 +155,42 @@ class TestPrecompile:
         assert res.error == "compile error: bad tile"
         assert len(calls) == 2
 
+    def test_taken_build_reports_its_tier(self):
+        """A build made where telemetry was off (a build-pool thread) puts
+        its BackendSelected on the bus when ``evaluate`` takes it."""
+        from repro.telemetry import (
+            NULL_TELEMETRY, RecordingSink, Telemetry, scoped_telemetry, telemetry_session,
+        )
+
+        builder, calls = self._counting()
+        ev = LocalEvaluator(builder, seed=0, backend="tensor")
+        sink = RecordingSink()
+        tel = Telemetry(sinks=[sink])
+        with telemetry_session(tel):
+            with scoped_telemetry(NULL_TELEMETRY):
+                assert ev.precompile({"i": 0})
+            assert ev.evaluate({"i": 0}).ok
+        tel.close()
+        selected = [e for e in sink.events if e.kind == "backend_selected"]
+        assert len(calls) == 1
+        assert [(e.requested, e.selected, e.reason) for e in selected] == [
+            ("tensor", "tensor", "")
+        ]
+
+    def test_builds_native_follows_the_starting_tier(self):
+        from repro.tir.codegen_c import NativeToolchainError, find_toolchain, native_disabled
+
+        assert not LocalEvaluator(_builder, backend="tensor").builds_native
+        assert not LocalEvaluator(_builder, target="interp", backend="native").builds_native
+        try:
+            find_toolchain()
+        except NativeToolchainError:
+            assert not LocalEvaluator(_builder, backend="native").builds_native
+            return
+        assert LocalEvaluator(_builder, backend="native").builds_native == (
+            native_disabled() is None
+        )
+
     def test_held_builds_are_bounded(self):
         builder, calls = self._counting()
         ev = LocalEvaluator(builder, seed=0)

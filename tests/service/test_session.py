@@ -151,6 +151,65 @@ class TestLoopKnobAdmission:
             assert all(text in err for text in expected), err
 
 
+class TestRunMetadata:
+    """A stored run records every spec knob: through the table beside
+    JobSpec, or by an explicit exclusion saying where the value goes."""
+
+    def test_every_spec_field_is_recorded_or_excluded(self):
+        import dataclasses
+
+        from repro.service.jobs import RECORDED_FIELDS, UNRECORDED_FIELDS
+
+        names = {f.name for f in dataclasses.fields(JobSpec)}
+        assert not set(RECORDED_FIELDS) & set(UNRECORDED_FIELDS)
+        assert set(RECORDED_FIELDS) | set(UNRECORDED_FIELDS) == names
+        assert {g for g in RECORDED_FIELDS.values() if g is not None} <= names
+
+    #: (spec fields, metadata without the host keys), as stored before the
+    #: table replaced the hand-written dict.
+    PINNED = [
+        (
+            dict(tuner="AutoTVM-XGB"),
+            {"xgb_trial_cap": 56, "repeats": 1, "probe_repeats": None,
+             "promote_margin": None, "prune": False, "prune_threshold": None,
+             "jobs": 1, "timeout": None, "label": None, "transfer_bias": None,
+             "pipeline": False, "compile_jobs": None, "refit_every": None},
+        ),
+        (
+            dict(tuner="AutoTVM-GA", jobs=2, timeout=1.0, repeats=3, probe_repeats=1,
+                 promote_margin=0.3, prune=True, prune_threshold=2.0, label="x"),
+            {"xgb_trial_cap": None, "repeats": 3, "probe_repeats": 1,
+             "promote_margin": 0.3, "prune": True, "prune_threshold": 2.0,
+             "jobs": 2, "timeout": 1.0, "label": "x", "transfer_bias": None,
+             "pipeline": False, "compile_jobs": None, "refit_every": None},
+        ),
+        (
+            dict(pipeline=True, compile_jobs=3, refit_every=0, transfer_bias=0.9),
+            {"xgb_trial_cap": None, "repeats": 1, "probe_repeats": None,
+             "promote_margin": None, "prune": False, "prune_threshold": None,
+             "jobs": 1, "timeout": None, "label": None, "transfer_bias": None,
+             "pipeline": True, "compile_jobs": 3, "refit_every": 0},
+        ),
+    ]
+
+    @pytest.mark.parametrize("fields, expected", PINNED, ids=["xgb", "knobs", "pipeline"])
+    def test_stored_metadata_is_pinned(self, fields, expected):
+        from repro.telemetry import RecordingSink
+
+        sink = RecordingSink()
+        TuningSession(
+            spec(size="mini", max_evals=4, **fields), extra_sinks=[sink]
+        ).run()
+        (started,) = [e for e in sink.events if e.kind == "run_started"]
+        meta = dict(started.metadata)
+        for host in ("repro_version", "git_sha", "python", "platform", "numpy"):
+            meta.pop(host)
+        assert meta == {
+            "seed": 0, "max_evals": 4, "space_hash": "259a55182df21f81",
+            "warm_start": None, "transfer": None, **expected,
+        }
+
+
 class TestShard:
     def test_run_lands_in_shard(self, tmp_path):
         shard = tmp_path / "shard.sqlite"
