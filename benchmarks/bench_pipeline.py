@@ -97,9 +97,9 @@ def _run_native(
     The pipelined arm refits on the geometric schedule with ``dense_until``
     below the warm-up design size: the schedule goes geometric as soon as the
     model phase starts, which is also what lets compile-ahead speculate
-    across refit-free waves, on two compile jobs whatever the host's core
-    count (with one, nothing builds ahead). The serial arm refits on every
-    observation and, at one compile job, builds nothing ahead."""
+    across refit-free waves; it runs on the host's default compile jobs, as
+    ``pipeline=True`` does. The serial arm refits on every observation and,
+    at one compile job, builds nothing ahead."""
     reset_native_runtime()
     evaluator = LocalEvaluator(
         _lu_builder, backend="native", dispatch_latency=latency
@@ -117,7 +117,7 @@ def _run_native(
         max_evals=evals,
         seed=seed,
         pipeline=pipeline,
-        compile_jobs=2 if pipeline else 1,
+        compile_jobs=None if pipeline else 1,
     )
     t0 = time.perf_counter()
     result = search.run()

@@ -61,7 +61,8 @@ class AutotuneConfig:
     #: the refit policy (see :func:`repro.ytopt.optimizer.refit_policy`).
     #: ``compile_jobs`` is the width of the build pool that native-tier
     #: builds under a real clock run in, compile-ahead included (None: cores,
-    #: capped at 8; 1 builds nothing ahead; see :mod:`repro.ytopt.search`).
+    #: capped at 8; at 1 only ``pipeline`` builds ahead, and without
+    #: previews; see :mod:`repro.ytopt.search`).
     pipeline: bool = False
     compile_jobs: int | None = None
     refit_every: int | None = None

@@ -7,9 +7,10 @@ it (:meth:`repro.runtime.measure.LocalEvaluator.precompile`). Each
 configuration is built at most once per pool: a speculative build the next
 ask missed stays on record, and a later ask that picks it waits on that
 build. Workers run with telemetry pinned off — the event bus and its sinks
-are not thread-safe — and the pool aggregates its own counters instead:
-occupancy high-water mark, busy-seconds, speculation hits/misses, and the
-seconds the tuning loop spent blocked on an unfinished build.
+are not thread-safe; the evaluator records each build's events and the loop
+emits them when it takes the module — and the pool aggregates its own
+counters: occupancy high-water mark, busy-seconds, speculation hits/misses,
+and the seconds the tuning loop spent blocked on an unfinished build.
 """
 
 from __future__ import annotations

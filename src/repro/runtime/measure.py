@@ -29,7 +29,8 @@ import numpy as np
 from repro.common.errors import ReproError
 from repro.common.rng import ensure_rng
 from repro.common.timing import VirtualClock
-from repro.telemetry.context import get_telemetry
+from repro.telemetry.context import EventRecorder, get_telemetry, scoped_telemetry
+from repro.telemetry.events import NativeDisabled
 
 if TYPE_CHECKING:
     from repro.te.schedule import Schedule
@@ -165,13 +166,17 @@ class LocalEvaluator(Evaluator):
         # The compiler (repro.runtime.module and repro.tir) loads with the
         # first LocalEvaluator, not with this module: Swing-priced runs
         # never build a kernel.
-        from repro.runtime.module import build, emit_backend_selected
+        from repro.runtime.module import build
 
         self._build = build
-        self._emit_backend_selected = emit_backend_selected
         #: Configurations :meth:`precompile` built that :meth:`evaluate` has
-        #: not taken yet: config key -> (module, argument tensors).
+        #: not taken yet: config key -> (module, argument tensors, the
+        #: build's telemetry events).
         self._prebuilt: dict[tuple, tuple] = {}
+        #: Events of :meth:`precompile` builds that the next :meth:`evaluate`
+        #: emits whichever configuration it takes: the native tier turning
+        #: off is news for the run, not for one build.
+        self._pending_events: list = []
         self._prebuilt_lock = threading.Lock()
 
     def elapsed(self) -> float:
@@ -210,20 +215,31 @@ class LocalEvaluator(Evaluator):
         (a speculation miss is never evaluated); the oldest is dropped
         first. Safe to call from the tuning loop's build-pool threads:
         the held entries and the native tier's caches are lock-protected
-        and ``.so`` publication is atomic. Returns True when the build
-        succeeded; a failing build holds nothing and returns False —
-        ``evaluate`` will reproduce the failure and record it as the
-        trial's result.
+        and ``.so`` publication is atomic. The build's telemetry events
+        (cache lookups, tier choice) are recorded, not emitted, and
+        ``evaluate`` emits them on its own thread when it takes the module,
+        so a run reports each measured configuration's build events once,
+        wherever it was built. Returns True when the build succeeded; a
+        failing build holds nothing and returns False — ``evaluate`` will
+        reproduce the failure and record it as the trial's result.
         """
         cfg = {k: int(v) for k, v in params.items()}
+        recorder = EventRecorder()
         try:
-            built = self._build_kernel(cfg)
+            with scoped_telemetry(recorder):
+                built = self._build_kernel(cfg)
         except Exception:  # noqa: BLE001 — ahead-of-time builds never raise
-            return False
+            built = None
+        events = [e for e in recorder.events if not isinstance(e, NativeDisabled)]
         key = _config_key(cfg)
         with self._prebuilt_lock:
+            self._pending_events.extend(
+                e for e in recorder.events if isinstance(e, NativeDisabled)
+            )
+            if built is None:
+                return False
             self._prebuilt.pop(key, None)
-            self._prebuilt[key] = built
+            self._prebuilt[key] = (*built, events)
             while len(self._prebuilt) > PREBUILT_LIMIT:
                 del self._prebuilt[next(iter(self._prebuilt))]
         return True
@@ -242,12 +258,15 @@ class LocalEvaluator(Evaluator):
             with tel.span("compile"):
                 with self._prebuilt_lock:
                     built = self._prebuilt.pop(_config_key(cfg), None)
+                    replay, self._pending_events = self._pending_events, []
+                if built is not None:
+                    mod, args, events = built
+                    replay += events
+                # Recorded by precompile, on whatever thread it ran.
+                for event in replay:
+                    tel.emit(event)
                 if built is None:
                     mod, args = self._build_kernel(cfg)
-                else:
-                    # Built where telemetry was off: its tier event lands here.
-                    mod, args = built
-                    self._emit_backend_selected(mod)
         except Exception as exc:  # noqa: BLE001 — any builder/compile failure
             # must become a failed MeasureResult, not kill the whole search;
             # kernels and user builders raise plain Exceptions, not just

@@ -62,20 +62,14 @@ class Module:
     """A compiled function plus its lowered PrimFunc.
 
     Call it with NDArrays or NumPy arrays (mutated in place for outputs), or use
-    :meth:`time_evaluator` for TVM-style repeated timing. ``requested`` and
-    ``reason`` record how the build ladder reached ``backend`` (the fields of
-    its :class:`~repro.telemetry.BackendSelected` event).
+    :meth:`time_evaluator` for TVM-style repeated timing.
     """
 
-    def __init__(
-        self, func: PrimFunc, entry, target: Target, backend: str, requested: str, reason: str
-    ) -> None:
+    def __init__(self, func: PrimFunc, entry, target: Target, backend: str) -> None:
         self.func = func
         self._entry = entry
         self.target = target
         self.backend = backend  # "native", "tensor", "codegen", or "interp"
-        self.requested = requested
-        self.reason = reason
 
     @property
     def name(self) -> str:
@@ -206,26 +200,22 @@ def build_from_primfunc(
             break
         except CodegenUnsupported as exc:
             reason = str(exc)
-    if selected == requested:
-        reason = ""
-    mod = Module(func, entry, tgt, selected, requested, reason)
-    emit_backend_selected(mod)
-    return mod
+    _emit_backend_selected(func.name, requested, selected, reason)
+    return Module(func, entry, tgt, backend=selected)
 
 
-def emit_backend_selected(mod: Module) -> None:
-    """Put ``mod``'s :class:`~repro.telemetry.BackendSelected` event on the
-    current telemetry bus: at build time, and again by whoever runs a module
-    that was built where telemetry was off (a build-pool thread)."""
+def _emit_backend_selected(
+    name: str, requested: str, selected: str, reason: str
+) -> None:
     from repro.telemetry import BackendSelected, get_telemetry
 
     tel = get_telemetry()
     if tel.enabled:
         tel.emit(
             BackendSelected(
-                func=mod.name,
-                requested=mod.requested,
-                selected=mod.backend,
-                reason=mod.reason,
+                func=name,
+                requested=requested,
+                selected=selected,
+                reason=reason if selected != requested else "",
             )
         )

@@ -90,8 +90,8 @@ class JobSpec:
     #: variants of one tuner land side-by-side in a single run store without
     #: colliding on the (kernel, size, tuner, seed) identity key.
     label: str | None = None
-    #: ``pipeline`` selects the geometric refit schedule, and nothing else
-    #: (see :mod:`repro.ytopt.search`). ``refit_every`` selects the
+    #: ``pipeline`` selects the geometric refit schedule (see
+    #: :mod:`repro.ytopt.search`). ``refit_every`` selects the
     #: surrogate refit policy (None = loop default — geometric under
     #: ``pipeline``; 1 = every observation, the byte-identical escape hatch;
     #: 0 = geometric). ``compile_jobs`` is the width of the build pool
@@ -236,16 +236,13 @@ RECORDED_FIELDS: dict[str, str | None] = {
 }
 
 #: The :class:`JobSpec` fields the run metadata does not record under their
-#: own names, and where their values go instead.
-UNRECORDED_FIELDS: dict[str, str] = {
-    "kernel": "the run's kernel column",
-    "size": "the run's size_name column",
-    "tuner": "the run's tuner column (the label, when given)",
-    "seed": "the run's seed column and run_metadata's own seed key",
-    "warm_start_db": "warm_start: the number of prior trials loaded",
-    "transfer_from": "transfer: the transfer seed's summary",
-    "fault": "not recorded: test-only fault injection",
-}
+#: own names: kernel, size, tuner (or the label) and seed are the run's
+#: identity columns (seed also run_metadata's own key); warm_start_db and
+#: transfer_from are recorded by what they loaded (``warm_start``: the prior
+#: trial count, ``transfer``: the seed's summary); fault is test-only.
+UNRECORDED_FIELDS = frozenset(
+    {"kernel", "size", "tuner", "seed", "warm_start_db", "transfer_from", "fault"}
+)
 
 
 @dataclass

@@ -28,6 +28,7 @@ default is a no-op, so instrumentation costs nothing until a
 from repro.telemetry.bus import EventBus, Sink
 from repro.telemetry.context import (
     NULL_TELEMETRY,
+    EventRecorder,
     NullTelemetry,
     Telemetry,
     get_telemetry,
@@ -74,6 +75,7 @@ __all__ = [
     "Telemetry",
     "NullTelemetry",
     "NULL_TELEMETRY",
+    "EventRecorder",
     "get_telemetry",
     "scoped_telemetry",
     "set_telemetry",

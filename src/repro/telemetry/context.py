@@ -103,6 +103,28 @@ class NullTelemetry:
 
 NULL_TELEMETRY = NullTelemetry()
 
+
+class EventRecorder:
+    """An enabled context that keeps the events emitted under it, to be
+    emitted on another bus later; spans are no-ops.
+
+    A build on a build-pool thread runs under one (see
+    :meth:`repro.runtime.measure.LocalEvaluator.precompile`), and the tuning
+    loop replays its events when it takes the built module.
+    """
+
+    enabled = True
+
+    def __init__(self) -> None:
+        self.events: list[Event] = []
+
+    def emit(self, event: Event) -> None:
+        self.events.append(event)
+
+    def span(self, name: str, clock=None) -> _NullSpan:
+        return _NULL_SPAN
+
+
 #: The process-wide default (set_telemetry / telemetry_session).
 _active: "Telemetry | NullTelemetry" = NULL_TELEMETRY
 

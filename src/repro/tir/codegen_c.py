@@ -501,12 +501,18 @@ def reset_native_runtime() -> None:
 
 
 class _NativeEntry:
-    """ctypes wrapper over one compiled kernel (the Module entry point)."""
+    """ctypes wrapper over one compiled kernel (the Module entry point).
+
+    The kernel runs with the GIL held (a ``PyDLL`` call): a kernel timing
+    that released it could wait for another thread's Python on return — a
+    build-pool thread lowering the next configuration, say — and count up to
+    the interpreter's switch interval (5 ms) against a µs kernel.
+    """
 
     def __init__(self, func: PrimFunc, so_path: str, source: str, key: str) -> None:
         import ctypes
 
-        self._lib = ctypes.CDLL(so_path)
+        self._lib = ctypes.PyDLL(so_path)
         self._cfunc = getattr(self._lib, f"{SYMBOL_PREFIX}{func.name}")
         self._cfunc.restype = None
         self._cfunc.argtypes = [ctypes.c_void_p] * (2 * len(func.params))

@@ -229,6 +229,7 @@ class Optimizer:
         n: int = 1,
         will_tell: int = 0,
         exclude: "tuple[Configuration, ...] | list[Configuration]" = (),
+        previews: bool = True,
     ) -> list[Configuration] | None:
         """Side-effect-free preview of the ask that follows ``will_tell`` tells.
 
@@ -245,7 +246,9 @@ class Optimizer:
         left, so :meth:`confirm_speculation` never adopts it and the real ask
         (with its refit) always runs. Such a preview hits when the refit does
         not change the pick; a miss has compiled a configuration the search
-        often picks a few asks later.
+        often picks a few asks later. ``previews=False`` returns None there
+        instead (a one-thread build pool, where a missed preview would queue
+        ahead of the real build).
 
         Every RNG stream, the asked log, and the transfer-seed queue are
         snapshotted and restored, so a speculation never perturbs the real
@@ -263,7 +266,7 @@ class Optimizer:
             if not self._fitted or self._degenerate_history():
                 return None
             if self._refit_due_within(will_tell, n):
-                if n > 1:
+                if n > 1 or not previews:
                     return None
                 preview = True
         elif n > 1 and not self._y and will_tell > 0:

@@ -9,30 +9,37 @@ wall-clock budget is exhausted.
 
 ``AMBS.run`` is the one loop. It runs the steps back to back, and when the
 evaluator's builds run off the GIL — native-tier builds under a real clock
-(``precompile``, no ``clock``, ``builds_native``) with at least two
-``compile_jobs`` — it adds two overlaps and keeps everything else — spans,
-clock charges, ask/prune/tell/event order — step for step:
+(``precompile``, no ``clock``, ``builds_native``) — on at least two
+``compile_jobs``, or on one under ``pipeline=True``, it adds two overlaps
+and keeps everything else — spans, clock charges, ask/prune/tell/event
+order — step for step:
 
 1. **Parallel wave builds.** Every configuration headed for measurement is
    submitted to a :class:`~repro.pipeline.BuildPool` before the loop blocks
    on it, so a constant-liar wave compiles ``compile_jobs`` wide instead of
    one subprocess at a time.
-2. **Compile-ahead speculation.** While wave *k* builds and measures, the
-   optimizer's side-effect-free :meth:`~repro.ytopt.Optimizer.speculate`
-   previews wave *k+1* on a side thread and its builds start in the
-   background; with a refit due, the preview is the current model's pick.
-   When the landed wave provably cannot have changed the proposal,
-   :meth:`~repro.ytopt.Optimizer.confirm_speculation` adopts the preview as
-   the real ask; otherwise the real ask runs. A spec-miss is never told,
-   and its build waits for a later ask to pick it: no configuration is
-   built twice.
+2. **Compile-ahead speculation.** While wave *k* builds, the optimizer's
+   side-effect-free :meth:`~repro.ytopt.Optimizer.speculate` previews wave
+   *k+1* on a side thread and its builds start in the background. With a
+   refit due and at least two compile jobs, the preview is the current
+   model's pick (on one job a missed preview would queue ahead of the real
+   build, so there is none). When the landed wave provably cannot have
+   changed the proposal, :meth:`~repro.ytopt.Optimizer.confirm_speculation`
+   adopts the preview as the real ask; otherwise the real ask runs. A
+   spec-miss is never told, and its build waits for a later ask to pick it:
+   no configuration is built twice.
+
+The side thread's ask is joined before the wave is measured, and native
+kernels run with the GIL held, so no speculative ask runs inside a kernel
+timing and no build's Python runs during a kernel call; the C compiler, a
+separate process, still runs beside a timing, on another core.
 
 ``pipeline=True`` selects the geometric refit schedule (see
-:func:`~repro.ytopt.optimizer.refit_policy`) and nothing else. Observations
-commit on the loop's thread in ask order, so with or without the overlaps a
-run commits the same trials. A run with a build pool — every
-``pipeline=True`` run, and one that builds ahead — also reports the pool's
-counters in its overhead breakdown and one
+:func:`~repro.ytopt.optimizer.refit_policy`), whose refit-free asks are the
+ones speculation can confirm. Observations commit on the loop's thread in
+ask order, so with or without the overlaps a run commits the same trials. A
+run with a build pool — every ``pipeline=True`` run, and one that builds
+ahead — also reports the pool's counters in its overhead breakdown and one
 :class:`~repro.telemetry.PipelineStats` event at the end; one that builds
 ahead emits ``pipeline_wait`` spans for the build stalls.
 
@@ -146,8 +153,8 @@ class AMBS:
         #: ``pipeline`` selects the geometric refit schedule for the default
         #: optimizer (see the module docstring). ``compile_jobs`` is the
         #: build pool's width when the evaluator's builds run off the GIL
-        #: (None: :func:`~repro.pipeline.default_compile_jobs`); below 2 the
-        #: loop builds nothing ahead.
+        #: (None: :func:`~repro.pipeline.default_compile_jobs`); at 1 only a
+        #: ``pipeline=True`` loop builds ahead, and it previews nothing.
         pipeline: bool = False,
         compile_jobs: int | None = None,
         #: Surrogate refit policy for the *default* optimizer (see
@@ -373,7 +380,9 @@ class AMBS:
         # The side thread must not reach the process-global telemetry bus
         # (its sinks are not thread-safe).
         with scoped_telemetry(NULL_TELEMETRY):
-            picks = self.optimizer.speculate(width, will_tell=len(wave), exclude=wave)
+            picks = self.optimizer.speculate(
+                width, will_tell=len(wave), exclude=wave, previews=pool.jobs > 1
+            )
         for config in picks or ():
             pool.submit(config, speculative=True)
         return picks or None
@@ -416,11 +425,10 @@ class AMBS:
 
         The pool builds when the evaluator's builds run off the GIL:
         native-tier builds (``precompile`` and ``builds_native``) under a
-        real clock, with at least two ``compile_jobs`` (with one, a missed
-        preview would queue ahead of the real build). Tensor-tier builds are
-        Python and hold the GIL, and simulated time cannot overlap. A
-        ``pipeline=True`` run that cannot build ahead keeps a disabled pool
-        for its counters.
+        real clock, on at least two ``compile_jobs`` or, under
+        ``pipeline=True``, on one. Tensor-tier builds are Python and hold
+        the GIL, and simulated time cannot overlap. A ``pipeline=True`` run
+        that cannot build ahead keeps a disabled pool for its counters.
         """
         native = (
             clock is None
@@ -432,7 +440,7 @@ class AMBS:
         from repro.pipeline.build_pool import BuildPool, default_compile_jobs
 
         jobs = self.compile_jobs or default_compile_jobs()
-        if native and jobs > 1:
+        if native and (jobs > 1 or self.pipeline):
             return BuildPool(evaluator.precompile, jobs)
         return BuildPool(None, jobs) if self.pipeline else None
 
@@ -447,7 +455,7 @@ class AMBS:
         pool = self._build_pool(evaluator, clock)
         spec_pool = None
         # The speculative ask runs on a side thread so it (and the builds it
-        # seeds) overlaps the wave's build-wait and measurement. Optimizers
+        # seeds) overlaps the wave's build-wait. Optimizers
         # without a speculation protocol (e.g. TPE) still build their waves
         # in the pool; they just never compile ahead.
         if pool is not None and pool.enabled and callable(
@@ -500,16 +508,18 @@ class AMBS:
                     if to_measure and pool.enabled:
                         with tel.span("pipeline_wait"):
                             pool.wait(to_measure)
+                if spec_job is not None:
+                    # Join before the measurement, so no speculative ask
+                    # runs inside a kernel timing, and before any tell: the
+                    # optimizer is single-threaded and the speculation must
+                    # finish (and restore its snapshots) before real state
+                    # advances.
+                    speculated = spec_job.result()
                 t0 = self._stamp(clock)
                 with tel.span("measure", clock=clock):
                     measured = self.measure(to_measure)  # Steps 2-4
                 self._measure_wall += self._stamp(clock) - t0
                 self._compile_sum += self._charged_compile(measured)
-                if spec_job is not None:
-                    # Join before any tell: the optimizer is single-threaded
-                    # and the speculation must finish (and restore its
-                    # snapshots) before real state advances.
-                    speculated = spec_job.result()
                 it = iter(measured)
                 results = [r if r is not None else next(it) for r in results]
                 for config, result in zip(configs, results):

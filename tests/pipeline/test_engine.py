@@ -6,6 +6,7 @@ speculation, confirm fast path, ordered commits — without a C toolchain,
 and so the serial path can be checked to touch none of it.
 """
 
+import dataclasses
 import threading
 import time
 
@@ -143,12 +144,39 @@ class TestBuildAheadCommitsTheSameRows:
     def test_two_jobs_commit_what_one_job_commits(self, seed, pipeline):
         one, one_ev = _run(60, pipeline=pipeline, compile_jobs=1, seed=seed)
         two, two_ev = _run(60, pipeline=pipeline, compile_jobs=2, seed=seed)
-        assert one_ev.precompiled == []
+        # One job: the serial loop builds nothing ahead; the pipelined loop
+        # speculates where no refit is due.
+        assert bool(one_ev.precompiled) == pipeline
+        for ev in (one_ev, two_ev):
+            assert len(ev.precompiled) == len(set(ev.precompiled))
         assert two_ev.precompiled
-        assert len(two_ev.precompiled) == len(set(two_ev.precompiled))
         assert [(r.config, r.runtime) for r in two.database.records()] == [
             (r.config, r.runtime) for r in one.database.records()
         ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_previews_need_two_jobs(self, jobs):
+        """On one job a missed preview would queue ahead of the real build:
+        the loop asks for none, and builds ahead only what it can confirm."""
+        calls = []
+
+        class Spy(Optimizer):
+            def speculate(self, *args, **kw):
+                calls.append(kw["previews"])
+                return super().speculate(*args, **kw)
+
+        space = _space(0)
+        evaluator = FakeNativeEvaluator()
+        AMBS(
+            TuningProblem(space, evaluator, name="fake"),
+            optimizer=Spy(space, seed=0, refit_schedule=RefitSchedule()),
+            max_evals=40,
+            seed=0,
+            pipeline=True,
+            compile_jobs=jobs,
+        ).run()
+        assert calls and set(calls) == {jobs > 1}
+        assert evaluator.precompiled
 
 
 class TestTensorTierBuildsNothingAhead:
@@ -231,3 +259,107 @@ class TestSerialStaysSerial:
         assert "pipeline_stats" in kinds
         assert "pipeline_wait" in spans
         assert result.overhead["mode"] == "pipelined"
+
+
+def _has_cc():
+    from repro.common.errors import ReproError
+    from repro.tir.codegen_c import find_toolchain
+
+    try:
+        find_toolchain()
+    except ReproError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _has_cc(), reason="no C toolchain")
+class TestPoolBuildEvents:
+    """A build-pool build records its telemetry events and the loop emits
+    them when it takes the module: a two-job native run reports the build
+    events a one-job run reports, in the same order."""
+
+    @pytest.fixture
+    def native_dir(self, monkeypatch, tmp_path):
+        from repro.tir.codegen_c import reset_native_runtime
+
+        monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path))
+        reset_native_runtime()
+        yield tmp_path
+        reset_native_runtime()
+
+    @staticmethod
+    def _builder(params):
+        import repro.te as te
+
+        a = te.placeholder((16,), name="A", dtype="float64")
+        out = te.compute(
+            (16,), lambda i: a[i] * float(params["P1"]) + float(params["P0"]), name="B"
+        )
+        return te.create_schedule(out.op), [a, out]
+
+    def _events(self, compile_jobs):
+        """Build events of one native run with deterministic costs, on an
+        empty in-process entry cache."""
+        from repro.runtime.measure import LocalEvaluator
+        from repro.tir.codegen_c import reset_native_runtime
+
+        class Deterministic(LocalEvaluator):
+            def evaluate(self, params):
+                result = super().evaluate(params)
+                cfg = result.config
+                cost = 1.0 + (cfg["P0"] - 5) ** 2 + (cfg["P1"] - 3) ** 2
+                return dataclasses.replace(result, costs=(cost,))
+
+        reset_native_runtime()
+        space = ConfigurationSpace(seed=0)
+        space.add_hyperparameter(OrdinalHyperparameter("P0", tuple(range(1, 9))))
+        space.add_hyperparameter(OrdinalHyperparameter("P1", tuple(range(1, 7))))
+        evaluator = Deterministic(self._builder, backend="native")
+        sink = RecordingSink()
+        tel = Telemetry(sinks=[sink])
+        with telemetry_session(tel):
+            result = AMBS(
+                TuningProblem(space, evaluator, name="axpb"),
+                max_evals=16,
+                seed=0,
+                compile_jobs=compile_jobs,
+            ).run()
+        tel.close()
+        assert result.n_evals == 16
+        assert ("compile_jobs" in result.overhead) == (compile_jobs > 1)
+        build_kinds = ("cache_hit", "cache_miss", "backend_selected", "native_disabled")
+        return [
+            (e.kind, getattr(e, "key", None), getattr(e, "selected", None))
+            for e in sink.events
+            if e.kind in build_kinds
+        ]
+
+    def test_two_jobs_emit_the_build_events_of_one_job(self, native_dir):
+        one = self._events(1)
+        two = self._events(2)
+        assert [k for k, _, _ in one].count("cache_miss") == 16
+        assert [k for k, _, _ in one].count("backend_selected") == 16
+        assert two == one
+
+    def test_native_disabled_on_a_pool_thread_reaches_the_bus(
+        self, native_dir, monkeypatch
+    ):
+        """A C compiler that answers ``--version`` but builds nothing turns
+        the tier off in the first build, on a pool thread at two jobs."""
+        from repro.tir.codegen_c import find_toolchain
+
+        fake = native_dir / "brokencc"
+        fake.write_text(
+            "#!/bin/sh\n"
+            f'if [ "$1" = "--version" ]; then exec "{find_toolchain().path}" "$@"; fi\n'
+            "exit 1\n"
+        )
+        fake.chmod(0o755)
+        monkeypatch.setenv("REPRO_CC", str(fake))
+        for jobs in (1, 2):
+            with pytest.warns(RuntimeWarning, match="native backend disabled"):
+                events = self._events(jobs)
+            kinds = [k for k, _, _ in events]
+            assert kinds.count("native_disabled") == 1
+            assert kinds.count("backend_selected") == 16
+            assert {s for k, _, s in events if k == "backend_selected"} == {"tensor"}

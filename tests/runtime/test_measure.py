@@ -177,6 +177,39 @@ class TestPrecompile:
             ("tensor", "tensor", "")
         ]
 
+    def test_concurrent_precompiles_keep_every_build_and_its_events(self):
+        """Eight build threads on two cores, switching every microsecond:
+        no held build and no recorded event is lost."""
+        import sys
+        import threading
+
+        from repro.telemetry import RecordingSink, Telemetry, telemetry_session
+
+        builder, calls = self._counting()
+        ev = LocalEvaluator(builder, seed=0, backend="tensor")
+        configs = [{"i": i} for i in range(32)]  # PREBUILT_LIMIT: none dropped
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda k=k: [ev.precompile(c) for c in configs[k::8]])
+                for k in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        sink = RecordingSink()
+        tel = Telemetry(sinks=[sink])
+        with telemetry_session(tel):
+            assert all(ev.evaluate(c).ok for c in configs)
+        tel.close()
+        assert len(calls) == 32
+        assert sink.kinds().count("backend_selected") == 32
+
     def test_builds_native_follows_the_starting_tier(self):
         from repro.tir.codegen_c import NativeToolchainError, find_toolchain, native_disabled
 
