@@ -18,11 +18,13 @@ Not a pytest-benchmark file: run it directly. Three arms:
   compile work cannot overlap anything, so the (honest) speedup here is
   whatever the refit schedule and compile-ahead dedup save, not 2x.
   ``host_cpus`` is recorded next to it.
-* **determinism** — the escape-hatch proof: serial vs pipelined runs of the
-  Swing-simulated ``lu/large`` experiment at ``refit_every=1`` (and the
-  geometric ``refit_every=0``) must produce identical evaluation-record
-  sequences — configuration, runtime, compile time, elapsed process time,
-  fidelity, and error, row for row. Gated.
+* **determinism** — two runs of one seed of the Swing-simulated
+  ``lu/large`` experiment, at ``refit_every=1`` and at the geometric
+  ``refit_every=0``, must produce identical evaluation-record sequences —
+  configuration, runtime, compile time, elapsed process time, fidelity, and
+  error, row for row. Gated. (A Swing loop never builds ahead, so it has no
+  pipelined twin; that building ahead commits the same rows is checked on
+  a real-clock evaluator in ``tests/pipeline/test_engine.py``.)
 
 Only dimensionless quantities are gated (speedup ratio, record identity,
 speculation hit rate); absolute seconds are reported but never compared —
@@ -46,7 +48,7 @@ from repro.kernels.registry import get_benchmark
 from repro.runtime.measure import LocalEvaluator
 from repro.swing import SwingEvaluator
 from repro.tir.codegen_c import reset_native_runtime
-from repro.ytopt.optimizer import Optimizer, RefitSchedule
+from repro.ytopt.optimizer import Optimizer, RefitSchedule, refit_policy
 from repro.ytopt.problem import TuningProblem
 from repro.ytopt.search import AMBS
 
@@ -90,34 +92,28 @@ def _run_native(
     evals: int,
     seed: int,
     latency: float,
-    pipeline: bool,
+    pipelined: bool,
 ) -> dict:
     """One native-tier lu-96 arm; fresh caches so no arm warms another.
 
     The pipelined arm refits on the geometric schedule with ``dense_until``
     below the warm-up design size: the schedule goes geometric as soon as the
     model phase starts, which is also what lets compile-ahead speculate
-    across refit-free waves; it runs on the host's default compile jobs, as
-    ``pipeline=True`` does. The serial arm refits on every observation and,
-    at one compile job, builds nothing ahead."""
+    across refit-free waves; it runs on the host's default compile jobs. The
+    serial arm refits on every observation and, at one compile job, builds
+    nothing ahead."""
     reset_native_runtime()
     evaluator = LocalEvaluator(
         _lu_builder, backend="native", dispatch_latency=latency
     )
     space = _lu_space(seed)
     problem = TuningProblem(space, evaluator, name=f"lu-{LU_N}")
-    optimizer = None
-    if pipeline:
-        optimizer = Optimizer(
-            space, seed=seed, refit_schedule=RefitSchedule(dense_until=8)
-        )
+    schedule = RefitSchedule(dense_until=8) if pipelined else None
     search = AMBS(
         problem,
-        optimizer=optimizer,
+        Optimizer(space, seed=seed, refit_schedule=schedule),
         max_evals=evals,
-        seed=seed,
-        pipeline=pipeline,
-        compile_jobs=None if pipeline else 1,
+        compile_jobs=None if pipelined else 1,
     )
     t0 = time.perf_counter()
     result = search.run()
@@ -136,23 +132,22 @@ def _record_signature(result) -> list:
     ]
 
 
-def _run_swing(evals: int, seed: int, pipelined: bool, refit_every: int):
+def _run_swing(evals: int, seed: int, refit_every: int):
     bench = get_benchmark("lu", "large")
     evaluator = SwingEvaluator(bench.profile, number=1)
-    problem = TuningProblem(bench.config_space(seed=seed), evaluator, name=bench.name)
-    search = AMBS(
-        problem,
-        max_evals=evals,
-        seed=seed,
-        pipeline=pipelined,
-        refit_every=refit_every,
+    space = bench.config_space(seed=seed)
+    problem = TuningProblem(space, evaluator, name=bench.name)
+    interval, schedule = refit_policy(refit_every)
+    optimizer = Optimizer(
+        space, seed=seed, refit_interval=interval, refit_schedule=schedule
     )
+    search = AMBS(problem, optimizer, max_evals=evals)
     return _record_signature(search.run())
 
 
 def native_dispatch_arm(evals: int, seed: int) -> dict:
-    serial = _run_native(evals, seed, DISPATCH_LATENCY, pipeline=False)
-    pipelined = _run_native(evals, seed, DISPATCH_LATENCY, pipeline=True)
+    serial = _run_native(evals, seed, DISPATCH_LATENCY, pipelined=False)
+    pipelined = _run_native(evals, seed, DISPATCH_LATENCY, pipelined=True)
     return {
         "kernel": f"lu-{LU_N}",
         "evals": evals,
@@ -165,8 +160,8 @@ def native_dispatch_arm(evals: int, seed: int) -> dict:
 
 
 def native_real_arm(evals: int, seed: int) -> dict:
-    serial = _run_native(evals, seed, 0.0, pipeline=False)
-    pipelined = _run_native(evals, seed, 0.0, pipeline=True)
+    serial = _run_native(evals, seed, 0.0, pipelined=False)
+    pipelined = _run_native(evals, seed, 0.0, pipelined=True)
     return {
         "kernel": f"lu-{LU_N}",
         "evals": evals,
@@ -180,9 +175,9 @@ def native_real_arm(evals: int, seed: int) -> dict:
 def determinism_arm(evals: int, seed: int) -> dict:
     out: dict = {"kernel": "lu/large", "evals": evals, "seed": seed}
     for refit_every in (1, 0):
-        serial = _run_swing(evals, seed, pipelined=False, refit_every=refit_every)
-        pipelined = _run_swing(evals, seed, pipelined=True, refit_every=refit_every)
-        out[f"identical_refit_every_{refit_every}"] = serial == pipelined
+        first = _run_swing(evals, seed, refit_every)
+        second = _run_swing(evals, seed, refit_every)
+        out[f"identical_refit_every_{refit_every}"] = first == second
     return out
 
 

@@ -65,7 +65,7 @@ def autotvm_search(
 
     return AMBS(
         tuner.problem,
-        optimizer=tuner,
+        tuner,
         batch_size=8,
         jobs=jobs,
         optimizer_overhead=0.5,
@@ -85,7 +85,6 @@ def _bo_config(ctx: TunerContext) -> AutotuneConfig:
         jobs=spec.jobs,
         prune=spec.prune,
         prune_threshold=spec.prune_threshold,
-        pipeline=spec.pipeline,
         compile_jobs=spec.compile_jobs,
         refit_every=spec.refit_every,
     )

@@ -144,7 +144,8 @@ def _telemetry_from_args(
 def _spec_fields(args: argparse.Namespace) -> dict:
     """The :class:`~repro.service.jobs.JobSpec` fields a command's parsed
     flags set: every knob flag's ``dest`` is its field name, and
-    ``--compile-jobs`` implies ``--pipeline``."""
+    ``--pipeline`` or ``--compile-jobs`` without ``--refit-every`` means
+    ``--refit-every 0``."""
     from dataclasses import fields
 
     from repro.service.jobs import JobSpec
@@ -152,8 +153,9 @@ def _spec_fields(args: argparse.Namespace) -> dict:
     spec = {
         f.name: getattr(args, f.name) for f in fields(JobSpec) if hasattr(args, f.name)
     }
-    if "pipeline" in spec:
-        spec["pipeline"] = args.pipeline or args.compile_jobs is not None
+    if "refit_every" in spec and spec["refit_every"] is None:
+        if args.pipeline or args.compile_jobs is not None:
+            spec["refit_every"] = 0
     return spec
 
 
@@ -537,17 +539,16 @@ def _add_transfer_args(parser: argparse.ArgumentParser, with_label: bool) -> Non
 def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("pipelined execution")
     group.add_argument("--pipeline", action="store_true",
-                       help="overlap the surrogate ask, a parallel build "
-                       "pool with compile-ahead speculation, and measurement "
-                       "(implied by --compile-jobs)")
+                       help="means --refit-every 0, the geometric refit "
+                       "schedule, unless --refit-every is given")
     group.add_argument("--compile-jobs", type=int, default=None, metavar="N",
                        help="build-pool width for ahead-of-time native "
-                       "compiles (default: CPU count); implies --pipeline")
+                       "compiles (default: CPU count); selects the geometric "
+                       "refit schedule unless --refit-every is given")
     group.add_argument("--refit-every", type=int, default=None, metavar="K",
                        help="surrogate refit policy: 1 = refit on every "
-                       "observation (byte-identical to the serial loop), "
-                       "0 = geometric schedule (dense early, sparse late); "
-                       "default: the loop's own policy")
+                       "observation (the default), 0 = geometric schedule "
+                       "(dense early, sparse late), K = every K observations")
 
 
 def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:

@@ -56,13 +56,13 @@ class AutotuneConfig:
     #: candidate cannot beat ``prune_threshold`` × the incumbent.
     prune: bool = False
     prune_threshold: float = 1.25
-    prune_overhead: float = 0.02
-    #: ``pipeline`` selects the geometric refit schedule, and ``refit_every``
-    #: the refit policy (see :func:`repro.ytopt.optimizer.refit_policy`).
+    #: ``refit_every`` is the default optimizer's refit policy (see
+    #: :func:`repro.ytopt.optimizer.refit_policy`); ``pipeline=True`` with
+    #: ``refit_every`` None means ``refit_every=0``, the geometric schedule.
     #: ``compile_jobs`` is the width of the build pool that native-tier
     #: builds under a real clock run in, compile-ahead included (None: cores,
-    #: capped at 8; at 1 only ``pipeline`` builds ahead, and without
-    #: previews; see :mod:`repro.ytopt.search`).
+    #: capped at 8; at 1 only the geometric schedule builds ahead, and
+    #: without previews; see :mod:`repro.ytopt.search`).
     pipeline: bool = False
     compile_jobs: int | None = None
     refit_every: int | None = None
@@ -121,9 +121,10 @@ class BayesianAutotuner:
                 )
             self.optimizer = optimizer
         else:
-            refit_interval, refit_schedule = refit_policy(
-                self.config.refit_every, self.config.pipeline
-            )
+            refit_every = self.config.refit_every
+            if refit_every is None and self.config.pipeline:
+                refit_every = 0
+            refit_interval, refit_schedule = refit_policy(refit_every)
             self.optimizer = Optimizer(
                 space,
                 surrogate=(
@@ -143,7 +144,7 @@ class BayesianAutotuner:
         warm_db = getattr(warm_start, "database", warm_start)
         self._search = AMBS(
             self.problem,
-            optimizer=self.optimizer,
+            self.optimizer,
             max_evals=self.config.max_evals,
             max_time=self.config.max_time,
             tuner_name="ytopt",
@@ -151,9 +152,7 @@ class BayesianAutotuner:
             jobs=self.config.jobs,
             prune=self.config.prune,
             prune_threshold=self.config.prune_threshold,
-            prune_overhead=self.config.prune_overhead,
             warm_start=warm_db,
-            pipeline=self.config.pipeline,
             compile_jobs=self.config.compile_jobs,
         )
 

@@ -1,9 +1,10 @@
-"""Compile-ahead build pool for the pipelined AMBS loop.
+"""Compile-ahead build pool of the AMBS loop.
 
-The serial AMBS loop pays three costs end to end for every wave: the
-surrogate ask (refit + acquisition), the kernel build (a subprocess C
-compile on the native tier), and the measurement itself. ``AMBS(pipeline=
-True)`` overlaps them with two pieces:
+The AMBS loop pays three costs end to end for every wave: the surrogate ask
+(refit + acquisition), the kernel build (a subprocess C compile on the
+native tier), and the measurement itself. When the evaluator's builds run
+off the GIL (native tier, real clock), :class:`~repro.ytopt.search.AMBS`
+overlaps them with two pieces:
 
 * :class:`BuildPool` — a bounded thread pool of ahead-of-time kernel builds
   (``evaluator.precompile``), so a wave's compiles run ``compile_jobs`` wide
@@ -13,9 +14,9 @@ True)`` overlaps them with two pieces:
   the next ask used to pick those speculative builds; misses are discarded
   without a ``tell``.
 
-Observations still commit on the loop's thread in ask order, so the
-determinism guarantees of the serial loop carry over verbatim; at
-``refit_every=1`` trajectories are byte-identical.
+Observations still commit on the loop's thread in ask order, so a run
+commits the same trials whether or not it builds ahead, under every refit
+policy.
 """
 
 from repro.pipeline.build_pool import BuildPool, config_key, default_compile_jobs

@@ -54,8 +54,7 @@ def _params(config: Any) -> dict:
 class BuildPool:
     """Fan kernel builds out to ``jobs`` threads, deduplicated by config key.
 
-    ``precompiler`` is the evaluator's ``precompile`` method (or None, which
-    disables the pool — every method degenerates to a no-op). The executor
+    ``precompiler`` is the evaluator's ``precompile`` method. The executor
     is created lazily on first submit and torn down by :meth:`close`.
     """
 
@@ -86,10 +85,6 @@ class BuildPool:
         #: the critical-path compile stall that survived pipelining.
         self.wait_seconds = 0.0
         self.occupancy_peak = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self._precompiler is not None
 
     def _ensure_executor(self) -> ThreadPoolExecutor:
         if self._executor is None:
@@ -126,8 +121,6 @@ class BuildPool:
         what :meth:`wait` blocks on — a speculative build that turns out to
         be wave k+1's real candidate (the spec-hit fast path), or one an
         earlier speculation missed."""
-        if not self.enabled:
-            return False
         key = config_key(config)
         with self._lock:
             future = self._builds.get(key)
@@ -145,8 +138,6 @@ class BuildPool:
         """Block until the builds for ``configs`` finish; returns the seconds
         spent blocked. Finished futures are dropped — the built modules are
         held by the evaluator, not here."""
-        if not self.enabled:
-            return 0.0
         t0 = time.perf_counter()
         for config in configs:
             with self._lock:

@@ -90,15 +90,12 @@ class JobSpec:
     #: variants of one tuner land side-by-side in a single run store without
     #: colliding on the (kernel, size, tuner, seed) identity key.
     label: str | None = None
-    #: ``pipeline`` selects the geometric refit schedule (see
-    #: :mod:`repro.ytopt.search`). ``refit_every`` selects the
-    #: surrogate refit policy (None = loop default — geometric under
-    #: ``pipeline``; 1 = every observation, the byte-identical escape hatch;
-    #: 0 = geometric). ``compile_jobs`` is the width of the build pool
-    #: native-tier builds run in; sessions are Swing-priced, so it changes
-    #: nothing they do. These knobs drive the BO loop, so AutoTVM tuners
-    #: reject them.
-    pipeline: bool = False
+    #: ``refit_every`` selects the surrogate refit policy (None or 1 = every
+    #: observation; 0 = the geometric schedule; k = every k observations;
+    #: see :func:`repro.ytopt.optimizer.refit_policy`). ``compile_jobs`` is
+    #: the width of the build pool native-tier builds run in; sessions are
+    #: Swing-priced, so it changes nothing they do. These knobs drive the BO
+    #: loop, so AutoTVM tuners reject them.
     compile_jobs: int | None = None
     refit_every: int | None = None
     fault: dict[str, Any] | None = None
@@ -179,7 +176,6 @@ class JobSpec:
         knobs = [
             name
             for name, given in (
-                ("pipeline", self.pipeline),
                 ("compile_jobs", self.compile_jobs is not None),
                 ("refit_every", self.refit_every is not None),
             )
@@ -230,8 +226,7 @@ RECORDED_FIELDS: dict[str, str | None] = {
     "prune_threshold": "prune",
     "label": None,
     "transfer_bias": "transfer_from",
-    "pipeline": None,
-    "compile_jobs": "pipeline",
+    "compile_jobs": None,
     "refit_every": None,
 }
 

@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # avoid repro.transfer <-> repro.ytopt import cycle
 
 
 class RefitSchedule:
-    """Geometric surrogate-refit schedule for the pipelined tuning loop.
+    """Geometric surrogate-refit schedule (``refit_every=0``).
 
     Refit after every observation while the corpus is small (``n <=
     dense_until`` — early fits are cheap and each observation moves the
@@ -53,8 +53,7 @@ class RefitSchedule:
     the random state later fits see: trajectories under a schedule are
     deterministic but not identical to ``refit_every=1``. The escape hatch
     for byte-identical trajectories is simply not installing a schedule
-    (``refit_every=1``), which is the default of the serial loop (see
-    :func:`refit_policy`).
+    (``refit_every=1``), which is the default (see :func:`refit_policy`).
     """
 
     def __init__(self, dense_until: int = 32, growth: float = 1.5) -> None:
@@ -78,24 +77,19 @@ class RefitSchedule:
         return f"RefitSchedule(dense_until={self.dense_until}, growth={self.growth:g})"
 
 
-def refit_policy(
-    refit_every: int | None, pipeline: bool
-) -> "tuple[int, RefitSchedule | None]":
-    """``(refit_interval, refit_schedule)`` for the default Optimizer of a
-    tuning loop with these knobs.
+def refit_policy(refit_every: int | None) -> "tuple[int, RefitSchedule | None]":
+    """``(refit_interval, refit_schedule)`` of an Optimizer for a
+    ``refit_every`` knob.
 
-    ``refit_every=None`` takes the loop's default: every observation for the
-    serial loop, the geometric :class:`RefitSchedule` under the pipeline.
-    ``0`` forces the geometric schedule; ``1`` refits on every observation
-    (the byte-identical escape hatch); ``k > 1`` every ``k`` observations.
+    ``None`` and ``1`` refit on every observation (the default);
+    ``0`` selects the geometric :class:`RefitSchedule`; ``k > 1`` refits
+    every ``k`` observations.
     """
     if refit_every is not None and refit_every < 0:
         raise TuningError(f"refit_every must be >= 0, got {refit_every}")
-    if refit_every is None:
-        refit_every = 0 if pipeline else 1
     if refit_every == 0:
         return 1, RefitSchedule()
-    return refit_every, None
+    return refit_every or 1, None
 
 
 class Optimizer:
@@ -111,9 +105,9 @@ class Optimizer:
         n_neighbor_candidates: int = 32,
         refit_interval: int = 1,
         #: Optional :class:`RefitSchedule` gating model-phase refits (the
-        #: pipelined loop's amortized-fit mode). None — the default — keeps
+        #: amortized-fit mode, ``refit_every=0``). None — the default — keeps
         #: the legacy behavior: refit every ``refit_interval`` observations,
-        #: byte-identical to all pre-pipeline trajectories.
+        #: byte-identical to all pre-schedule trajectories.
         refit_schedule: "RefitSchedule | None" = None,
         seed: int | None = None,
         #: Transfer learning (see :class:`repro.transfer.TransferSeed`): the
@@ -237,8 +231,8 @@ class Optimizer:
         measuring to compile wave *k+1*'s candidates ahead. Returns the
         configuration(s) the real ``ask()``/``ask_batch()`` is expected to
         propose once the ``will_tell`` in-flight observations (``exclude``)
-        land, or None when there is nothing to preview: the initial/model
-        phase boundary is being crossed, the surrogate is unfitted or
+        land, or None when there is nothing to preview: the wave's picks
+        cross the initial/model phase boundary, the surrogate is unfitted or
         degenerate, or a refit is due within a wave wider than one.
 
         When a refit is due before a single ask, the preview is the pick of
@@ -259,7 +253,11 @@ class Optimizer:
         if n < 1:
             raise TuningError(f"speculation width must be >= 1, got {n}")
         n_after = self.n_told + will_tell
-        if (self.n_told < self.n_initial_points) != (n_after < self.n_initial_points):
+        # The real wave's i-th pick runs at n_after + i observations (each
+        # constant-liar pick is told a lie before the next), so a wave whose
+        # last pick reaches the model phase is not all random.
+        last_random = n_after + n - 1 < self.n_initial_points
+        if (self.n_told < self.n_initial_points) != last_random:
             return None  # the real ask crosses the random -> model boundary
         preview = False
         if n_after >= self.n_initial_points:

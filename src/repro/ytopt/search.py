@@ -10,9 +10,9 @@ wall-clock budget is exhausted.
 ``AMBS.run`` is the one loop. It runs the steps back to back, and when the
 evaluator's builds run off the GIL — native-tier builds under a real clock
 (``precompile``, no ``clock``, ``builds_native``) — on at least two
-``compile_jobs``, or on one under ``pipeline=True``, it adds two overlaps
-and keeps everything else — spans, clock charges, ask/prune/tell/event
-order — step for step:
+``compile_jobs``, or on one when the optimizer refits on a geometric
+``refit_schedule``, it adds two overlaps and keeps everything else — spans,
+clock charges, ask/prune/tell/event order — step for step:
 
 1. **Parallel wave builds.** Every configuration headed for measurement is
    submitted to a :class:`~repro.pipeline.BuildPool` before the loop blocks
@@ -34,14 +34,14 @@ kernels run with the GIL held, so no speculative ask runs inside a kernel
 timing and no build's Python runs during a kernel call; the C compiler, a
 separate process, still runs beside a timing, on another core.
 
-``pipeline=True`` selects the geometric refit schedule (see
-:func:`~repro.ytopt.optimizer.refit_policy`), whose refit-free asks are the
-ones speculation can confirm. Observations commit on the loop's thread in
-ask order, so with or without the overlaps a run commits the same trials. A
-run with a build pool — every ``pipeline=True`` run, and one that builds
-ahead — also reports the pool's counters in its overhead breakdown and one
-:class:`~repro.telemetry.PipelineStats` event at the end; one that builds
-ahead emits ``pipeline_wait`` spans for the build stalls.
+The refit policy is the optimizer's own (see
+:func:`~repro.ytopt.optimizer.refit_policy`); the geometric schedule's
+refit-free asks are the ones speculation can confirm. Observations commit on
+the loop's thread in ask order, so with or without the overlaps a run
+commits the same trials. A run that builds on a pool reports the pool's
+counters in its overhead breakdown (``mode`` ``"pipelined"``), emits one
+:class:`~repro.telemetry.PipelineStats` event at the end and
+``pipeline_wait`` spans for the build stalls.
 
 The loop drives any ask/tell optimizer: ytopt's :class:`~repro.ytopt.Optimizer`
 and TPE, and AutoTVM's four strategies (:class:`repro.autotvm.Tuner`). An
@@ -63,11 +63,17 @@ from repro.runtime.measure import FAILED_COST, MeasureResult
 from repro.telemetry.context import NULL_TELEMETRY, get_telemetry, scoped_telemetry
 from repro.telemetry.events import PipelineStats, TrialMeasured, TrialPruned
 from repro.ytopt.database import PerformanceDatabase
-from repro.ytopt.optimizer import Optimizer, refit_policy
 from repro.ytopt.problem import TuningProblem
 
 if TYPE_CHECKING:
     from repro.pipeline.build_pool import BuildPool
+    from repro.ytopt.optimizer import Optimizer
+
+#: Process-time seconds charged for one surrogate prune decision.
+PRUNE_OVERHEAD = 0.02
+#: Width, in predictive standard deviations, of the lower confidence bound a
+#: prune decision compares against the incumbent.
+PRUNE_Z = 0.5
 
 
 @dataclass
@@ -82,8 +88,8 @@ class SearchResult:
     columns are its seconds and the three stages add up to
     ``wall_seconds``; under a real clock they are ``perf_counter`` seconds.
     Runs with a build pool add its counters (speculation hit rate, busy/wait
-    seconds, occupancy). ``mode`` is ``"pipelined"`` under ``pipeline=True``,
-    else ``"serial"``.
+    seconds, occupancy); ``mode`` is ``"pipelined"`` for them, else
+    ``"serial"``.
     """
 
     best_config: dict[str, int]
@@ -101,15 +107,18 @@ class SearchResult:
 
 
 class AMBS:
-    """Model-based search: one evaluation per iteration, lowest cost wins."""
+    """Model-based search: one evaluation per iteration, lowest cost wins.
+
+    ``optimizer`` is a built ask/tell optimizer; its refit policy and
+    transfer seeding are configured on it, not here.
+    """
 
     def __init__(
         self,
         problem: TuningProblem,
-        optimizer: Optimizer | None = None,
+        optimizer: Optimizer,
         max_evals: int = 100,
         max_time: float | None = None,
-        seed: int | None = None,
         tuner_name: str = "ytopt",
         #: Modeled/real per-iteration cost of the optimizer itself (surrogate
         #: refit + acquisition over the candidate pool). Charged to the
@@ -123,45 +132,24 @@ class AMBS:
         #: the measurement fleet. Set explicitly to decouple proposal batching
         #: from worker count.
         jobs: int | None = None,
-        #: Resume a previous run: its records pre-train the optimizer and are
-        #: carried into this run's database; already-evaluated configurations
-        #: are never re-measured.
-        resume_from: PerformanceDatabase | None = None,
         #: Surrogate-guided pruning: once the surrogate is trained, skip
         #: compilation entirely for candidates whose predicted lower confidence
         #: bound exceeds ``prune_threshold`` × the incumbent runtime. Pruned
-        #: trials are charged ``prune_overhead`` seconds of process time,
+        #: trials are charged :data:`PRUNE_OVERHEAD` seconds of process time,
         #: recorded with the surrogate estimate (fidelity "pruned"), and count
         #: against ``max_evals``.
         prune: bool = False,
         prune_threshold: float = 1.25,
-        prune_overhead: float = 0.02,
-        prune_z: float = 0.5,
         #: Warm start from prior runs (see :class:`repro.ytopt.WarmStart`):
-        #: records pre-train the surrogate and land in the database, and —
-        #: unlike ``resume_from`` — count toward ``max_evals``, so a warm
-        #: start with a matching budget replays the stored result without
-        #: re-measuring anything.
+        #: records pre-train the surrogate, land in the database and count
+        #: toward ``max_evals``, so a warm start with a matching budget
+        #: replays the stored result without re-measuring anything.
         warm_start: PerformanceDatabase | None = None,
-        #: Transfer learning (see :class:`repro.transfer.TransferSeed`): seeds
-        #: the default optimizer's initial design with corpus-ranked
-        #: configurations and biases early acquisition. Ignored when an
-        #: explicit ``optimizer`` is passed — configure that optimizer
-        #: directly instead.
-        transfer_seed=None,
-        transfer_bias: float = 0.0,
-        #: ``pipeline`` selects the geometric refit schedule for the default
-        #: optimizer (see the module docstring). ``compile_jobs`` is the
-        #: build pool's width when the evaluator's builds run off the GIL
-        #: (None: :func:`~repro.pipeline.default_compile_jobs`); at 1 only a
-        #: ``pipeline=True`` loop builds ahead, and it previews nothing.
-        pipeline: bool = False,
+        #: The build pool's width when the evaluator's builds run off the GIL
+        #: (None: :func:`~repro.pipeline.default_compile_jobs`); at 1 only an
+        #: optimizer with a ``refit_schedule`` builds ahead, and it previews
+        #: nothing (see the module docstring).
         compile_jobs: int | None = None,
-        #: Surrogate refit policy for the *default* optimizer (see
-        #: :func:`~repro.ytopt.optimizer.refit_policy`). Ignored when an
-        #: explicit ``optimizer`` is passed — configure that optimizer
-        #: directly.
-        refit_every: int | None = None,
     ) -> None:
         if max_evals < 1:
             raise TuningError(f"max_evals must be >= 1, got {max_evals}")
@@ -176,31 +164,11 @@ class AMBS:
                 f"prune_threshold must be >= 1.0 (a multiple of the incumbent), "
                 f"got {prune_threshold}"
             )
-        if prune_overhead < 0:
-            raise TuningError(f"prune_overhead must be >= 0, got {prune_overhead}")
         if compile_jobs is not None and compile_jobs < 1:
             raise TuningError(f"compile_jobs must be >= 1, got {compile_jobs}")
         self.problem = problem
-        if optimizer is not None and transfer_seed is not None:
-            raise TuningError(
-                "pass transfer_seed either to AMBS (default optimizer) or to "
-                "an explicit Optimizer, not both"
-            )
-        self.pipeline = pipeline
+        self.optimizer = optimizer
         self.compile_jobs = compile_jobs
-        refit_interval, refit_schedule = refit_policy(refit_every, self.pipeline)
-        self.optimizer = (
-            optimizer
-            if optimizer is not None
-            else Optimizer(
-                problem.space,
-                seed=seed,
-                refit_interval=refit_interval,
-                refit_schedule=refit_schedule,
-                transfer_seed=transfer_seed,
-                transfer_bias=transfer_bias,
-            )
-        )
         self.max_evals = max_evals
         self.max_time = max_time
         self.tuner_name = tuner_name
@@ -209,8 +177,6 @@ class AMBS:
         self.jobs = jobs
         self.prune = prune
         self.prune_threshold = prune_threshold
-        self.prune_overhead = prune_overhead
-        self.prune_z = prune_z
         self.n_pruned = 0
         # Stage-seconds accumulators behind SearchResult.overhead.
         self._search_wall = 0.0
@@ -219,16 +185,13 @@ class AMBS:
         self._incumbent = math.inf  # best *measured* runtime (never an estimate)
         self._preloaded = 0
         self.database = PerformanceDatabase(name=f"{problem.name}:{tuner_name}")
-        for source, counts in ((resume_from, False), (warm_start, True)):
-            if source is None:
-                continue
-            for rec in source:
+        if warm_start is not None:
+            for rec in warm_start:
                 self.optimizer.tell(rec.config, rec.runtime)
                 if rec.ok and not rec.low_fidelity:
                     self._incumbent = min(self._incumbent, rec.runtime)
-            self.database.extend(source)
-            if counts:
-                self._preloaded += len(source)
+            self.database.extend(warm_start)
+            self._preloaded = len(warm_start)
 
     def _try_prune(self, config, evaluator, clock) -> MeasureResult | None:
         """Surrogate-prune ``config`` if its predicted lower bound is hopeless.
@@ -236,12 +199,12 @@ class AMBS:
         Returns the synthetic "pruned" MeasureResult, or None when the trial
         must be measured for real (pruning off, surrogate not yet trained, no
         incumbent, or the candidate looks competitive). The prune decision
-        costs ``prune_overhead`` seconds of process time — charged to the
+        costs :data:`PRUNE_OVERHEAD` seconds of process time — charged to the
         clock so the total-time tables stay honest.
         """
         if not self.prune or not math.isfinite(self._incumbent):
             return None
-        pred = self.optimizer.predict_cost(config, z=self.prune_z)
+        pred = self.optimizer.predict_cost(config, z=PRUNE_Z)
         if pred is None:  # still in the initial random design
             return None
         est, lower = pred
@@ -249,8 +212,8 @@ class AMBS:
         if lower <= limit:
             return None
         if clock is not None:
-            clock.advance(self.prune_overhead)
-            self._search_wall += self.prune_overhead
+            clock.advance(PRUNE_OVERHEAD)
+            self._search_wall += PRUNE_OVERHEAD
         # The recorded estimate is >= the lower bound > incumbent, so a pruned
         # record can never displace a measured best().
         estimate = max(est, lower)
@@ -343,15 +306,16 @@ class AMBS:
     def _overhead_breakdown(self, wall_total: float, virtual: bool, **extra: float) -> dict:
         """The per-run stage split behind the report's ``overhead_breakdown``
         column. ``compile_seconds`` is critical-path build cost (what the
-        trials were charged, plus any pipeline build-pool stall passed via
-        ``extra``); ``measure_seconds`` the measurement wall time net of
-        those builds; ``search_seconds`` ask + refit + acquisition + prune
-        decisions. Real seconds are rounded to microseconds. Virtual seconds
-        are kept whole: every charge to the clock falls in one of the three
-        stages, so they add up to ``wall_seconds``."""
+        trials were charged, plus any build-pool stall passed via ``extra``);
+        ``measure_seconds`` the measurement wall time net of those builds;
+        ``search_seconds`` ask + refit + acquisition + prune decisions. A run
+        that built on a pool passes the pool's counters as ``extra`` and
+        reads ``pipelined``. Real seconds are rounded to microseconds.
+        Virtual seconds are kept whole: every charge to the clock falls in
+        one of the three stages, so they add up to ``wall_seconds``."""
         stall = extra.pop("compile_stall", 0.0)
         out = {
-            "mode": "pipelined" if self.pipeline else "serial",
+            "mode": "pipelined" if extra else "serial",
             "search_seconds": self._search_wall,
             "compile_seconds": self._compile_sum + stall,
             "measure_seconds": max(0.0, self._measure_wall - self._compile_sum),
@@ -425,24 +389,22 @@ class AMBS:
 
         The pool builds when the evaluator's builds run off the GIL:
         native-tier builds (``precompile`` and ``builds_native``) under a
-        real clock, on at least two ``compile_jobs`` or, under
-        ``pipeline=True``, on one. Tensor-tier builds are Python and hold
-        the GIL, and simulated time cannot overlap. A ``pipeline=True`` run
-        that cannot build ahead keeps a disabled pool for its counters.
+        real clock, on at least two ``compile_jobs`` or, when the optimizer
+        refits on a geometric ``refit_schedule``, on one. Tensor-tier builds
+        are Python and hold the GIL, and simulated time cannot overlap.
         """
-        native = (
+        if not (
             clock is None
             and callable(getattr(evaluator, "precompile", None))
             and bool(getattr(evaluator, "builds_native", False))
-        )
-        if not (native or self.pipeline):
+        ):
             return None
         from repro.pipeline.build_pool import BuildPool, default_compile_jobs
 
         jobs = self.compile_jobs or default_compile_jobs()
-        if native and (jobs > 1 or self.pipeline):
+        if jobs > 1 or getattr(self.optimizer, "refit_schedule", None) is not None:
             return BuildPool(evaluator.precompile, jobs)
-        return BuildPool(None, jobs) if self.pipeline else None
+        return None
 
     def run(self) -> SearchResult:
         """Execute the search; returns the best configuration found."""
@@ -458,9 +420,7 @@ class AMBS:
         # seeds) overlaps the wave's build-wait. Optimizers
         # without a speculation protocol (e.g. TPE) still build their waves
         # in the pool; they just never compile ahead.
-        if pool is not None and pool.enabled and callable(
-            getattr(self.optimizer, "speculate", None)
-        ):
+        if pool is not None and callable(getattr(self.optimizer, "speculate", None)):
             spec_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-spec")
         speculated = None
         remaining = max(0, self.max_evals - self._preloaded)
@@ -505,7 +465,7 @@ class AMBS:
                         spec_job = spec_pool.submit(
                             self._speculate, pool, next_n, tuple(configs)
                         )
-                    if to_measure and pool.enabled:
+                    if to_measure:
                         with tel.span("pipeline_wait"):
                             pool.wait(to_measure)
                 if spec_job is not None:

@@ -11,9 +11,9 @@ the current problem. The space hash guards against silently reusing trials
 from a differently-shaped search space (changed tiling candidates, renamed
 parameters), which would poison the surrogate.
 
-Unlike ``resume_from``, warm-started records **count toward the evaluation
-budget**: a warm start whose record count meets ``max_evals`` replays the
-stored result without measuring anything new. Rows with fidelity ``"pruned"``
+Warm-started records **count toward the evaluation budget**: a warm start
+whose record count meets ``max_evals`` replays the stored result without
+measuring anything new. Rows with fidelity ``"pruned"``
 are skipped — they carry surrogate estimates, not measurements, and feeding
 them back would let one run's guesses masquerade as the next run's data.
 """

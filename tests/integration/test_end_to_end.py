@@ -10,7 +10,7 @@ from repro.kernels.extra import gemm_tuned
 from repro.kernels.reference import lu_reference, make_lu_friendly
 from repro.runtime import build
 from repro.runtime.measure import LocalEvaluator
-from repro.ytopt import AMBS, Plopper, TuningProblem
+from repro.ytopt import AMBS, Optimizer, Plopper, TuningProblem
 
 
 class TestLocalTuningPipeline:
@@ -52,7 +52,7 @@ class TestLocalTuningPipeline:
         )
         evaluator = LocalEvaluator(lambda p: gemm_tuned(32, 32, 32, p), seed=0)
         problem = TuningProblem(space, evaluator)
-        result = AMBS(problem, max_evals=10, seed=1).run()
+        result = AMBS(problem, Optimizer(space, seed=1), max_evals=10).run()
         worst = evaluator.evaluate({"P0": 1, "P1": 1})
         assert result.best_runtime < worst.mean_cost
 

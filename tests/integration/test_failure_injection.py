@@ -18,7 +18,7 @@ from repro.common.timing import VirtualClock
 from repro.kernels import get_benchmark
 from repro.runtime.measure import FAILED_COST, Evaluator, MeasureResult
 from repro.swing import SwingEvaluator
-from repro.ytopt import AMBS, TuningProblem
+from repro.ytopt import AMBS, Optimizer, TuningProblem
 from tests.autotvm.loop import run_search, search
 
 
@@ -85,7 +85,7 @@ class TestYtoptUnderFailures:
     def test_bo_survives_failures(self):
         bench, flaky = _flaky_setup()
         problem = TuningProblem(bench.config_space(seed=0), flaky)
-        result = AMBS(problem, max_evals=30, seed=0).run()
+        result = AMBS(problem, Optimizer(problem.space, seed=0), max_evals=30).run()
         assert result.n_evals == 30
         assert flaky.n_failures > 0
         assert result.best_runtime < 1e9
@@ -97,13 +97,15 @@ class TestYtoptUnderFailures:
         # With failures injected, the search must still land within 2x of a
         # failure-free run's best.
         bench, flaky = _flaky_setup(rate=0.25)
+        space = bench.config_space(seed=1)
         flaky_best = AMBS(
-            TuningProblem(bench.config_space(seed=1), flaky), max_evals=40, seed=1
+            TuningProblem(space, flaky), Optimizer(space, seed=1), max_evals=40
         ).run().best_runtime
 
         clean = SwingEvaluator(bench.profile, clock=VirtualClock())
+        space = bench.config_space(seed=1)
         clean_best = AMBS(
-            TuningProblem(bench.config_space(seed=1), clean), max_evals=40, seed=1
+            TuningProblem(space, clean), Optimizer(space, seed=1), max_evals=40
         ).run().best_runtime
         assert flaky_best <= 2.0 * clean_best
 
@@ -112,10 +114,11 @@ class TestBatchMode:
     def test_ambs_batch_equivalent_coverage(self):
         bench = get_benchmark("lu", "large")
         ev = SwingEvaluator(bench.profile, clock=VirtualClock())
+        space = bench.config_space(seed=0)
         result = AMBS(
-            TuningProblem(bench.config_space(seed=0), ev),
+            TuningProblem(space, ev),
+            Optimizer(space, seed=0),
             max_evals=24,
-            seed=0,
             batch_size=8,
         ).run()
         assert result.n_evals == 24
@@ -126,9 +129,11 @@ class TestBatchMode:
     def test_batch_size_validation(self):
         bench = get_benchmark("lu", "large")
         ev = SwingEvaluator(bench.profile, clock=VirtualClock())
+        space = bench.config_space(seed=0)
         with pytest.raises(TuningError):
             AMBS(
-                TuningProblem(bench.config_space(seed=0), ev),
+                TuningProblem(space, ev),
+                Optimizer(space),
                 max_evals=5,
                 batch_size=0,
             )

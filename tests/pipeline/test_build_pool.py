@@ -32,13 +32,6 @@ class RecordingPrecompiler:
 
 
 class TestBuildPool:
-    def test_disabled_without_precompiler(self):
-        pool = BuildPool(None, jobs=4)
-        assert not pool.enabled
-        assert not pool.submit({"P0": 2})
-        assert pool.wait([{"P0": 2}]) == 0.0
-        pool.close()
-
     def test_invalid_jobs_rejected(self):
         with pytest.raises(TuningError, match="jobs must be >= 1"):
             BuildPool(RecordingPrecompiler(), jobs=0)

@@ -1,9 +1,10 @@
-"""AMBS.run end to end on a real-clock evaluator, pipelined and serial.
+"""AMBS.run end to end on a real-clock evaluator, building ahead or not.
 
 Uses a fake native-style evaluator (deterministic costs, a recording
-``precompile``) so the full pipelined path runs — build pool, side-thread
-speculation, confirm fast path, ordered commits — without a C toolchain,
-and so the serial path can be checked to touch none of it.
+``precompile``) so the full compile-ahead path runs — build pool, side-thread
+speculation, confirm fast path, ordered commits — without a C toolchain, and
+the same evaluator declaring Python builds as the reference that builds
+nothing ahead.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ import pytest
 
 from repro.configspace import ConfigurationSpace, OrdinalHyperparameter
 from repro.telemetry import RecordingSink, Telemetry, telemetry_session
-from repro.ytopt.optimizer import Optimizer, RefitSchedule
+from repro.ytopt.optimizer import Optimizer, RefitSchedule, refit_policy
 from repro.ytopt.problem import TuningProblem
 from repro.ytopt.search import AMBS
 
@@ -65,29 +66,39 @@ class FakeNativeEvaluator:
         )
 
 
-def _run(evals, pipeline=False, compile_jobs=None, seed=0, refit_every=None,
-         dense_until=None):
-    """One AMBS run; ``dense_until`` installs an explicit optimizer with that
-    geometric refit schedule."""
-    evaluator = FakeNativeEvaluator()
+class FakePythonEvaluator(FakeNativeEvaluator):
+    """The same costs with builds that hold the GIL, as the tensor tier's
+    do: no loop builds ahead of it, whatever ``compile_jobs`` says."""
+
+    builds_native = False
+
+
+def _run(evals, compile_jobs=None, seed=0, refit_every=None, dense_until=None,
+         batch_size=1, native=True):
+    """One AMBS run; ``dense_until`` refits on a geometric schedule that
+    dense, else the optimizer takes ``refit_policy(refit_every)``."""
+    evaluator = FakeNativeEvaluator() if native else FakePythonEvaluator()
     space = _space(seed)
-    optimizer = None
     if dense_until is not None:
-        optimizer = Optimizer(
-            space, seed=seed, refit_schedule=RefitSchedule(dense_until=dense_until)
-        )
+        interval, schedule = 1, RefitSchedule(dense_until=dense_until)
+    else:
+        interval, schedule = refit_policy(refit_every)
+    optimizer = Optimizer(
+        space, seed=seed, refit_interval=interval, refit_schedule=schedule
+    )
     problem = TuningProblem(space, evaluator, name="fake")
     search = AMBS(
         problem,
-        optimizer=optimizer,
+        optimizer,
         max_evals=evals,
-        seed=seed,
-        pipeline=pipeline,
+        batch_size=batch_size,
         compile_jobs=compile_jobs,
-        refit_every=refit_every,
     )
-    result = search.run()
-    return result, evaluator
+    return search.run(), evaluator
+
+
+def _rows(result):
+    return [(r.config, r.runtime) for r in result.database.records()]
 
 
 def _loop_threads(names):
@@ -96,7 +107,7 @@ def _loop_threads(names):
 
 class TestPipelinedEngine:
     def test_speculation_hits_and_each_config_built_once(self):
-        result, evaluator = _run(40, pipeline=True, compile_jobs=2, dense_until=8)
+        result, evaluator = _run(40, compile_jobs=2, dense_until=8)
         assert result.n_evals == 40
         # Compile-ahead fired and the real waves picked the builds up.
         assert result.overhead["spec_hit_rate"] > 0.0
@@ -104,28 +115,23 @@ class TestPipelinedEngine:
         assert len(evaluator.precompiled) == len(set(evaluator.precompiled))
 
     def test_matches_serial_twin_on_deterministic_costs(self):
-        """Same refit schedule, same seed, deterministic costs: the pipelined
-        loop (speculation, side thread, build pool and all) commits the
-        same configurations and runtimes as the serial loop."""
-        pipelined, _ = _run(38, pipeline=True, compile_jobs=2, refit_every=0)
-        serial, _ = _run(38, refit_every=0)
-        pip_records = [
-            (r.config, r.runtime) for r in pipelined.database.records()
-        ]
-        ser_records = [
-            (r.config, r.runtime) for r in serial.database.records()
-        ]
-        assert pip_records == ser_records
+        """Same refit schedule, same seed, deterministic costs: the loop
+        that builds ahead (speculation, side thread, build pool and all)
+        commits the same configurations and runtimes as one that cannot."""
+        pipelined, _ = _run(38, compile_jobs=2, refit_every=0)
+        serial, evaluator = _run(38, compile_jobs=2, refit_every=0, native=False)
+        assert evaluator.precompiled == []
+        assert _rows(pipelined) == _rows(serial)
 
     def test_speculative_misses_never_told(self):
-        result, _ = _run(30, pipeline=True, compile_jobs=2, dense_until=8)
+        result, _ = _run(30, compile_jobs=2, dense_until=8)
         assert len(result.database.records()) == 30
 
     def test_refit_schedule_reduces_fits(self):
-        pipelined, _ = _run(40, pipeline=True, dense_until=8)
-        # The legacy loop refits on every model-phase ask (evals - initial
-        # design); the geometric schedule must do strictly fewer, and every
-        # skip is accounted for.
+        pipelined, _ = _run(40, dense_until=8)
+        # Refitting every observation fits on every model-phase ask (evals -
+        # initial design); the geometric schedule must do strictly fewer,
+        # and every skip is accounted for.
         legacy_fits = 40 - 10
         assert pipelined.overhead["refits"] < legacy_fits
         assert pipelined.overhead["refits_skipped"] > 0
@@ -136,23 +142,30 @@ class TestPipelinedEngine:
 
 
 class TestBuildAheadCommitsTheSameRows:
-    """Previews (a refit is due before every serial ask) and the at-most-once
-    build record change no committed row."""
+    """Previews (a refit is due before every ask that refits each
+    observation), confirmed speculation and the at-most-once build record
+    change no committed row: one and two compile jobs commit what a loop
+    that builds nothing ahead commits, for single asks and constant-liar
+    waves, across the random -> model boundary."""
 
-    @pytest.mark.parametrize("pipeline", [False, True])
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_two_jobs_commit_what_one_job_commits(self, seed, pipeline):
-        one, one_ev = _run(60, pipeline=pipeline, compile_jobs=1, seed=seed)
-        two, two_ev = _run(60, pipeline=pipeline, compile_jobs=2, seed=seed)
-        # One job: the serial loop builds nothing ahead; the pipelined loop
-        # speculates where no refit is due.
-        assert bool(one_ev.precompiled) == pipeline
-        for ev in (one_ev, two_ev):
-            assert len(ev.precompiled) == len(set(ev.precompiled))
-        assert two_ev.precompiled
-        assert [(r.config, r.runtime) for r in two.database.records()] == [
-            (r.config, r.runtime) for r in one.database.records()
-        ]
+    @pytest.mark.parametrize("refit_every", [1, 0])
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 4])
+    def test_two_jobs_commit_what_one_job_commits(self, batch_size, refit_every):
+        for seed in range(4):
+            ref, ref_ev = _run(
+                60, seed=seed, refit_every=refit_every, batch_size=batch_size,
+                native=False,
+            )
+            assert ref_ev.precompiled == []
+            for jobs in (1, 2):
+                run, ev = _run(
+                    60, compile_jobs=jobs, seed=seed, refit_every=refit_every,
+                    batch_size=batch_size,
+                )
+                # One job builds ahead only on the geometric schedule.
+                assert bool(ev.precompiled) == (jobs > 1 or refit_every == 0)
+                assert len(ev.precompiled) == len(set(ev.precompiled))
+                assert _rows(run) == _rows(ref), (seed, jobs)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_previews_need_two_jobs(self, jobs):
@@ -169,10 +182,8 @@ class TestBuildAheadCommitsTheSameRows:
         evaluator = FakeNativeEvaluator()
         AMBS(
             TuningProblem(space, evaluator, name="fake"),
-            optimizer=Spy(space, seed=0, refit_schedule=RefitSchedule()),
+            Spy(space, seed=0, refit_schedule=RefitSchedule()),
             max_evals=40,
-            seed=0,
-            pipeline=True,
             compile_jobs=jobs,
         ).run()
         assert calls and set(calls) == {jobs > 1}
@@ -198,14 +209,16 @@ class TestTensorTierBuildsNothingAhead:
             space.add_hyperparameter(OrdinalHyperparameter(name, (1, 2, 4, 8)))
         evaluator = Recording(lambda p: gemm_tuned(8, 8, 8, p), backend="tensor")
         problem = TuningProblem(space, evaluator, name="gemm")
-        result = AMBS(problem, max_evals=14, seed=0, compile_jobs=2).run()
+        result = AMBS(
+            problem, Optimizer(space, seed=0), max_evals=14, compile_jobs=2
+        ).run()
         assert result.n_evals == 14
         assert seen and _loop_threads(seen) == set()
         assert "compile_jobs" not in result.overhead
 
 
 class TestSerialStaysSerial:
-    """The serial loop (``pipeline=False``) builds ahead only with two or
+    """A loop that refits every observation builds ahead only with two or
     more compile jobs, and then commits exactly what it commits with one."""
 
     def _traced(self, compile_jobs=2, **kw):
@@ -231,8 +244,9 @@ class TestSerialStaysSerial:
         }
 
     def test_serial_loop_builds_ahead_with_two_jobs(self):
-        """The same serial loop at two compile jobs: build pool, previews on
-        the side thread, the same committed rows, each config built once."""
+        """The same loop at two compile jobs: build pool, previews on the
+        side thread, the same committed rows, each config built once; its
+        breakdown reads ``pipelined``, as every run on a pool does."""
         one, _, _, _ = self._traced(compile_jobs=1)
         result, evaluator, kinds, spans = self._traced(compile_jobs=2)
         assert evaluator.precompiled
@@ -242,16 +256,14 @@ class TestSerialStaysSerial:
         }
         assert "pipeline_stats" in kinds
         assert "pipeline_wait" in spans
-        assert result.overhead["mode"] == "serial"
+        assert result.overhead["mode"] == "pipelined"
         assert result.overhead["compile_jobs"] == 2.0
-        assert [(r.config, r.runtime) for r in result.database.records()] == [
-            (r.config, r.runtime) for r in one.database.records()
-        ]
+        assert _rows(result) == _rows(one)
 
     def test_pipelined_twin_does_build_ahead(self):
-        """The same probes see the pipeline when it is on, so the serial
-        assertions above cannot pass vacuously."""
-        result, evaluator, kinds, spans = self._traced(pipeline=True, dense_until=8)
+        """The same probes see a one-job pool under the geometric schedule,
+        so the serial assertions above cannot pass vacuously."""
+        result, evaluator, kinds, spans = self._traced(compile_jobs=1, dense_until=8)
         assert evaluator.precompiled
         assert {n.split("_")[0] for n in _loop_threads(evaluator.threads_seen)} == {
             "repro-build", "repro-spec",
@@ -320,8 +332,8 @@ class TestPoolBuildEvents:
         with telemetry_session(tel):
             result = AMBS(
                 TuningProblem(space, evaluator, name="axpb"),
+                Optimizer(space, seed=0),
                 max_evals=16,
-                seed=0,
                 compile_jobs=compile_jobs,
             ).run()
         tel.close()

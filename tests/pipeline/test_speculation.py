@@ -1,5 +1,5 @@
 """Optimizer.speculate / confirm_speculation: side-effect freedom, exact
-replay, and the refit-schedule interplay the pipelined loop relies on."""
+replay, and the refit-schedule interplay compile-ahead relies on."""
 
 import pytest
 
@@ -111,6 +111,17 @@ class TestSpeculateSnapshot:
         config = opt.ask()  # the 6th: its tell crosses into the model phase
         assert opt.speculate(1, will_tell=1, exclude=(config,)) is None
 
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_speculate_abstains_when_a_wave_straddles_the_boundary(self, width):
+        """The real wave's last picks come from the model once the in-flight
+        wave lands, so an all-random preview of it must not be offered."""
+        opt = _make(n_initial=6)
+        _drive(opt, 1)
+        wave = opt.ask_batch(4)  # lands at 5 observations, one short
+        assert opt.speculate(width, will_tell=4, exclude=tuple(wave)) is None
+        # A single pick at 5 observations is still random: previewed.
+        assert opt.speculate(1, will_tell=4, exclude=tuple(wave)) is not None
+
     def test_speculate_rejects_bad_width(self):
         from repro.common.errors import TuningError
 
@@ -221,9 +232,12 @@ class TestRefitSchedule:
     @pytest.mark.parametrize("pipeline", [False, True])
     @pytest.mark.parametrize("refit_every", [None, 0, 1, 3])
     def test_refit_policy_table(self, refit_every, pipeline):
-        """(refit_every, pipeline) -> (refit_interval, schedule): None is
-        every observation serially and geometric under the pipeline, 0 is
-        always geometric, k >= 1 is every k observations."""
+        """AutotuneConfig(refit_every, pipeline) -> the default optimizer's
+        (refit_interval, schedule): None is every observation, and geometric
+        under ``pipeline`` (read as refit_every=0); 0 is always geometric;
+        k >= 1 is every k observations."""
+        from repro.core.framework import AutotuneConfig, BayesianAutotuner
+
         geometric = (1, (32, 1.5))
         expected = {
             (None, False): (1, None),
@@ -235,9 +249,11 @@ class TestRefitSchedule:
             (3, False): (3, None),
             (3, True): (3, None),
         }[(refit_every, pipeline)]
-        interval, schedule = refit_policy(refit_every, pipeline)
+        config = AutotuneConfig(refit_every=refit_every, pipeline=pipeline)
+        optimizer = BayesianAutotuner(_space(0), None, config=config).optimizer
+        schedule = optimizer.refit_schedule
         got = (
-            interval,
+            optimizer.refit_interval,
             None if schedule is None else (schedule.dense_until, schedule.growth),
         )
         assert got == expected
@@ -246,4 +262,4 @@ class TestRefitSchedule:
         from repro.common.errors import TuningError
 
         with pytest.raises(TuningError, match="refit_every"):
-            refit_policy(-1, False)
+            refit_policy(-1)

@@ -256,13 +256,14 @@ class TestLocalEvaluatorRegression:
         """A whole AMBS run over a builder that always raises completes."""
         from repro.common.errors import TuningError
         from repro.configspace import ConfigurationSpace, OrdinalHyperparameter
+        from repro.ytopt.optimizer import Optimizer
         from repro.ytopt.problem import TuningProblem
         from repro.ytopt.search import AMBS
 
         space = ConfigurationSpace(name="s", seed=0)
         space.add_hyperparameters([OrdinalHyperparameter("P0", [1, 2, 3, 4])])
         problem = TuningProblem(space, LocalEvaluator(_plain_exception_builder))
-        search = AMBS(problem, max_evals=4, seed=0)
+        search = AMBS(problem, Optimizer(space, seed=0), max_evals=4)
         with pytest.raises(TuningError):
             # every eval failed -> no best; but the search loop itself survived
             search.run()

@@ -96,12 +96,13 @@ class TestDeterminism:
 
 
 class TestLoopKnobAdmission:
-    """pipeline / compile_jobs / refit_every drive the BO loop; AutoTVM
-    tuners have no such loop and must refuse them, not drop them."""
+    """compile_jobs / refit_every drive the BO loop; AutoTVM tuners have no
+    such loop and must refuse them, not drop them."""
 
     @pytest.mark.parametrize(
         "knobs",
-        [dict(pipeline=True), dict(compile_jobs=4), dict(refit_every=1)],
+        # "pipeline": the spec --pipeline builds.
+        [dict(refit_every=0), dict(compile_jobs=4), dict(refit_every=1)],
         ids=["pipeline", "compile_jobs", "refit_every"],
     )
     def test_autotvm_rejects_loop_knobs(self, knobs):
@@ -127,7 +128,7 @@ class TestLoopKnobAdmission:
 
     def test_bo_tuners_accept_loop_knobs(self):
         for tuner in ("ytopt", "ytopt-gp", "ytopt-tpe"):
-            spec(tuner=tuner, pipeline=True, compile_jobs=2, refit_every=1).validate()
+            spec(tuner=tuner, compile_jobs=2, refit_every=1).validate()
 
     def test_cli_tune_exits_1_with_error(self, capsys):
         """`repro tune` rejects every spec `repro submit` rejects."""
@@ -135,7 +136,9 @@ class TestLoopKnobAdmission:
 
         cases = [
             (["--tuner", "AutoTVM-GA", "--compile-jobs", "4"],
-             ("compile_jobs", "AutoTVM-GA")),
+             ("compile_jobs, refit_every", "AutoTVM-GA")),
+            (["--tuner", "AutoTVM-GA", "--pipeline"],
+             ("refit_every only apply", "AutoTVM-GA")),
             (["--label", "  "], ("label must be a non-empty string",)),
             (["--tuner", "ytopt-gp", "--transfer-bias", "-1"],
              ("transfer_bias must be >= 0",)),
@@ -166,14 +169,15 @@ class TestRunMetadata:
         assert {g for g in RECORDED_FIELDS.values() if g is not None} <= names
 
     #: (spec fields, metadata without the host keys), as stored before the
-    #: table replaced the hand-written dict.
+    #: table replaced the hand-written dict, less the ``pipeline`` key that
+    #: ``refit_every=0`` replaced.
     PINNED = [
         (
             dict(tuner="AutoTVM-XGB"),
             {"xgb_trial_cap": 56, "repeats": 1, "probe_repeats": None,
              "promote_margin": None, "prune": False, "prune_threshold": None,
              "jobs": 1, "timeout": None, "label": None, "transfer_bias": None,
-             "pipeline": False, "compile_jobs": None, "refit_every": None},
+             "compile_jobs": None, "refit_every": None},
         ),
         (
             dict(tuner="AutoTVM-GA", jobs=2, timeout=1.0, repeats=3, probe_repeats=1,
@@ -181,14 +185,14 @@ class TestRunMetadata:
             {"xgb_trial_cap": None, "repeats": 3, "probe_repeats": 1,
              "promote_margin": 0.3, "prune": True, "prune_threshold": 2.0,
              "jobs": 2, "timeout": 1.0, "label": "x", "transfer_bias": None,
-             "pipeline": False, "compile_jobs": None, "refit_every": None},
+             "compile_jobs": None, "refit_every": None},
         ),
         (
-            dict(pipeline=True, compile_jobs=3, refit_every=0, transfer_bias=0.9),
+            dict(compile_jobs=3, refit_every=0, transfer_bias=0.9),
             {"xgb_trial_cap": None, "repeats": 1, "probe_repeats": None,
              "promote_margin": None, "prune": False, "prune_threshold": None,
              "jobs": 1, "timeout": None, "label": None, "transfer_bias": None,
-             "pipeline": True, "compile_jobs": 3, "refit_every": 0},
+             "compile_jobs": 3, "refit_every": 0},
         ),
     ]
 

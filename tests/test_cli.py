@@ -320,16 +320,38 @@ class TestSpecFields:
         JobSpec(**tune)
         assert experiment == {k: tune[k] for k in experiment}
         assert set(tune) - set(experiment) == {
-            "kernel", "size", "tuner", "label", "pipeline", "compile_jobs",
-            "refit_every",
+            "kernel", "size", "tuner", "label", "compile_jobs", "refit_every",
         }
 
     @pytest.mark.parametrize("command", ["tune", "submit"])
     def test_compile_jobs_implies_pipeline(self, command):
+        """``--compile-jobs`` sets what ``--pipeline`` sets (the geometric
+        refit schedule) unless ``--refit-every`` is given."""
         target = ["--kernel", "lu", "--size", "large"]
-        assert self._fields([command, *target])["pipeline"] is False
+        assert self._fields([command, *target])["refit_every"] is None
         spec = self._fields([command, *target, "--compile-jobs", "2"])
-        assert spec["pipeline"] is True and spec["compile_jobs"] == 2
+        assert spec == self._fields([command, *target, "--compile-jobs", "2", "--pipeline"])
+        assert spec["refit_every"] == 0 and spec["compile_jobs"] == 2
+
+    #: Flags -> the refit_every they set: ``--pipeline`` and
+    #: ``--compile-jobs`` mean the geometric schedule (0) unless
+    #: ``--refit-every`` is given, wherever it stands.
+    REFIT = {
+        "none": ([], None),
+        "pipeline": (["--pipeline"], 0),
+        "compile_jobs": (["--compile-jobs", "2"], 0),
+        "pipeline_refit_1": (["--pipeline", "--refit-every", "1"], 1),
+        "refit_1_pipeline": (["--refit-every", "1", "--pipeline"], 1),
+        "compile_jobs_refit_3": (["--compile-jobs", "2", "--refit-every", "3"], 3),
+    }
+
+    @pytest.mark.parametrize("case", list(REFIT))
+    @pytest.mark.parametrize("command", ["tune", "submit"])
+    def test_pipeline_flags_set_refit_every(self, command, case):
+        flags, refit_every = self.REFIT[case]
+        spec = self._fields([command, "--kernel", "lu", "--size", "large", *flags])
+        assert spec["refit_every"] == refit_every
+        assert "pipeline" not in spec
 
 
 class TestTransfer:

@@ -8,7 +8,7 @@ from repro.common.timing import VirtualClock
 from repro.kernels import get_benchmark
 from repro.service import JobSpec, TuningSession
 from repro.swing import SwingEvaluator
-from repro.ytopt import AMBS, TuningProblem
+from repro.ytopt import AMBS, Optimizer, TuningProblem
 
 
 def _problem(seed=0, **ev_kwargs):
@@ -17,22 +17,28 @@ def _problem(seed=0, **ev_kwargs):
     return TuningProblem(bench.config_space(seed=seed), evaluator, name="lu-large")
 
 
+def _search(seed=0, **kw):
+    """AMBS over lu/large with the RF optimizer seeded like its space."""
+    problem = _problem(seed=seed)
+    return AMBS(problem, Optimizer(problem.space, seed=seed), **kw)
+
+
 class TestAMBS:
     def test_runs_max_evals(self):
-        search = AMBS(_problem(), max_evals=12, seed=0)
+        search = _search(max_evals=12)
         result = search.run()
         assert result.n_evals == 12
         assert result.best_runtime > 0
         assert result.best_config  # non-empty
 
     def test_database_populated(self):
-        search = AMBS(_problem(), max_evals=8, seed=0)
+        search = _search(max_evals=8)
         result = search.run()
         assert len(result.database) == 8
         assert result.database.best().runtime == result.best_runtime
 
     def test_process_time_accumulates(self):
-        search = AMBS(_problem(), max_evals=5, seed=0)
+        search = _search(max_evals=5)
         result = search.run()
         traj = result.database.trajectory()
         times = [t for t, _ in traj]
@@ -42,26 +48,24 @@ class TestAMBS:
     def test_max_time_stops_early(self):
         # Virtual seconds: LU-large evals take ~2s+ each, so a tight budget
         # must cut the run short.
-        search = AMBS(_problem(), max_evals=100, max_time=30.0, seed=0)
+        search = _search(max_evals=100, max_time=30.0)
         result = search.run()
         assert result.n_evals < 100
 
     def test_optimizer_overhead_charged(self):
-        p1 = _problem(seed=0)
-        r1 = AMBS(p1, max_evals=5, seed=0, optimizer_overhead=0.0).run()
-        p2 = _problem(seed=0)
-        r2 = AMBS(p2, max_evals=5, seed=0, optimizer_overhead=10.0).run()
+        r1 = _search(max_evals=5, optimizer_overhead=0.0).run()
+        r2 = _search(max_evals=5, optimizer_overhead=10.0).run()
         assert r2.total_elapsed > r1.total_elapsed + 40.0
 
     def test_validation(self):
         with pytest.raises(TuningError):
-            AMBS(_problem(), max_evals=0)
+            _search(max_evals=0)
         with pytest.raises(TuningError):
-            AMBS(_problem(), max_time=-1.0)
+            _search(max_time=-1.0)
 
     def test_seeded_determinism(self):
-        r1 = AMBS(_problem(seed=3), max_evals=10, seed=3).run()
-        r2 = AMBS(_problem(seed=3), max_evals=10, seed=3).run()
+        r1 = _search(seed=3, max_evals=10).run()
+        r2 = _search(seed=3, max_evals=10).run()
         assert r1.best_config == r2.best_config
         assert r1.best_runtime == r2.best_runtime
 
