@@ -48,11 +48,11 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from repro.kernels import problem_size
+from repro.kernels import TABLE1_SPACE_SIZES, problem_size
 from repro.kernels.cholesky import cholesky_trailing_update_tuned
 from repro.kernels.extra import gemm_tuned
 from repro.kernels.lu import lu_trailing_update_tuned
-from repro.kernels.registry import get_benchmark, list_benchmarks
+from repro.kernels.registry import get_benchmark
 from repro.kernels.threemm import threemm_tuned
 from repro.runtime.module import BACKEND_TIERS, build_from_primfunc
 from repro.tir import lower, simplify_func
@@ -225,7 +225,7 @@ def tier_coverage() -> dict:
     selected: dict[str, str] = {}
     native_hits = 0
     total = 0
-    for kernel, size_name in list_benchmarks():
+    for kernel, size_name in TABLE1_SPACE_SIZES:
         bench = get_benchmark(kernel, size_name)
         sched, args = bench.schedule_builder(default_config(bench))
         func = simplify_func(lower(sched, args))

@@ -5,10 +5,15 @@ single tile sizes, uniform crossover), rank the population with the cost
 model, measure the top-k unvisited candidates, and feed the results back into
 the model. A fraction of each measured batch is sampled randomly (epsilon-
 greedy) so the model cannot lock the search into its own blind spots.
+
+The policy is an ask/tell optimizer (``ask_batch``/``ask``/``tell``), so
+:func:`~repro.autoscheduler.tune.auto_schedule` runs it on the one tuning
+loop, :class:`~repro.ytopt.search.AMBS`.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -18,6 +23,7 @@ from repro.common.errors import TuningError
 from repro.common.rng import ensure_rng
 from repro.autoscheduler.cost_model import CostModel, GBTCostModel
 from repro.autoscheduler.sketch import Sketch, tile_candidates
+from repro.runtime.measure import FAILED_COST
 
 
 @dataclass(frozen=True)
@@ -136,8 +142,24 @@ class SketchPolicy:
                 population.append(self._crossover(a, b))
         return population
 
+    # -- the optimizer protocol AMBS drives ------------------------------------
+
+    def ask_batch(self, n: int) -> list[dict[str, int]]:
+        """The first ``n`` annotations of the next proposed round (a whole
+        round is bred and ranked whatever ``n`` is, so a budget that ends
+        mid-round measures that round's head); ``[]`` when none is left."""
+        return self.propose_batch()[:n]
+
+    def ask(self) -> dict[str, int] | None:
+        batch = self.ask_batch(1)
+        return batch[0] if batch else None
+
     def tell(self, annotation: Mapping[str, int], cost: float) -> None:
-        """Record a measured annotation."""
+        """Record a measured annotation; a cost of ``FAILED_COST`` or more
+        (a failed trial) is kept as ``inf``, which the model skips and
+        :meth:`best` never returns."""
+        if cost >= FAILED_COST:
+            cost = math.inf
         self._visited.add(self._key(annotation))
         self._measured.append((dict(annotation), float(cost)))
         self.cost_model.update([annotation], [cost])

@@ -9,7 +9,8 @@ A :class:`SearchTask` couples a TE computation with an evaluation backend:
   computation itself — the "automatically generated search space").
 
 ``auto_schedule`` runs the evolutionary SketchPolicy for ``n_trials``
-measurements and returns the best schedule found, ready for ``build``.
+measurements on the one tuning loop (:class:`~repro.ytopt.search.AMBS`) and
+returns the best schedule found, ready for ``build``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import TuningError
 from repro.common.timing import VirtualClock
+from repro.configspace import ConfigurationSpace, OrdinalHyperparameter
 from repro.autoscheduler.cost_model import CostModel
 from repro.autoscheduler.search_policy import EvolutionParams, SketchPolicy
 from repro.autoscheduler.sketch import (
@@ -27,20 +29,17 @@ from repro.autoscheduler.sketch import (
     generate_sketch,
     tile_candidates,
 )
-from repro.runtime.measure import Evaluator, LocalEvaluator, MeasureResult
+from repro.runtime.measure import Evaluator, LocalEvaluator
 from repro.swing.evaluator import SwingEvaluator
 from repro.swing.profile import GemmStageProfile, KernelProfile
 from repro.te.schedule import Schedule
 from repro.te.tensor import Tensor
 from repro.telemetry.context import get_telemetry
-from repro.telemetry.events import (
-    RunFinished,
-    RunStarted,
-    TrialMeasured,
-    make_run_id,
-)
+from repro.telemetry.events import RunFinished, RunStarted, make_run_id
 from repro.telemetry.meta import run_metadata
 from repro.ytopt.database import PerformanceDatabase
+from repro.ytopt.problem import TuningProblem
+from repro.ytopt.search import AMBS
 
 GraphBuilder = Callable[[], Sequence[Tensor]]
 
@@ -156,14 +155,31 @@ def auto_schedule(
     options: TuningOptions | None = None,
     cost_model: CostModel | None = None,
 ) -> AutoScheduleResult:
-    """Run the Ansor-style search; returns the best annotation found."""
+    """Run the Ansor-style search; returns the best annotation found.
+
+    The :class:`SketchPolicy` is the optimizer of the one tuning loop,
+    :class:`~repro.ytopt.search.AMBS`, over a :class:`TuningProblem` whose
+    space has one ordinal parameter per sketch tile size. Each round of
+    ``num_measures_per_round`` annotations is measured one at a time, and
+    the policy's own work is not charged to the process clock.
+    """
     opts = options if options is not None else TuningOptions()
     policy = SketchPolicy(
         task.sketch, cost_model=cost_model, params=opts.evolution, seed=opts.seed
     )
-    database = PerformanceDatabase(name=f"{task.name}:autoscheduler")
+    space = ConfigurationSpace(name=task.name)
+    for param, extent in task.sketch.param_extents().items():
+        space.add_hyperparameter(OrdinalHyperparameter(param, tile_candidates(extent)))
+    search = AMBS(
+        TuningProblem(space, task.evaluator, name=task.name),
+        policy,
+        max_evals=opts.n_trials,
+        tuner_name="AutoScheduler",
+        optimizer_overhead=0.0,
+        batch_size=opts.evolution.num_measures_per_round,
+        jobs=1,
+    )
     tel = get_telemetry()
-    clock = getattr(task.evaluator, "clock", None)
     run_id = make_run_id(task.name, "auto", "AutoScheduler", opts.seed)
     if tel.enabled:
         tel.emit(
@@ -177,33 +193,8 @@ def auto_schedule(
                 metadata=run_metadata(seed=opts.seed, extra={"n_trials": opts.n_trials}),
             )
         )
-    measured = 0
-    with tel.span("autoschedule", clock=clock):
-        while measured < opts.n_trials:
-            batch = policy.propose_batch()
-            if not batch:
-                break
-            for annotation in batch:
-                if measured >= opts.n_trials:
-                    break
-                result: MeasureResult = task.evaluator.evaluate(annotation)
-                database.add(result, tuner="AutoScheduler")
-                policy.tell(
-                    annotation, result.mean_cost if result.ok else float("inf")
-                )
-                measured += 1
-                if tel.enabled:
-                    tel.emit(
-                        TrialMeasured(
-                            config=dict(result.config),
-                            runtime=result.mean_cost,
-                            compile_time=result.compile_time,
-                            elapsed=result.timestamp,
-                            error=result.error,
-                            cache_hit=bool(result.extra.get("cache_hit")),
-                            backend=result.backend,
-                        )
-                    )
+    with tel.span("autoschedule", clock=getattr(task.evaluator, "clock", None)):
+        result = search.run()
     best_annotation, best_cost = policy.best()
     if tel.enabled:
         tel.emit(
@@ -211,14 +202,14 @@ def auto_schedule(
                 run_id=run_id,
                 best_runtime=best_cost,
                 best_config={k: int(v) for k, v in best_annotation.items()},
-                n_evals=measured,
+                n_evals=result.n_evals,
                 total_time=task.evaluator.elapsed(),
             )
         )
     return AutoScheduleResult(
         best_annotation=best_annotation,
         best_cost=best_cost,
-        n_trials=measured,
-        database=database,
+        n_trials=result.n_evals,
+        database=result.database,
         sketch=task.sketch,
     )

@@ -12,25 +12,23 @@ Public surface:
 * :mod:`repro.bench.conformance` — the cross-product battery (imported
   explicitly; it pulls in the service stack).
 
-Built-ins: the paper's three kernels auto-adapted from
-:mod:`repro.kernels.registry`, four PolyBench plugins (gemm, syrk, trmm,
-jacobi-2d), and seven tuner families (ytopt RF, four AutoTVM tuners, GP+LCB,
-TPE).
+This package holds the tuner table (:mod:`repro.bench.registry`; seven
+families: ytopt RF, four AutoTVM tuners, GP+LCB, TPE). The benchmark half
+of the API is re-exported from the one benchmark table,
+:mod:`repro.kernels.registry`, which registers the paper's three kernels
+and four PolyBench plugins (gemm, syrk, trmm, jacobi-2d).
 """
 
 from repro.bench.protocols import TunerContext, TunerSpec
-from repro.bench.registry import (
+from repro.bench.registry import get_tuner, register_tuner, tuner_names, tuner_specs
+from repro.kernels.registry import (
     BenchmarkEntry,
     benchmark_entries,
     benchmark_entry,
     benchmark_names,
     benchmark_pairs,
     get_benchmark,
-    get_tuner,
     register_benchmark,
-    register_tuner,
-    tuner_names,
-    tuner_specs,
 )
 
 __all__ = [

@@ -26,7 +26,8 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.bench import registry
+from repro.bench.registry import tuner_names
+from repro.kernels.registry import benchmark_names
 from repro.service.jobs import JobSpec
 from repro.service.session import TunerRun, TuningSession
 
@@ -83,8 +84,8 @@ def battery_pairs() -> list[tuple[str, str]]:
     """The full grid: every registered kernel × every registered tuner."""
     return [
         (kernel, tuner)
-        for kernel in registry.benchmark_names()
-        for tuner in registry.tuner_names()
+        for kernel in benchmark_names()
+        for tuner in tuner_names()
     ]
 
 

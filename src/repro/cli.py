@@ -36,7 +36,7 @@ from collections.abc import Sequence
 
 from repro.common.errors import ReproError
 from repro.common.tabulate import format_table
-from repro.kernels import TABLE1_SPACE_SIZES, get_benchmark, list_benchmarks, space_size
+from repro.kernels import TABLE1_SPACE_SIZES, get_benchmark, space_size
 from repro.telemetry import (
     ConsoleSink,
     JsonlSink,
@@ -54,7 +54,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
     rows = [
         [k, s, f"{space_size(k, s):,}", len(get_benchmark(k, s).params)]
-        for k, s in list_benchmarks()
+        for k, s in TABLE1_SPACE_SIZES
     ]
     print(format_table(rows, headers=["kernel", "size", "space", "params"],
                        title="Benchmarks"))

@@ -3,7 +3,8 @@
 The paper tunes three kernels — ``3mm``, ``cholesky``, ``lu`` — at the PolyBench
 LARGE and EXTRALARGE problem sizes. This package provides:
 
-* NumPy reference implementations (:mod:`repro.kernels.reference`);
+* NumPy reference implementations and the plugin kernels' ``reference_check``
+  (:mod:`repro.kernels.reference`);
 * TE schedule builders exposing the paper's tunable split factors
   (:mod:`repro.kernels.threemm`, :mod:`repro.kernels.lu`,
   :mod:`repro.kernels.cholesky`, plus the PolyBench plugin kernels' builders:
@@ -11,8 +12,10 @@ LARGE and EXTRALARGE problem sizes. This package provides:
   :mod:`repro.kernels.stencil`);
 * PolyBench problem-size presets (:mod:`repro.kernels.problem_sizes`);
 * the tuning parameter spaces of Table 1 (:mod:`repro.kernels.spaces`);
-* a registry tying each (kernel, size) to its space, builder, and Swing
-  performance profile (:mod:`repro.kernels.registry`).
+* the one benchmark registry, tying each of the seven kernels at each size
+  to its space, builder, and Swing performance profile
+  (:mod:`repro.kernels.registry`; :mod:`repro.bench` re-exports its plugin
+  API). No module here imports :mod:`repro.bench`.
 """
 
 from repro import _lazy
@@ -39,6 +42,6 @@ __getattr__, __dir__, __all__ = _lazy.attach(
             "space_size",
             "TABLE1_SPACE_SIZES",
         ),
-        "registry": ("KernelBenchmark", "get_benchmark", "list_benchmarks"),
+        "registry": ("KernelBenchmark", "get_benchmark"),
     },
 )

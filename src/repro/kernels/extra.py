@@ -1,7 +1,7 @@
 """Extension kernels beyond the paper's three (PolyBench linear algebra).
 
 The TE builders behind the registered PolyBench plugin kernels gemm, syrk and
-trmm (:mod:`repro.bench.polybench`). Each returns ``(schedule, args)`` with
+trmm (:mod:`repro.kernels.registry`). Each returns ``(schedule, args)`` with
 the same two-parameter tiling mold as the solvers (``P0`` tiles rows, ``P1``
 tiles columns of the dominant stage), so any tuner in this package drives
 them unchanged.

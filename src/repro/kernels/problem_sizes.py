@@ -83,7 +83,7 @@ PROBLEM_SIZES: dict[str, dict[str, object]] = {
         "large": SolverSize(2000),
         "extralarge": SolverSize(4000),
     },
-    # PolyBench 4.2 defaults for the plugin-path kernels (repro.bench).
+    # PolyBench 4.2 defaults for the plugin kernels.
     "gemm": {
         "mini": GemmSize(20, 25, 30),
         "small": GemmSize(60, 70, 80),
@@ -113,6 +113,15 @@ PROBLEM_SIZES: dict[str, dict[str, object]] = {
         "extralarge": StencilSize(2800, 1000),
     },
 }
+
+#: PolyBench default scalar coefficients (shared by molds and references).
+ALPHA, BETA = 1.5, 1.2
+
+#: Real-execution sweep cap for jacobi-2d: the schedule builder emits one TE
+#: stage per time step, and mini already means 20 sweeps of a 30x30 grid —
+#: plenty to compile and validate without making LocalEvaluator runs take
+#: minutes. The Swing profile still prices every sweep.
+JACOBI_EXEC_TSTEPS = 4
 
 
 def problem_size(kernel: str, size: str):

@@ -8,9 +8,12 @@ diagonal on L).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
-from repro.common.errors import ReproError
+from repro.common.errors import RegistryError, ReproError
+from repro.kernels.problem_sizes import ALPHA, BETA, JACOBI_EXEC_TSTEPS, problem_size
 
 
 def _check_square(a: np.ndarray, name: str) -> None:
@@ -107,3 +110,35 @@ def syrk_reference(
 ) -> np.ndarray:
     """PolyBench syrk (full update variant): ``C = alpha·A·Aᵀ + beta·C``."""
     return alpha * (a @ a.T) + beta * c
+
+
+def reference_check(
+    kernel: str,
+    size_name: str,
+    output: np.ndarray,
+    inputs: Mapping[str, np.ndarray],
+    rtol: float = 1e-10,
+    atol: float = 1e-10,
+) -> None:
+    """Assert a plugin kernel's output matches its NumPy PolyBench reference.
+
+    Covers the four plugin kernels (gemm, syrk, trmm, jacobi2d) as their
+    registered schedule builders compute them; lu, 3mm and cholesky are
+    checked by their own tests. ``inputs`` holds the input buffers keyed by
+    placeholder name (as returned by the benchmark's schedule builder args).
+    Raises ``AssertionError`` on mismatch.
+    """
+    if kernel == "gemm":
+        expect = gemm_reference(ALPHA, BETA, inputs["C"], inputs["A"], inputs["B"])
+    elif kernel == "syrk":
+        expect = syrk_reference(ALPHA, BETA, inputs["C"], inputs["A"])
+    elif kernel == "trmm":
+        expect = trmm_reference(ALPHA, inputs["A"], inputs["B"])
+    elif kernel == "jacobi2d":
+        from repro.kernels.stencil import jacobi2d_reference
+
+        tsteps = problem_size("jacobi2d", size_name).tsteps
+        expect = jacobi2d_reference(inputs["A"], min(tsteps, JACOBI_EXEC_TSTEPS))
+    else:
+        raise RegistryError("plugin kernel", kernel, ["gemm", "syrk", "trmm", "jacobi2d"])
+    np.testing.assert_allclose(output, expect, rtol=rtol, atol=atol)

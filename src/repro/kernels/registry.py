@@ -1,29 +1,55 @@
-"""Benchmark registry: everything a tuner needs for one (kernel, size) pair.
+"""The benchmark registry: everything a tuner needs for one (kernel, size) pair.
 
-A :class:`KernelBenchmark` bundles the tunable parameter list and candidate
-values (Table 1), the TE schedule builder (for real execution), a runnable
-end-to-end factory for the blocked solvers, and the Swing performance profile
-(with the paper's reported best runtime as the calibration anchor). Each
-builder imports its kernel module (and with it :mod:`repro.te`) when first
-called, so a Swing-priced benchmark never loads the compiler.
+One table of :class:`BenchmarkEntry` (a kernel, its problem sizes and a
+``size -> KernelBenchmark`` factory) holds all seven kernels the same way:
+the paper's three (3mm, lu, cholesky) and the four PolyBench plugin kernels
+(gemm, syrk, trmm, jacobi-2d). :func:`get_benchmark` is the one lookup every
+caller goes through, and :func:`register_benchmark` adds or replaces an entry
+(:mod:`repro.bench` re-exports both as its plugin API).
+
+A :class:`KernelBenchmark` bundles the tunable parameters and their
+candidate values (Table 1), the TE schedule builder (for real execution) and
+the Swing performance profile (calibrated to the paper's reported best
+runtime where the paper reports one). Each builder imports its kernel module
+(and with it :mod:`repro.te`) when first called, so a Swing-priced benchmark
+never loads the compiler.
+
+The jacobi-2d profile folds all TSTEPS sweeps into one pseudo-stage with
+``m = n·tsteps`` rows and reduction depth 5 (the 5-point neighborhood): the
+model's blocked-traffic term ``m·k/tx + k·n/ty`` then reproduces the halo
+re-read overhead a tiled stencil pays, so tile choice shapes the landscape
+the way it does on real hardware (bandwidth-bound, broad sweet spot at
+mid-size tiles).
+
+Lookups raise the typed :class:`~repro.common.errors.RegistryError` carrying
+the available entries, which is what ``repro list`` and service admission
+render.
 """
 
 from __future__ import annotations
 
+import importlib
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+from repro.common.errors import RegistryError
 from repro.configspace import ConfigurationSpace
-from repro.kernels.problem_sizes import SolverSize, ThreeMMSize, problem_size
+from repro.kernels.problem_sizes import (
+    ALPHA,
+    BETA,
+    JACOBI_EXEC_TSTEPS,
+    PROBLEM_SIZES,
+    problem_size,
+)
 from repro.kernels.spaces import build_config_space, param_candidates
 from repro.swing.profile import GemmStageProfile, KernelProfile
 
 if TYPE_CHECKING:
     from repro.te.schedule import Schedule
     from repro.te.tensor import Tensor
+
+ScheduleBuilder = Callable[[Mapping[str, int]], "tuple[Schedule, Sequence[Tensor]]"]
 
 #: Best runtimes the paper reports (seconds); calibration anchors for the model.
 #: 3mm/large is not reported in the paper — extrapolated from 3mm/extralarge by
@@ -58,9 +84,7 @@ class KernelBenchmark:
     candidates: dict[str, tuple[int, ...]]
     profile: KernelProfile
     #: params -> (Schedule, args); real-execution path (use small sizes!).
-    schedule_builder: Callable[[Mapping[str, int]], tuple[Schedule, Sequence[Tensor]]]
-    #: params -> end-to-end runnable (blocked solvers); None for pure-TE kernels.
-    runner_factory: "Callable[[Mapping[str, int]], Callable[[np.ndarray], np.ndarray]] | None" = None
+    schedule_builder: ScheduleBuilder
 
     @property
     def name(self) -> str:
@@ -76,115 +100,226 @@ class KernelBenchmark:
         return total
 
 
-def _threemm_benchmark(size_name: str) -> KernelBenchmark:
-    size = problem_size("3mm", size_name)
-    assert isinstance(size, ThreeMMSize)
-    cands = param_candidates("3mm", size_name)
-    profile = KernelProfile(
-        kernel="3mm",
+@dataclass(frozen=True)
+class BenchmarkEntry:
+    """One registered kernel: its sizes and a ``size -> KernelBenchmark``
+    factory."""
+
+    kernel: str
+    sizes: tuple[str, ...]
+    factory: Callable[[str], KernelBenchmark]
+    description: str = ""
+    tags: tuple[str, ...] = ()
+
+    def build(self, size_name: str) -> KernelBenchmark:
+        if size_name not in self.sizes:
+            raise RegistryError(
+                f"problem size for benchmark {self.kernel!r}",
+                size_name,
+                list(self.sizes),
+            )
+        return self.factory(size_name)
+
+
+# -- the seven kernels -----------------------------------------------------
+
+
+def _builder(module: str, function: str, *args, **kwargs) -> ScheduleBuilder:
+    """``params -> function(*args, params, **kwargs)`` from
+    ``repro.kernels.<module>``, imported (with the compiler) on first call."""
+
+    def schedule_builder(params: Mapping[str, int]):
+        kernel_module = importlib.import_module(f"repro.kernels.{module}")
+        return getattr(kernel_module, function)(*args, params, **kwargs)
+
+    return schedule_builder
+
+
+def _benchmark(
+    kernel: str,
+    size_name: str,
+    stages: tuple[GemmStageProfile, ...],
+    schedule_builder: ScheduleBuilder,
+) -> KernelBenchmark:
+    """What every factory shares: the Table 1 candidates (their keys are the
+    parameters) and the Swing profile, calibrated to the paper's best runtime
+    where the paper reports one."""
+    cands = param_candidates(kernel, size_name)
+    return KernelBenchmark(
+        kernel=kernel,
         size_name=size_name,
-        stages=(
+        params=tuple(cands),
+        candidates=cands,
+        profile=KernelProfile(
+            kernel=kernel,
+            size_name=size_name,
+            stages=stages,
+            paper_best=PAPER_BEST_RUNTIMES.get((kernel, size_name)),
+            param_candidates=cands,
+        ),
+        schedule_builder=schedule_builder,
+    )
+
+
+def _threemm(size_name: str) -> KernelBenchmark:
+    size = problem_size("3mm", size_name)
+    return _benchmark(
+        "3mm", size_name,
+        (
             GemmStageProfile("E", size.n, size.m, size.l, "P0", "P1"),
             GemmStageProfile("F", size.m, size.p, size.o, "P2", "P3"),
             GemmStageProfile("G", size.n, size.p, size.m, "P4", "P5"),
         ),
-        paper_best=PAPER_BEST_RUNTIMES.get(("3mm", size_name)),
-        param_candidates=cands,
-    )
-
-    def schedule_builder(params: Mapping[str, int]):
-        from repro.kernels.threemm import threemm_tuned
-
-        return threemm_tuned(size, params)
-
-    return KernelBenchmark(
-        kernel="3mm",
-        size_name=size_name,
-        params=("P0", "P1", "P2", "P3", "P4", "P5"),
-        candidates=cands,
-        profile=profile,
-        schedule_builder=schedule_builder,
+        _builder("threemm", "threemm_tuned", size),
     )
 
 
-def _solver_benchmark(kernel: str, size_name: str) -> KernelBenchmark:
-    size = problem_size(kernel, size_name)
-    assert isinstance(size, SolverSize)
-    n = size.n
-    cands = param_candidates(kernel, size_name)
-    flops_scale = 1.0 / 3.0 if kernel == "lu" else 1.0 / 6.0
-    launches = max(1, n // 64)
-    profile = KernelProfile(
-        kernel=kernel,
-        size_name=size_name,
-        stages=(
+def _trailing_update(n: int, flops_scale: float) -> tuple[GemmStageProfile, ...]:
+    """The stage lu and cholesky tune: the N×N trailing update, one launch
+    per 64 rows."""
+    return (
+        GemmStageProfile(
+            "trailing_update", n, n, n, "P0", "P1",
+            flops_scale=flops_scale, launches=max(1, n // 64),
+        ),
+    )
+
+
+def _lu(size_name: str) -> KernelBenchmark:
+    n = problem_size("lu", size_name).n
+    return _benchmark(
+        "lu", size_name,
+        _trailing_update(n, 1.0 / 3.0),
+        _builder("lu", "lu_trailing_update_tuned", n, n, min(64, n)),
+    )
+
+
+def _cholesky(size_name: str) -> KernelBenchmark:
+    n = problem_size("cholesky", size_name).n
+    return _benchmark(
+        "cholesky", size_name,
+        _trailing_update(n, 1.0 / 6.0),
+        _builder("cholesky", "cholesky_trailing_update_tuned", n, min(64, n)),
+    )
+
+
+def _gemm(size_name: str) -> KernelBenchmark:
+    size = problem_size("gemm", size_name)
+    return _benchmark(
+        "gemm", size_name,
+        (GemmStageProfile("AB", size.ni, size.nj, size.nk, "P0", "P1"),),
+        _builder("extra", "gemm_tuned", size.ni, size.nj, size.nk, alpha=ALPHA, beta=BETA),
+    )
+
+
+def _syrk(size_name: str) -> KernelBenchmark:
+    size = problem_size("syrk", size_name)
+    return _benchmark(
+        "syrk", size_name,
+        (GemmStageProfile("AAT", size.n, size.n, size.m, "P0", "P1"),),
+        _builder("extra", "syrk_tuned", size.n, size.m, alpha=ALPHA, beta=BETA),
+    )
+
+
+def _trmm(size_name: str) -> KernelBenchmark:
+    size = problem_size("trmm", size_name)
+    # Output is (M, N) = (size.n, size.m); the masked reduction over k > i
+    # touches half the (M-deep) reduction on average.
+    return _benchmark(
+        "trmm", size_name,
+        (GemmStageProfile("ACC", size.n, size.m, size.n, "P0", "P1", flops_scale=0.5),),
+        _builder("extra", "trmm_tuned", size.n, size.m, alpha=ALPHA),
+    )
+
+
+def _jacobi2d(size_name: str) -> KernelBenchmark:
+    size = problem_size("jacobi2d", size_name)
+    return _benchmark(
+        "jacobi2d", size_name,
+        (
             GemmStageProfile(
-                "trailing_update", n, n, n, "P0", "P1",
-                flops_scale=flops_scale, launches=launches,
+                "sweeps",
+                m=size.n * size.tsteps,
+                n=size.n,
+                k=5,  # the 5-point neighborhood gather
+                param_y="P0",
+                param_x="P1",
+                flops_scale=0.6,  # 6 flops per point vs the 2·k GEMM count
+                launches=size.tsteps,
             ),
         ),
-        paper_best=PAPER_BEST_RUNTIMES.get((kernel, size_name)),
-        param_candidates=cands,
+        _builder("stencil", "jacobi2d_tuned", size.n, min(size.tsteps, JACOBI_EXEC_TSTEPS)),
     )
-    if kernel == "lu":
-        def schedule_builder(params: Mapping[str, int]):
-            from repro.kernels.lu import lu_trailing_update_tuned
 
-            depth = min(64, n)
-            return lu_trailing_update_tuned(n, n, depth, params)
 
-        def runner_factory(params: Mapping[str, int]):
-            from repro.kernels.lu import BlockedLU
+def _entry(
+    kernel: str,
+    factory: Callable[[str], KernelBenchmark],
+    description: str,
+    tags: tuple[str, ...],
+) -> BenchmarkEntry:
+    """A built-in kernel at every PolyBench preset size."""
+    return BenchmarkEntry(kernel, tuple(PROBLEM_SIZES[kernel]), factory, description, tags)
 
-            return BlockedLU(n, params, panel=min(8, n))
-    else:
-        def schedule_builder(params: Mapping[str, int]):
-            from repro.kernels.cholesky import cholesky_trailing_update_tuned
 
-            depth = min(64, n)
-            return cholesky_trailing_update_tuned(n, depth, params)
+_PAPER, _PLUGIN = ("paper",), ("polybench", "plugin")
 
-        def runner_factory(params: Mapping[str, int]):
-            from repro.kernels.cholesky import BlockedCholesky
+_BUILTINS = (
+    _entry("3mm", _threemm, "G = (A*B)*(C*D), three chained matmuls (paper kernel)", _PAPER),
+    _entry("lu", _lu, "blocked lu factorization (paper kernel)", _PAPER),
+    _entry("cholesky", _cholesky, "blocked cholesky factorization (paper kernel)", _PAPER),
+    _entry("gemm", _gemm, "C = alpha*A*B + beta*C (PolyBench gemm)", _PLUGIN),
+    _entry("syrk", _syrk, "symmetric rank-k update C = alpha*A*A^T + beta*C", _PLUGIN),
+    _entry("trmm", _trmm, "triangular matmul B = alpha*A^T*B (masked reduction)", _PLUGIN),
+    _entry("jacobi2d", _jacobi2d,
+           "jacobi-2d 5-point stencil, TSTEPS sweeps (bandwidth-bound)", _PLUGIN),
+)
 
-            return BlockedCholesky(n, params, panel=min(8, n))
+#: The PolyBench kernels beyond the paper's three.
+PLUGIN_KERNELS = tuple(e.kernel for e in _BUILTINS if "plugin" in e.tags)
 
-    return KernelBenchmark(
-        kernel=kernel,
-        size_name=size_name,
-        params=("P0", "P1"),
-        candidates=cands,
-        profile=profile,
-        schedule_builder=schedule_builder,
-        runner_factory=runner_factory,
-    )
+_BENCHMARKS: dict[str, BenchmarkEntry] = {e.kernel: e for e in _BUILTINS}
+
+
+# -- the table -------------------------------------------------------------
+
+
+def register_benchmark(entry: BenchmarkEntry, replace: bool = False) -> BenchmarkEntry:
+    """Add a kernel to the registry; ``replace=False`` guards collisions."""
+    if not replace and entry.kernel in _BENCHMARKS:
+        raise RegistryError.duplicate("benchmark", entry.kernel)
+    _BENCHMARKS[entry.kernel] = entry
+    return entry
+
+
+def benchmark_entry(kernel: str) -> BenchmarkEntry:
+    try:
+        return _BENCHMARKS[kernel]
+    except KeyError:
+        raise RegistryError("benchmark", kernel, sorted(_BENCHMARKS)) from None
 
 
 def get_benchmark(kernel: str, size_name: str) -> KernelBenchmark:
-    """Look up (and construct) the benchmark for a kernel + problem size.
-
-    The paper's three kernels are built here; anything else is delegated to
-    the pluggable :mod:`repro.bench` registry (imported lazily to keep the
-    module cycle ``bench -> kernels`` one-directional at import time).
-    Unknown kernels and sizes raise the typed
-    :class:`~repro.common.errors.RegistryError` listing what is available.
-    """
-    if kernel == "3mm":
-        return _threemm_benchmark(size_name)
-    if kernel in ("lu", "cholesky"):
-        return _solver_benchmark(kernel, size_name)
-    from repro.bench.registry import get_benchmark as bench_get_benchmark
-
-    return bench_get_benchmark(kernel, size_name)
+    """Build the registered benchmark for (kernel, size); unknown kernels
+    and sizes raise the typed :class:`~repro.common.errors.RegistryError`
+    listing what is available."""
+    return benchmark_entry(kernel).build(size_name)
 
 
-def list_benchmarks() -> list[tuple[str, str]]:
-    """All (kernel, size) pairs of the paper's evaluation."""
-    return [
-        ("3mm", "large"),
-        ("3mm", "extralarge"),
-        ("cholesky", "large"),
-        ("cholesky", "extralarge"),
-        ("lu", "large"),
-        ("lu", "extralarge"),
-    ]
+def benchmark_names() -> list[str]:
+    return sorted(_BENCHMARKS)
+
+
+def benchmark_entries() -> list[BenchmarkEntry]:
+    return [_BENCHMARKS[k] for k in sorted(_BENCHMARKS)]
+
+
+def benchmark_pairs() -> list[tuple[str, str]]:
+    """Every registered (kernel, size) pair, sorted."""
+    return [(e.kernel, size) for e in benchmark_entries() for size in e.sizes]
+
+
+def _reset_for_tests() -> None:
+    """Drop user registrations and replacements (test isolation helper)."""
+    _BENCHMARKS.clear()
+    _BENCHMARKS.update((e.kernel, e) for e in _BUILTINS)

@@ -330,10 +330,11 @@ def evaluate_batch(
 
     * A simulated evaluator (one carrying a ``clock``; e.g.
       :class:`repro.swing.SwingEvaluator`) is emulated: configurations are
-      priced individually on a scratch clock, then the shared virtual clock
-      advances by the **maximum** duration of each wave of ``jobs`` configs —
-      not the sum — which is what a ``jobs``-wide measurement fleet would
-      charge to the paper's process-time axis.
+      priced individually on a scratch clock that starts at the wave's
+      start, then the shared virtual clock advances by the **maximum**
+      duration of each wave of ``jobs`` configs — not the sum — which is
+      what a ``jobs``-wide measurement fleet would charge to the paper's
+      process-time axis.
     * Anything else is evaluated one configuration at a time.
     """
     if jobs < 1:
@@ -342,6 +343,28 @@ def evaluate_batch(
     if jobs == 1 or clock is None or len(batch) <= 1:
         return [evaluator.evaluate(params) for params in batch]
     return _simulated_wave_batch(evaluator, batch, jobs, clock)
+
+
+class _TrialClock(VirtualClock):
+    """One trial's clock in a simulated wave.
+
+    It sums the trial's own seconds from zero (:meth:`elapsed`; the wave is
+    charged its slowest trial's sum) and reads them as process time from the
+    wave's start (:attr:`now`), so what the trial emits while it is priced —
+    the multi-fidelity probe and promotion events — carries process time.
+    """
+
+    def __init__(self, wave_start: float) -> None:
+        super().__init__()
+        self.wave_start = wave_start
+
+    @property
+    def now(self) -> float:
+        return self.wave_start + self._now
+
+    def advance(self, seconds: float) -> float:
+        super().advance(seconds)
+        return self.now
 
 
 def _simulated_wave_batch(
@@ -358,13 +381,13 @@ def _simulated_wave_batch(
         wave_results: list[MeasureResult] = []
         durations: list[float] = []
         for params in wave:
-            scratch = VirtualClock()
+            scratch = _TrialClock(clock.now)
             evaluator.clock = scratch
             try:
                 wave_results.append(evaluator.evaluate(params))
             finally:
                 evaluator.clock = clock
-            durations.append(scratch.now)
+            durations.append(scratch.elapsed())
         clock.advance(max(durations) if durations else 0.0)
         for r in wave_results:
             r.timestamp = clock.now

@@ -103,18 +103,20 @@ class JobSpec:
     def validate(self) -> None:
         """Raise :class:`JobRejected` unless this spec can run.
 
-        Admission is driven by the pluggable :mod:`repro.bench` registry, so
-        any registered (benchmark, tuner) pair — the paper's kernels, the
+        Admission is driven by the registries (benchmarks in
+        :mod:`repro.kernels.registry`, tuners in :mod:`repro.bench.registry`),
+        so any registered (benchmark, tuner) pair — the paper's kernels, the
         PolyBench plugins, and user registrations alike — is submittable.
         """
         from repro.bench import registry as bench_registry
+        from repro.kernels.registry import benchmark_entry, benchmark_names
 
-        kernels = bench_registry.benchmark_names()
+        kernels = benchmark_names()
         if self.kernel not in kernels:
             raise JobRejected(
                 f"unknown kernel {self.kernel!r}; known: {', '.join(kernels)}"
             )
-        sizes = bench_registry.benchmark_entry(self.kernel).sizes
+        sizes = benchmark_entry(self.kernel).sizes
         if self.size not in sizes:
             raise JobRejected(
                 f"unknown size {self.size!r} for kernel {self.kernel!r}; "

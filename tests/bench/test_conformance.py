@@ -10,7 +10,7 @@ import collections
 
 import pytest
 
-from repro.bench import registry as bench_registry
+from repro.bench import benchmark_names, tuner_names
 from repro.bench.conformance import (
     QUICK,
     ConformancePreset,
@@ -34,8 +34,8 @@ def battery_runs():
 class TestBatteryGrid:
     def test_grid_is_the_full_cross_product(self):
         pairs = battery_pairs()
-        kernels = bench_registry.benchmark_names()
-        tuners = bench_registry.tuner_names()
+        kernels = benchmark_names()
+        tuners = tuner_names()
         assert len(kernels) >= 7 and len(tuners) >= 7
         assert len(pairs) == len(kernels) * len(tuners)
         assert set(pairs) == {(k, t) for k in kernels for t in tuners}
@@ -56,7 +56,7 @@ class TestBatteryGrid:
             )
 
     def test_space_hash_stable_across_runs_and_seeds(self):
-        for kernel in bench_registry.benchmark_names():
+        for kernel in benchmark_names():
             hashes = {
                 space_hash(get_benchmark(kernel, QUICK.size).config_space(seed=s))
                 for s in (0, 1, 1234)

@@ -1,22 +1,19 @@
 """PolyBench plugin kernels: numerical correctness and model landscapes.
 
 Each plugin benchmark's TE schedule executes at mini size and must match its
-numpy PolyBench reference (:func:`repro.bench.polybench.reference_check` is
-the battery's correctness oracle); the Swing profile must price tile choices
-distinctly so the tuners have a real landscape to search.
+numpy PolyBench reference (:func:`repro.kernels.reference.reference_check`
+is the plugin kernels' correctness oracle); the Swing profile must price
+tile choices distinctly so the tuners have a real landscape to search.
 """
 
 import numpy as np
 import pytest
 
-from repro.bench.polybench import (
-    _JACOBI_EXEC_TSTEPS,
-    PLUGIN_KERNELS,
-    reference_check,
-)
-from repro.bench.registry import get_benchmark
+from repro.bench import get_benchmark
 from repro.common.errors import RegistryError
-from repro.kernels.problem_sizes import problem_size
+from repro.kernels.problem_sizes import JACOBI_EXEC_TSTEPS, problem_size
+from repro.kernels.reference import reference_check
+from repro.kernels.registry import PLUGIN_KERNELS
 from repro.runtime import build
 from repro.service.session import make_evaluator
 
@@ -94,7 +91,7 @@ class TestProfiles:
         sched, args = get_benchmark("jacobi2d", SIZE).schedule_builder(
             {"P0": 4, "P1": 4}
         )
-        assert size.tsteps > _JACOBI_EXEC_TSTEPS
+        assert size.tsteps > JACOBI_EXEC_TSTEPS
         assert len(args) == 2  # [A, final sweep] — stages chained in between
 
     @pytest.mark.parametrize("kernel", PLUGIN_KERNELS)

@@ -17,9 +17,9 @@ from repro.bench import (
     tuner_specs,
 )
 from repro.bench import registry as bench_registry
-from repro.bench.polybench import PLUGIN_KERNELS
 from repro.common.errors import RegistryError, ReproError
-from repro.kernels.registry import KernelBenchmark
+from repro.kernels import registry as kernel_registry
+from repro.kernels.registry import PLUGIN_KERNELS, KernelBenchmark
 
 PAPER_KERNELS = ("3mm", "lu", "cholesky")
 PAPER_TUNERS = (
@@ -31,8 +31,10 @@ PAPER_TUNERS = (
 def _isolated_registry():
     """Every test starts and ends with exactly the builtin registrations."""
     bench_registry._reset_for_tests()
+    kernel_registry._reset_for_tests()
     yield
     bench_registry._reset_for_tests()
+    kernel_registry._reset_for_tests()
 
 
 class TestDiscovery:
@@ -144,6 +146,27 @@ class TestRegistration:
         with pytest.raises(RegistryError, match="already registered"):
             register_benchmark(self._entry())
         register_benchmark(self._entry(), replace=True)  # explicit replace ok
+
+    def test_replaced_builtin_reaches_every_lookup(self):
+        # One table: sessions, admission and both get_benchmark spellings
+        # all build the replacement (the fixture restores the builtin lu).
+        from repro.service.jobs import JobRejected, JobSpec
+        from repro.service.session import TuningSession
+
+        register_benchmark(
+            BenchmarkEntry(kernel="lu", sizes=("mini",),
+                           factory=benchmark_entry("gemm").factory),
+            replace=True,
+        )
+        assert get_benchmark("lu", "mini").kernel == "gemm"
+        assert kernel_registry.get_benchmark("lu", "mini").kernel == "gemm"
+        with pytest.raises(JobRejected, match="unknown size"):
+            JobSpec(kernel="lu", size="large").validate()
+        session = TuningSession(JobSpec(kernel="lu", size="mini", max_evals=4, seed=0))
+        assert session.benchmark.kernel == "gemm"
+        run = session.run()
+        assert run.kernel == "gemm" and run.n_evals == 4
+        assert run.best_config["P1"] in get_benchmark("gemm", "mini").candidates["P1"]
 
     def test_duplicate_tuner_rejected_without_replace(self):
         spec = TunerSpec(

@@ -18,8 +18,8 @@ kernels, and index vectors:
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.polybench import PLUGIN_KERNELS
-from repro.bench.registry import benchmark_pairs, get_benchmark
+from repro.bench import benchmark_pairs, get_benchmark
+from repro.kernels.registry import PLUGIN_KERNELS
 from repro.configspace import ConfigurationSpace, OrdinalHyperparameter
 from repro.configspace.space import space_hash
 

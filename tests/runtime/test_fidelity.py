@@ -313,3 +313,28 @@ class TestMultiFidelityEvaluator:
         results = evaluate_batch(mfe, [{"P0": 1}, {"P0": 2}, {"P0": 3}], jobs=3)
         assert [r.fidelity for r in results] == ["promoted", "probe", "promoted"]
         assert [len(r.costs) for r in results] == [4, 2, 4]
+
+
+class TestWaveEventTimes:
+    def test_fidelity_events_fall_inside_their_wave(self):
+        # A wave prices each trial on its own scratch clock; the probe and
+        # promotion events a trial emits still carry process time, between
+        # the previous wave's end and the end of their own wave.
+        from repro.service import JobSpec, TuningSession
+        from repro.telemetry import TrialMeasured
+
+        sink = RecordingSink()
+        spec = JobSpec(kernel="lu", size="large", max_evals=24, seed=0,
+                       jobs=4, repeats=3, probe_repeats=1)
+        TuningSession(spec, extra_sinks=[sink]).run()
+        previous_end, pending, checked = 0.0, [], 0
+        for event in sink.events:
+            if isinstance(event, (TrialPruned, TrialPromoted)):
+                pending.append(event.elapsed)
+            elif isinstance(event, TrialMeasured):
+                assert all(previous_end <= t <= event.elapsed for t in pending), (
+                    previous_end, pending, event.elapsed
+                )
+                checked += len(pending)
+                pending, previous_end = [], event.elapsed
+        assert checked >= 8 and not pending

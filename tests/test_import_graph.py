@@ -121,6 +121,22 @@ def test_cli_parser_loads_no_search_stack():
     assert "lu-large" in experiments
 
 
+def test_benchmark_registry_loads_no_bench_package():
+    """The one benchmark table lives in ``repro.kernels``; ``repro.bench``
+    re-exports it and never the other way round."""
+    out = _run(
+        "import json, sys\n"
+        "from repro.kernels.registry import benchmark_pairs, get_benchmark\n"
+        "pairs = benchmark_pairs()\n"
+        "for kernel, size in pairs:\n"
+        "    get_benchmark(kernel, size)\n"
+        "print(json.dumps([sorted(sys.modules), len(pairs)]))"
+    )
+    modules, n_pairs = out
+    assert n_pairs == 35
+    assert _off_path(modules, NOT_ON_SWING_PATH + ("repro.bench",)) == []
+
+
 RESOLVE = """
 import importlib, inspect, json, sys
 

@@ -20,11 +20,11 @@ import numpy as np
 import pytest
 
 import repro.te as te
-from repro.kernels import problem_size
+from repro.kernels import TABLE1_SPACE_SIZES, problem_size
 from repro.kernels.cholesky import cholesky_trailing_update_tuned
 from repro.kernels.extra import gemm_tuned, syrk_tuned, trmm_tuned
 from repro.kernels.lu import lu_trailing_update_tuned
-from repro.kernels.registry import get_benchmark, list_benchmarks
+from repro.kernels.registry import get_benchmark
 from repro.kernels.stencil import jacobi2d_tuned
 from repro.kernels.threemm import threemm_tuned
 from repro.runtime.module import BACKEND_TIERS, build_from_primfunc
@@ -223,7 +223,7 @@ class TestTierDecisionDeterminism:
     def test_registered_benchmarks_pick_same_tier_twice(self):
         """The ladder's fallback decision is a pure function of the PrimFunc."""
         rng = np.random.default_rng(SEED)
-        for kernel, size_name in list_benchmarks():
+        for kernel, size_name in TABLE1_SPACE_SIZES:
             bench = get_benchmark(kernel, size_name)
             cfg = {p: bench.candidates[p][int(rng.integers(len(bench.candidates[p])))]
                    for p in bench.params}

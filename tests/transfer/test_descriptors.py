@@ -16,7 +16,7 @@ import pytest
 
 from repro.common.errors import ReproError
 from repro.configspace import space_hash
-from repro.kernels import get_benchmark, list_benchmarks
+from repro.kernels import TABLE1_SPACE_SIZES, get_benchmark
 from repro.transfer import N_PARAM_SLOTS, TaskDescriptor
 from repro.transfer.descriptors import ABSENT
 
@@ -51,7 +51,7 @@ class TestFromTask:
         assert d.flops > 0 and d.bytes_moved > 0
 
     def test_every_registered_benchmark_has_a_descriptor(self):
-        for kernel, size in list_benchmarks():
+        for kernel, size in TABLE1_SPACE_SIZES:
             d = TaskDescriptor.from_task(kernel, size)
             assert len(d.vector()) == TaskDescriptor.task_feature_len()
 
@@ -65,9 +65,9 @@ class TestDeterminism:
 
     def test_digest_differs_across_tasks(self):
         digests = {
-            TaskDescriptor.from_task(k, s).digest() for k, s in list_benchmarks()
+            TaskDescriptor.from_task(k, s).digest() for k, s in TABLE1_SPACE_SIZES
         }
-        assert len(digests) == len(list_benchmarks())
+        assert len(digests) == len(TABLE1_SPACE_SIZES)
 
     def test_digest_identical_in_a_fresh_process(self):
         """The cross-process half of the determinism contract."""
