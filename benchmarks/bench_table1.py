@@ -5,14 +5,14 @@ extents) and benchmarks the space-construction machinery itself.
 """
 
 from repro.common.tabulate import format_table
-from repro.kernels import TABLE1_SPACE_SIZES, build_config_space, space_size
+from repro.kernels import TABLE1_SPACE_SIZES, get_benchmark
 
 
 def test_table1_regeneration(benchmark):
     def build_all():
         rows = []
         for (kernel, size), paper_value in sorted(TABLE1_SPACE_SIZES.items()):
-            measured = space_size(kernel, size)
+            measured = get_benchmark(kernel, size).space_size()
             rows.append([kernel, size, f"{paper_value:,}", f"{measured:,}",
                          "OK" if measured == paper_value else "MISMATCH"])
         return rows
@@ -29,11 +29,11 @@ def test_table1_regeneration(benchmark):
 
 def test_config_space_construction_speed(benchmark):
     """ConfigSpace construction for the largest space (228M configs)."""
-    cs = benchmark(build_config_space, "3mm", "extralarge", 0)
+    cs = benchmark(get_benchmark("3mm", "extralarge").config_space, 0)
     assert int(cs.size()) == 228_614_400
 
 
 def test_config_space_sampling_speed(benchmark):
-    cs = build_config_space("3mm", "extralarge", seed=0)
+    cs = get_benchmark("3mm", "extralarge").config_space(seed=0)
     samples = benchmark(cs.sample_configuration, 100)
     assert len(samples) == 100

@@ -24,7 +24,7 @@ from repro.experiments import (
     run_experiment,
     trajectory_csv,
 )
-from repro.kernels import TABLE1_SPACE_SIZES, space_size
+from repro.kernels import TABLE1_SPACE_SIZES, get_benchmark
 from repro.kernels.registry import PAPER_BEST_CONFIGS, PAPER_BEST_RUNTIMES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -33,7 +33,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 def table1_section() -> str:
     rows = []
     for (kernel, size), paper in sorted(TABLE1_SPACE_SIZES.items()):
-        measured = space_size(kernel, size)
+        measured = get_benchmark(kernel, size).space_size()
         rows.append(
             f"| {kernel} | {size} | {paper:,} | {measured:,} | "
             f"{'match' if measured == paper else 'MISMATCH'} |"

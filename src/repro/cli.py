@@ -36,7 +36,7 @@ from collections.abc import Sequence
 
 from repro.common.errors import ReproError
 from repro.common.tabulate import format_table
-from repro.kernels import TABLE1_SPACE_SIZES, get_benchmark, space_size
+from repro.kernels import TABLE1_SPACE_SIZES, get_benchmark
 from repro.telemetry import (
     ConsoleSink,
     JsonlSink,
@@ -52,10 +52,10 @@ from repro.telemetry import (
 def _cmd_info(args: argparse.Namespace) -> int:
     from repro.experiments import ALL_TUNERS, EXPERIMENT_FIGURES
 
-    rows = [
-        [k, s, f"{space_size(k, s):,}", len(get_benchmark(k, s).params)]
-        for k, s in TABLE1_SPACE_SIZES
-    ]
+    rows = []
+    for k, s in TABLE1_SPACE_SIZES:
+        bench = get_benchmark(k, s)
+        rows.append([k, s, f"{bench.space_size():,}", len(bench.params)])
     print(format_table(rows, headers=["kernel", "size", "space", "params"],
                        title="Benchmarks"))
     print()
@@ -73,7 +73,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
         bench_rows.append([
             entry.kernel,
             " ".join(entry.sizes),
-            f"{space_size(entry.kernel, 'medium'):,}",
+            f"{entry.build('medium').space_size():,}" if "medium" in entry.sizes else "–",
             entry.description,
         ])
     tuner_rows = [[s.name, s.family, s.description] for s in tuner_specs()]
@@ -108,7 +108,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     rows = []
     ok = True
     for (kernel, size), paper in sorted(TABLE1_SPACE_SIZES.items()):
-        measured = space_size(kernel, size)
+        measured = get_benchmark(kernel, size).space_size()
         ok &= measured == paper
         rows.append([kernel, size, f"{paper:,}", f"{measured:,}",
                      "match" if measured == paper else "MISMATCH"])

@@ -5,9 +5,10 @@ space (ConfigSpace), code mold / schedule builder, evaluation backend (real
 execution or the simulated Swing cluster), the ytopt Bayesian optimizer, and
 the performance database — behind one call:
 
->>> from repro.core import BayesianAutotuner
+>>> from repro.core import AutotuneConfig, BayesianAutotuner
 >>> from repro.kernels import get_benchmark
->>> tuner = BayesianAutotuner.for_benchmark(get_benchmark("lu", "large"), seed=0)
+>>> tuner = BayesianAutotuner.for_benchmark(
+...     get_benchmark("lu", "large"), AutotuneConfig(seed=0))
 >>> result = tuner.run(max_evals=20)   # doctest: +SKIP
 """
 

@@ -3,19 +3,20 @@
 The paper tunes three kernels — ``3mm``, ``cholesky``, ``lu`` — at the PolyBench
 LARGE and EXTRALARGE problem sizes. This package provides:
 
-* NumPy reference implementations and the plugin kernels' ``reference_check``
-  (:mod:`repro.kernels.reference`);
+* NumPy reference implementations (:mod:`repro.kernels.reference`);
 * TE schedule builders exposing the paper's tunable split factors
   (:mod:`repro.kernels.threemm`, :mod:`repro.kernels.lu`,
   :mod:`repro.kernels.cholesky`, plus the PolyBench plugin kernels' builders:
   gemm, syrk and trmm in :mod:`repro.kernels.extra`, jacobi-2d in
   :mod:`repro.kernels.stencil`);
 * PolyBench problem-size presets (:mod:`repro.kernels.problem_sizes`);
-* the tuning parameter spaces of Table 1 (:mod:`repro.kernels.spaces`);
-* the one benchmark registry, tying each of the seven kernels at each size
-  to its space, builder, and Swing performance profile
-  (:mod:`repro.kernels.registry`; :mod:`repro.bench` re-exports its plugin
-  API). No module here imports :mod:`repro.bench`.
+* the one benchmark registry (:mod:`repro.kernels.registry`;
+  :mod:`repro.bench` re-exports its plugin API). Each of the seven kernels'
+  factories builds, for one size, a benchmark that carries its own Table 1
+  space (the divisors of each split axis's extent), schedule builder, Swing
+  performance profile and output check; ``TABLE1_SPACE_SIZES`` holds the
+  paper's sizes to compare against. No module here imports
+  :mod:`repro.bench`.
 """
 
 from repro import _lazy
@@ -30,18 +31,13 @@ __getattr__, __dir__, __all__ = _lazy.attach(
             "cholesky_reference",
             "gemm_reference",
             "syrk_reference",
+            "jacobi2d_reference",
         ),
         "threemm": ("threemm_basic", "threemm_tuned", "THREEMM_PARAMS"),
         "lu": ("lu_trailing_update_tuned", "BlockedLU"),
         "cholesky": ("cholesky_trailing_update_tuned", "BlockedCholesky"),
         "extra": ("gemm_tuned", "syrk_tuned", "trmm_tuned"),
-        "stencil": ("jacobi2d_tuned", "jacobi2d_reference"),
-        "spaces": (
-            "build_config_space",
-            "param_candidates",
-            "space_size",
-            "TABLE1_SPACE_SIZES",
-        ),
-        "registry": ("KernelBenchmark", "get_benchmark"),
+        "stencil": ("jacobi2d_tuned",),
+        "registry": ("KernelBenchmark", "get_benchmark", "TABLE1_SPACE_SIZES"),
     },
 )

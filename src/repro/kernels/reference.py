@@ -3,17 +3,18 @@
 These are the ground truth the TE implementations are validated against, exactly
 following the PolyBench 4.2 C semantics (e.g. ``lu`` is Doolittle LU *without
 pivoting*, updating the matrix in place into a combined L\\U layout with a unit
-diagonal on L).
+diagonal on L). Each registered benchmark's ``check`` compares its output
+with its reference through :func:`mismatch`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 import numpy as np
 
-from repro.common.errors import RegistryError, ReproError
-from repro.kernels.problem_sizes import ALPHA, BETA, JACOBI_EXEC_TSTEPS, problem_size
+from repro.common.errors import ReproError
+
+#: Relative and absolute tolerance of :func:`mismatch` (float64 kernels).
+RTOL = ATOL = 1e-10
 
 
 def _check_square(a: np.ndarray, name: str) -> None:
@@ -112,33 +113,29 @@ def syrk_reference(
     return alpha * (a @ a.T) + beta * c
 
 
-def reference_check(
-    kernel: str,
-    size_name: str,
-    output: np.ndarray,
-    inputs: Mapping[str, np.ndarray],
-    rtol: float = 1e-10,
-    atol: float = 1e-10,
-) -> None:
-    """Assert a plugin kernel's output matches its NumPy PolyBench reference.
+def jacobi2d_reference(a: np.ndarray, tsteps: int) -> np.ndarray:
+    """PolyBench jacobi-2d: ``tsteps`` 5-point-average sweeps over the
+    interior; the boundary copies through."""
+    cur = np.array(a, dtype=np.float64, copy=True)
+    for _ in range(tsteps):
+        nxt = cur.copy()
+        nxt[1:-1, 1:-1] = 0.2 * (
+            cur[1:-1, 1:-1]
+            + cur[1:-1, :-2]
+            + cur[1:-1, 2:]
+            + cur[:-2, 1:-1]
+            + cur[2:, 1:-1]
+        )
+        cur = nxt
+    return cur
 
-    Covers the four plugin kernels (gemm, syrk, trmm, jacobi2d) as their
-    registered schedule builders compute them; lu, 3mm and cholesky are
-    checked by their own tests. ``inputs`` holds the input buffers keyed by
-    placeholder name (as returned by the benchmark's schedule builder args).
-    Raises ``AssertionError`` on mismatch.
-    """
-    if kernel == "gemm":
-        expect = gemm_reference(ALPHA, BETA, inputs["C"], inputs["A"], inputs["B"])
-    elif kernel == "syrk":
-        expect = syrk_reference(ALPHA, BETA, inputs["C"], inputs["A"])
-    elif kernel == "trmm":
-        expect = trmm_reference(ALPHA, inputs["A"], inputs["B"])
-    elif kernel == "jacobi2d":
-        from repro.kernels.stencil import jacobi2d_reference
 
-        tsteps = problem_size("jacobi2d", size_name).tsteps
-        expect = jacobi2d_reference(inputs["A"], min(tsteps, JACOBI_EXEC_TSTEPS))
-    else:
-        raise RegistryError("plugin kernel", kernel, ["gemm", "syrk", "trmm", "jacobi2d"])
-    np.testing.assert_allclose(output, expect, rtol=rtol, atol=atol)
+def mismatch(name: str, got: np.ndarray, want: np.ndarray) -> str | None:
+    """None when ``got`` matches ``want`` at rtol = atol = 1e-10, else a
+    one-line message naming ``name``."""
+    if got.shape != want.shape:
+        return f"{name}: shape {got.shape} != reference {want.shape}"
+    if np.allclose(got, want, rtol=RTOL, atol=ATOL):
+        return None
+    err = float(np.max(np.abs(got - want)))
+    return f"{name}: max |error| {err:.3g} exceeds rtol=atol={RTOL:g}"

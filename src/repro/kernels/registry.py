@@ -7,12 +7,14 @@ the paper's three (3mm, lu, cholesky) and the four PolyBench plugin kernels
 caller goes through, and :func:`register_benchmark` adds or replaces an entry
 (:mod:`repro.bench` re-exports both as its plugin API).
 
-A :class:`KernelBenchmark` bundles the tunable parameters and their
-candidate values (Table 1), the TE schedule builder (for real execution) and
-the Swing performance profile (calibrated to the paper's reported best
-runtime where the paper reports one). Each builder imports its kernel module
-(and with it :mod:`repro.te`) when first called, so a Swing-priced benchmark
-never loads the compiler.
+A :class:`KernelBenchmark` carries everything a caller needs about its
+kernel, so nothing else looks a kernel up by name: the Swing performance
+profile (calibrated to the paper's reported best runtime where the paper
+reports one), whose candidate lists are the tuning space (Table 1), the TE
+schedule builder (for real execution) and the output check. Builders import
+their kernel module (and with it :mod:`repro.te`) and checks
+:mod:`repro.kernels.reference` when first called, so a Swing-priced
+benchmark loads neither the compiler nor the references.
 
 The jacobi-2d profile folds all TSTEPS sweeps into one pseudo-stage with
 ``m = n·tsteps`` rows and reduction depth 5 (the 5-point neighborhood): the
@@ -29,12 +31,14 @@ render.
 from __future__ import annotations
 
 import importlib
+import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.common.divisors import divisors
 from repro.common.errors import RegistryError
-from repro.configspace import ConfigurationSpace
+from repro.configspace import ConfigurationSpace, OrdinalHyperparameter
 from repro.kernels.problem_sizes import (
     ALPHA,
     BETA,
@@ -42,14 +46,26 @@ from repro.kernels.problem_sizes import (
     PROBLEM_SIZES,
     problem_size,
 )
-from repro.kernels.spaces import build_config_space, param_candidates
 from repro.swing.profile import GemmStageProfile, KernelProfile
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.te.schedule import Schedule
     from repro.te.tensor import Tensor
 
 ScheduleBuilder = Callable[[Mapping[str, int]], "tuple[Schedule, Sequence[Tensor]]"]
+OutputCheck = Callable[["Sequence[np.ndarray]"], "str | None"]
+
+#: Paper Table 1: parameter-space size for each (kernel, problem size).
+TABLE1_SPACE_SIZES: dict[tuple[str, str], int] = {
+    ("3mm", "large"): 74_649_600,
+    ("3mm", "extralarge"): 228_614_400,
+    ("cholesky", "large"): 400,
+    ("cholesky", "extralarge"): 576,
+    ("lu", "large"): 400,
+    ("lu", "extralarge"): 576,
+}
 
 #: Best runtimes the paper reports (seconds); calibration anchors for the model.
 #: 3mm/large is not reported in the paper — extrapolated from 3mm/extralarge by
@@ -80,24 +96,38 @@ class KernelBenchmark:
 
     kernel: str
     size_name: str
-    params: tuple[str, ...]
-    candidates: dict[str, tuple[int, ...]]
+    #: The Swing model's view; its ``param_candidates`` are the space.
     profile: KernelProfile
     #: params -> (Schedule, args); real-execution path (use small sizes!).
     schedule_builder: ScheduleBuilder
+    #: buffers, in the builder's argument order -> None when the output (the
+    #: last one) matches the NumPy reference at rtol = atol = 1e-10, else a
+    #: one-line message; the contract of ``LocalEvaluator(validate=)``.
+    check: OutputCheck
 
     @property
     def name(self) -> str:
         return f"{self.kernel}-{self.size_name}"
 
+    @property
+    def candidates(self) -> dict[str, tuple[int, ...]]:
+        """Each tunable parameter's values (Table 1), in declaration order."""
+        return self.profile.param_candidates
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        return tuple(self.candidates)
+
     def config_space(self, seed: int | None = None) -> ConfigurationSpace:
-        return build_config_space(self.kernel, self.size_name, seed=seed)
+        """The ytopt-side space: one OrdinalHyperparameter per parameter."""
+        cs = ConfigurationSpace(name=self.name, seed=seed)
+        for name, cands in self.candidates.items():
+            cs.add_hyperparameter(OrdinalHyperparameter(name, list(cands)))
+        return cs
 
     def space_size(self) -> int:
-        total = 1
-        for c in self.candidates.values():
-            total *= len(c)
-        return total
+        """Total number of configurations (the Table 1 quantity)."""
+        return math.prod(len(c) for c in self.candidates.values())
 
 
 @dataclass(frozen=True)
@@ -135,42 +165,60 @@ def _builder(module: str, function: str, *args, **kwargs) -> ScheduleBuilder:
     return schedule_builder
 
 
+def _check(kernel: str, expected: Callable[..., np.ndarray]) -> OutputCheck:
+    """``buffers -> None | message``: the builder's output (its last
+    argument) against ``expected(reference, *inputs)``, where ``reference``
+    is :mod:`repro.kernels.reference`, imported on first call."""
+
+    def check(buffers: Sequence[np.ndarray]) -> str | None:
+        reference = importlib.import_module("repro.kernels.reference")
+        *inputs, output = buffers
+        return reference.mismatch(kernel, output, expected(reference, *inputs))
+
+    return check
+
+
 def _benchmark(
     kernel: str,
     size_name: str,
+    extents: dict[str, int],
     stages: tuple[GemmStageProfile, ...],
     schedule_builder: ScheduleBuilder,
+    check: OutputCheck,
 ) -> KernelBenchmark:
-    """What every factory shares: the Table 1 candidates (their keys are the
-    parameters) and the Swing profile, calibrated to the paper's best runtime
-    where the paper reports one."""
-    cands = param_candidates(kernel, size_name)
+    """What every factory shares: each parameter's candidates are the
+    divisors of the loop extent it splits (Table 1; ``extents`` names the
+    parameters in order), and the Swing profile is calibrated to the paper's
+    best runtime where the paper reports one."""
     return KernelBenchmark(
         kernel=kernel,
         size_name=size_name,
-        params=tuple(cands),
-        candidates=cands,
         profile=KernelProfile(
             kernel=kernel,
             size_name=size_name,
             stages=stages,
             paper_best=PAPER_BEST_RUNTIMES.get((kernel, size_name)),
-            param_candidates=cands,
+            param_candidates={p: tuple(divisors(n)) for p, n in extents.items()},
         ),
         schedule_builder=schedule_builder,
+        check=check,
     )
 
 
 def _threemm(size_name: str) -> KernelBenchmark:
     size = problem_size("3mm", size_name)
+    n, m, p = size.n, size.m, size.p
+    # Stage E is (N, M), stage F is (M, P), stage G is (N, P).
     return _benchmark(
         "3mm", size_name,
+        {"P0": n, "P1": m, "P2": m, "P3": p, "P4": n, "P5": p},
         (
             GemmStageProfile("E", size.n, size.m, size.l, "P0", "P1"),
             GemmStageProfile("F", size.m, size.p, size.o, "P2", "P3"),
             GemmStageProfile("G", size.n, size.p, size.m, "P4", "P5"),
         ),
         _builder("threemm", "threemm_tuned", size),
+        _check("3mm", lambda ref, a, b, c, d: ref.threemm_reference(a, b, c, d)),
     )
 
 
@@ -189,8 +237,10 @@ def _lu(size_name: str) -> KernelBenchmark:
     n = problem_size("lu", size_name).n
     return _benchmark(
         "lu", size_name,
+        {"P0": n, "P1": n},
         _trailing_update(n, 1.0 / 3.0),
         _builder("lu", "lu_trailing_update_tuned", n, n, min(64, n)),
+        _check("lu", lambda ref, l21, u12, trail: trail - l21 @ u12),
     )
 
 
@@ -198,17 +248,22 @@ def _cholesky(size_name: str) -> KernelBenchmark:
     n = problem_size("cholesky", size_name).n
     return _benchmark(
         "cholesky", size_name,
+        {"P0": n, "P1": n},
         _trailing_update(n, 1.0 / 6.0),
         _builder("cholesky", "cholesky_trailing_update_tuned", n, min(64, n)),
+        _check("cholesky", lambda ref, l21, trail: trail - l21 @ l21.T),
     )
 
 
 def _gemm(size_name: str) -> KernelBenchmark:
     size = problem_size("gemm", size_name)
+    # P0 tiles the output rows (NI), P1 the output columns (NJ).
     return _benchmark(
         "gemm", size_name,
+        {"P0": size.ni, "P1": size.nj},
         (GemmStageProfile("AB", size.ni, size.nj, size.nk, "P0", "P1"),),
         _builder("extra", "gemm_tuned", size.ni, size.nj, size.nk, alpha=ALPHA, beta=BETA),
+        _check("gemm", lambda ref, a, b, c: ref.gemm_reference(ALPHA, BETA, c, a, b)),
     )
 
 
@@ -216,8 +271,10 @@ def _syrk(size_name: str) -> KernelBenchmark:
     size = problem_size("syrk", size_name)
     return _benchmark(
         "syrk", size_name,
+        {"P0": size.n, "P1": size.n},
         (GemmStageProfile("AAT", size.n, size.n, size.m, "P0", "P1"),),
         _builder("extra", "syrk_tuned", size.n, size.m, alpha=ALPHA, beta=BETA),
+        _check("syrk", lambda ref, a, c: ref.syrk_reference(ALPHA, BETA, c, a)),
     )
 
 
@@ -227,15 +284,19 @@ def _trmm(size_name: str) -> KernelBenchmark:
     # touches half the (M-deep) reduction on average.
     return _benchmark(
         "trmm", size_name,
+        {"P0": size.n, "P1": size.m},
         (GemmStageProfile("ACC", size.n, size.m, size.n, "P0", "P1", flops_scale=0.5),),
         _builder("extra", "trmm_tuned", size.n, size.m, alpha=ALPHA),
+        _check("trmm", lambda ref, a, b: ref.trmm_reference(ALPHA, a, b)),
     )
 
 
 def _jacobi2d(size_name: str) -> KernelBenchmark:
     size = problem_size("jacobi2d", size_name)
+    tsteps = min(size.tsteps, JACOBI_EXEC_TSTEPS)  # execution caps the sweeps
     return _benchmark(
         "jacobi2d", size_name,
+        {"P0": size.n, "P1": size.n},
         (
             GemmStageProfile(
                 "sweeps",
@@ -248,7 +309,8 @@ def _jacobi2d(size_name: str) -> KernelBenchmark:
                 launches=size.tsteps,
             ),
         ),
-        _builder("stencil", "jacobi2d_tuned", size.n, min(size.tsteps, JACOBI_EXEC_TSTEPS)),
+        _builder("stencil", "jacobi2d_tuned", size.n, tsteps),
+        _check("jacobi2d", lambda ref, a: ref.jacobi2d_reference(a, tsteps)),
     )
 
 

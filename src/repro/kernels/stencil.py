@@ -12,29 +12,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-import numpy as np
-
 import repro.te as te
 from repro.common.errors import SpaceError
 from repro.kernels.schedules import clamp_factor
 from repro.te.schedule import Schedule
 from repro.te.tensor import Tensor
-
-
-def jacobi2d_reference(a: np.ndarray, tsteps: int) -> np.ndarray:
-    """Reference: ``tsteps`` 5-point-average sweeps over the interior."""
-    cur = np.array(a, dtype=np.float64, copy=True)
-    for _ in range(tsteps):
-        nxt = cur.copy()
-        nxt[1:-1, 1:-1] = 0.2 * (
-            cur[1:-1, 1:-1]
-            + cur[1:-1, :-2]
-            + cur[1:-1, 2:]
-            + cur[:-2, 1:-1]
-            + cur[2:, 1:-1]
-        )
-        cur = nxt
-    return cur
 
 
 def jacobi2d_tuned(

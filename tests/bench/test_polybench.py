@@ -1,23 +1,22 @@
-"""PolyBench plugin kernels: numerical correctness and model landscapes.
+"""PolyBench kernels: numerical correctness and the plugins' model landscapes.
 
-Each plugin benchmark's TE schedule executes at mini size and must match its
-numpy PolyBench reference (:func:`repro.kernels.reference.reference_check`
-is the plugin kernels' correctness oracle); the Swing profile must price
-tile choices distinctly so the tuners have a real landscape to search.
+Every registered benchmark's TE schedule executes at mini size and its
+output must pass the benchmark's own ``check`` against the NumPy PolyBench
+reference; the plugin kernels' Swing profiles must price tile choices
+distinctly so the tuners have a real landscape to search.
 """
 
 import numpy as np
 import pytest
 
 from repro.bench import get_benchmark
-from repro.common.errors import RegistryError
 from repro.kernels.problem_sizes import JACOBI_EXEC_TSTEPS, problem_size
-from repro.kernels.reference import reference_check
 from repro.kernels.registry import PLUGIN_KERNELS
 from repro.runtime import build
 from repro.service.session import make_evaluator
 
 SIZE = "mini"
+KERNELS = ("3mm", "lu", "cholesky") + PLUGIN_KERNELS
 
 
 def _mid_config(bench):
@@ -27,43 +26,39 @@ def _mid_config(bench):
 
 
 def _execute(bench, config):
-    """Build and run the benchmark's schedule; returns (output, inputs)."""
+    """Build and run the benchmark's schedule; returns its buffers in the
+    builder's argument order, the output last."""
     sched, args = bench.schedule_builder(config)
     rng = np.random.default_rng(7)
     bufs = [rng.standard_normal(t.shape).astype(t.dtype) for t in args[:-1]]
     bufs.append(np.zeros(args[-1].shape, dtype=args[-1].dtype))
     mod = build(sched, args)
     mod(*bufs)
-    inputs = {t.name: b for t, b in zip(args[:-1], bufs[:-1])}
-    return bufs[-1], inputs
+    return bufs
 
 
 class TestReferenceChecks:
-    @pytest.mark.parametrize("kernel", PLUGIN_KERNELS)
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_schedule_matches_numpy_reference(self, kernel):
         bench = get_benchmark(kernel, SIZE)
-        output, inputs = _execute(bench, _mid_config(bench))
-        reference_check(kernel, SIZE, output, inputs)
+        assert bench.check(_execute(bench, _mid_config(bench))) is None
 
-    @pytest.mark.parametrize("kernel", PLUGIN_KERNELS)
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_extreme_tiles_match_too(self, kernel):
         # Largest candidate tiles (often bigger than the loop extents — the
         # clamped-factor path) must not change the computed answer.
         bench = get_benchmark(kernel, SIZE)
         config = {p: bench.candidates[p][-1] for p in bench.params}
-        output, inputs = _execute(bench, config)
-        reference_check(kernel, SIZE, output, inputs)
+        assert bench.check(_execute(bench, config)) is None
 
     def test_reference_check_catches_corruption(self):
-        bench = get_benchmark("gemm", SIZE)
-        output, inputs = _execute(bench, _mid_config(bench))
-        output[0, 0] += 1.0
-        with pytest.raises(AssertionError):
-            reference_check("gemm", SIZE, output, inputs)
-
-    def test_reference_check_unknown_kernel(self):
-        with pytest.raises(RegistryError):
-            reference_check("nosuch", SIZE, np.zeros(1), {})
+        for kernel in KERNELS:
+            bench = get_benchmark(kernel, SIZE)
+            buffers = _execute(bench, _mid_config(bench))
+            buffers[-1][0, 0] += 1.0
+            message = bench.check(buffers)
+            assert message is not None and message.startswith(f"{kernel}: ")
+            assert "\n" not in message
 
 
 class TestProfiles:

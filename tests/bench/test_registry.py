@@ -1,5 +1,7 @@
 """Registry discovery, protocol conformance, and typed lookup errors."""
 
+import dataclasses
+
 import pytest
 
 from repro.bench import (
@@ -35,6 +37,20 @@ def _isolated_registry():
     yield
     bench_registry._reset_for_tests()
     kernel_registry._reset_for_tests()
+
+
+def _renamed_gemm() -> BenchmarkEntry:
+    """gemm under the kernel name ``mygemm``, at every gemm size."""
+    return BenchmarkEntry(
+        "mygemm",
+        benchmark_entry("gemm").sizes,
+        lambda s: dataclasses.replace(get_benchmark("gemm", s), kernel="mygemm"),
+    )
+
+
+def _gemm_without_medium() -> BenchmarkEntry:
+    """gemm under the kernel name ``gemm2``, at two sizes only."""
+    return BenchmarkEntry("gemm2", ("mini", "small"), lambda s: get_benchmark("gemm", s))
 
 
 class TestDiscovery:
@@ -168,6 +184,23 @@ class TestRegistration:
         assert run.kernel == "gemm" and run.n_evals == 4
         assert run.best_config["P1"] in get_benchmark("gemm", "mini").candidates["P1"]
 
+    def test_plugin_under_a_new_name_runs(self, capsys):
+        # The benchmark carries its space and check, so nothing downstream
+        # needs to know the name "mygemm".
+        from repro.cli import main
+        from repro.service.jobs import JobSpec
+        from repro.service.session import TuningSession
+
+        register_benchmark(_renamed_gemm())
+        for tuner in ("ytopt", "AutoTVM-GA"):
+            run = TuningSession(
+                JobSpec(kernel="mygemm", size="mini", tuner=tuner, max_evals=4, seed=0)
+            ).run()
+            assert run.n_evals == 4
+            assert run.best_config["P0"] in get_benchmark("gemm", "mini").candidates["P0"]
+        assert main(["experiment", "mygemm-mini", "--evals", "4", "--tuners", "ytopt"]) == 0
+        assert "custom pair mygemm/mini" in capsys.readouterr().out
+
     def test_duplicate_tuner_rejected_without_replace(self):
         spec = TunerSpec(
             name="custom-tuner",
@@ -194,6 +227,23 @@ class TestRegistration:
         # Paper order stays first even for alphabetically-earlier additions.
         assert tuple(names[:5]) == PAPER_TUNERS
         assert names[-1] != "ytopt" and "aaa-first-alphabetically" in names[5:]
+
+
+class TestListCommand:
+    @pytest.mark.parametrize(
+        ("entry", "space"),
+        [(_gemm_without_medium, "–"), (_renamed_gemm, "144")],
+        ids=["no-medium-size", "renamed"],
+    )
+    def test_lists_a_plugin_under_a_new_name(self, entry, space, capsys):
+        from repro.cli import main
+
+        plugin = register_benchmark(entry())
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        assert "Registered benchmarks (8)" in out
+        row = next(line for line in out.splitlines() if line.startswith(plugin.kernel + " "))
+        assert row.split()[-1] == space
 
 
 class TestServiceAdmission:

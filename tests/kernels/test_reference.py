@@ -12,6 +12,7 @@ from repro.kernels.reference import (
     lu_split,
     make_lu_friendly,
     make_spd,
+    mismatch,
     syrk_reference,
     threemm_reference,
 )
@@ -106,3 +107,21 @@ class TestOtherReferences:
     def test_generators_are_usable(self):
         assert np.all(np.linalg.eigvalsh(make_spd(6)) > 0)
         lu_reference(make_lu_friendly(6))  # must not raise
+
+
+class TestMismatch:
+    def test_match_within_tolerance(self):
+        want = np.ones((3, 3))
+        assert mismatch("k", want + 1e-12, want) is None
+
+    def test_wrong_value_names_the_kernel(self):
+        want = np.ones((3, 3))
+        got = want.copy()
+        got[2, 1] += 1e-6
+        assert mismatch("k", got, want) == "k: max |error| 1e-06 exceeds rtol=atol=1e-10"
+
+    def test_shape_differs_even_where_numpy_would_broadcast(self):
+        # allclose alone would broadcast a (3,) output against (3, 3) and pass.
+        assert mismatch("k", np.ones(3), np.ones((3, 3))) == (
+            "k: shape (3,) != reference (3, 3)"
+        )

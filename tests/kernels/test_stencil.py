@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import SpaceError
-from repro.kernels.stencil import jacobi2d_reference, jacobi2d_tuned
+from repro.kernels.reference import jacobi2d_reference
+from repro.kernels.stencil import jacobi2d_tuned
 from repro.runtime import build
 
 
